@@ -9,8 +9,7 @@ The config format is flat ``section.key = value`` lines (``#`` comments);
 unknown keys are rejected with their line number.  All numeric output uses
 17 significant digits and artifact files are written with deterministic
 content: re-running a command with the same config yields byte-identical
-results.  The worker count for grid evaluation is controlled only by the
-HOLOCURVE_WORKERS environment variable; results do not depend on it.
+results.
 
 Exit codes: 0 success / criterion holds, 1 criterion or bound violated,
 2 configuration error, 3 identity check failure, 4 collision found,
@@ -19,13 +18,13 @@ Exit codes: 0 success / criterion holds, 1 criterion or bound violated,
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 
+from ._table import write_csv
 from .criterion import (GridSpec, boundary_diagnostics, boundary_trace,
                         covering_bound, intrinsic_min_distance, normalize,
                         scan, second_derivative_norm, write_scan_csv)
@@ -303,10 +302,7 @@ def _cmd_covering(cfg: RunConfig) -> int:
         violated = violated or (slack < -tol)
         rows.append((r, h, measured, slack))
     csv_path = _out_dir(cfg) / "covering.csv"
-    with open(csv_path, "w", newline="") as fh:
-        fh.write("r,bound,measured,slack\n")
-        for row in rows:
-            fh.write(",".join(_fmt(v) for v in row) + "\n")
+    write_csv(csv_path, ("r", "bound", "measured", "slack"), list(zip(*rows)))
     print(f"curve = {curve.label}")
     print(f"normalized_second_deriv = {_fmt(phi2)}")
     for r, h, measured, slack in rows:
@@ -367,11 +363,10 @@ def _reproduce_example1(cfg: RunConfig) -> int:
     abs_s = np.abs(example1_schwarzian(xs, c))
     curv = 1.5 * example1_wronskian_sq(c) / example1_e2sigma(xs, c) ** 2
     csv_path = _out_dir(cfg) / "example1_table.csv"
-    with open(csv_path, "w", newline="") as fh:
-        fh.write("x,abs_schwarzian,curv_term,criterion_sum,bound\n")
-        for x, a, cv in zip(xs, abs_s, curv):
-            fh.write(",".join(_fmt(v) for v in
-                              (x, a, cv, a + cv, np.pi ** 2 / 2.0)) + "\n")
+    write_csv(csv_path,
+              ("x", "abs_schwarzian", "curv_term", "criterion_sum", "bound"),
+              (xs, abs_s, curv, abs_s + curv,
+               np.full(len(xs), np.pi ** 2 / 2.0)))
     print(f"curve = {curve.label}")
     print(f"verdict = {report.verdict}")
     print(f"min_margin = {_fmt(report.min_margin)}")
@@ -394,10 +389,8 @@ def _reproduce_example2(cfg: RunConfig) -> int:
     slack = example2_reduced_slack(c, z)
     hist, edges = np.histogram(slack, bins=24)
     csv_path = _out_dir(cfg) / "example2_slack_hist.csv"
-    with open(csv_path, "w", newline="") as fh:
-        fh.write("bin_lo,bin_hi,count\n")
-        for lo, hi, n in zip(edges[:-1], edges[1:], hist):
-            fh.write(f"{_fmt(lo)},{_fmt(hi)},{int(n)}\n")
+    write_csv(csv_path, ("bin_lo", "bin_hi", "count"),
+              (edges[:-1], edges[1:], hist))
     print(f"curve = {curve.label}")
     print(f"verdict = {report.verdict}")
     print(f"min_margin = {_fmt(report.min_margin)}")

@@ -15,9 +15,6 @@ the weight ratio w = sqrt(Phi'(|z|)/|phi'(z)|) along rays.
 """
 from __future__ import annotations
 
-import io
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -25,6 +22,7 @@ from scipy import sparse
 from scipy.optimize import minimize
 from scipy.sparse.csgraph import dijkstra
 
+from ._table import write_csv
 from .errors import NumericalError
 from .jets import HoloCurve, eval_curve, scale_curve
 from .nehari import ExtremalProfile
@@ -91,37 +89,31 @@ def _weight_label(weight) -> str:
     return f"{kind}(factor={getattr(weight, 'factor', 1.0):g})"
 
 
+# Fixed-size chunks bound the jet temporaries on the 1M-point grids.
 _CHUNK = 8192
 
 
-def _n_workers() -> int:
-    try:
-        return max(1, int(os.environ.get("HOLOCURVE_WORKERS", "1")))
-    except ValueError:
-        return 1
-
-
 def _margin_parts(curve: HoloCurve, weight, z: np.ndarray):
-    """Margin field over z, evaluated in fixed-size chunks.
+    """abs_schwarzian, curv_term, bound and margin over z.
 
-    Chunk boundaries never depend on the worker count, so the concatenated
-    result is byte-identical whether HOLOCURVE_WORKERS is 1 or 64.
+    Raises NumericalError at the first point whose margin is not finite.
     """
-    def one(block: np.ndarray):
+    parts = []
+    for i in range(0, len(z), _CHUNK):
+        block = z[i:i + _CHUNK]
         data = conformal_data(eval_curve(curve, block))
         abs_s = np.abs(data.schwarzian)
         curv = 1.5 * data.wronskian_sq / data.q ** 2
         bound = 2.0 * np.asarray(weight(np.abs(block)), dtype=float)
-        return abs_s, curv, bound, bound - (abs_s + curv)
-
-    blocks = [z[i:i + _CHUNK] for i in range(0, len(z), _CHUNK)]
-    workers = _n_workers()
-    if workers > 1 and len(blocks) > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            parts = list(pool.map(one, blocks))
-    else:
-        parts = [one(b) for b in blocks]
-    return tuple(np.concatenate([p[k] for p in parts]) for k in range(4))
+        parts.append((abs_s, curv, bound, bound - (abs_s + curv)))
+    abs_s, curv, bound, margin = (np.concatenate([p[k] for p in parts])
+                                  for k in range(4))
+    bad = ~np.isfinite(margin)
+    if np.any(bad):
+        i = int(np.argmax(bad))
+        raise NumericalError(f"criterion margin is {margin[i]} at point {i} "
+                             f"(z = {complex(z[i])})")
+    return abs_s, curv, bound, margin
 
 
 def scan(curve: HoloCurve, weight, grid: GridSpec | None = None,
@@ -131,6 +123,7 @@ def scan(curve: HoloCurve, weight, grid: GridSpec | None = None,
     verdict is "fails" iff the minimum margin drops below -tol_eq,
     "holds-with-equality" iff the minimum sits within tol_eq of zero, and
     "holds" otherwise.  tol_eq defaults to 1e-6 * max(1, 2 p(0)).
+    Raises NumericalError if the margin is not finite at some grid point.
     """
     grid = grid or GridSpec()
     z = grid.points()
@@ -182,17 +175,11 @@ def scan(curve: HoloCurve, weight, grid: GridSpec | None = None,
 
 def write_scan_csv(report: CriterionReport, path_or_buf) -> None:
     """Scan table: re_z,im_z,abs_schwarzian,curv_term,bound,margin."""
-    cols = [report.re_z, report.im_z, report.abs_schwarzian,
-            report.curv_term, report.bound, report.margin]
-    buf = path_or_buf if isinstance(path_or_buf, io.IOBase) \
-        else open(path_or_buf, "w", newline="")
-    try:
-        buf.write("re_z,im_z,abs_schwarzian,curv_term,bound,margin\n")
-        for row in zip(*cols):
-            buf.write(",".join(f"{v:.17g}" for v in row) + "\n")
-    finally:
-        if buf is not path_or_buf:
-            buf.close()
+    write_csv(path_or_buf,
+              ("re_z", "im_z", "abs_schwarzian", "curv_term", "bound",
+               "margin"),
+              (report.re_z, report.im_z, report.abs_schwarzian,
+               report.curv_term, report.bound, report.margin))
 
 
 # ---------------------------------------------------------------------------
@@ -200,8 +187,7 @@ def write_scan_csv(report: CriterionReport, path_or_buf) -> None:
 # ---------------------------------------------------------------------------
 
 def tangent_norm_at_zero(curve: HoloCurve) -> float:
-    jet = eval_curve(curve, 0.0)
-    return float(np.sqrt(np.sum(np.abs(jet.d1s()) ** 2)))
+    return float(np.sqrt(eval_curve(curve, 0.0).q))
 
 
 def second_derivative_norm(curve: HoloCurve) -> float:
@@ -270,8 +256,7 @@ def intrinsic_min_distance(curve: HoloCurve, r: float,
     n_nodes = int(np.sum(inside))
 
     def sigma_factor(zpts: np.ndarray) -> np.ndarray:
-        jet = eval_curve(curve, zpts)
-        return np.sqrt(np.sum(np.abs(jet.d1s()) ** 2, axis=0))
+        return np.sqrt(eval_curve(curve, zpts).q)
 
     H, W = zz.shape
     rows, cols, ws = [], [], []
@@ -342,8 +327,7 @@ def weight_ratio(curve: HoloCurve, profile: ExtremalProfile, z) -> np.ndarray:
     """w(z) = sqrt(Phi'(|z|) / |phi'(z)|); convex in the flat metric when
     the radial comparison holds."""
     z = np.asarray(z, dtype=complex)
-    jet = eval_curve(curve, z)
-    q = np.sum(np.abs(jet.d1s()) ** 2, axis=0)
+    q = eval_curve(curve, z).q
     return np.sqrt(profile.PhiP(np.abs(z))) / q ** 0.25
 
 

@@ -29,7 +29,7 @@ __all__ = [
     "Jet3", "CurveJet", "HoloCurve", "DiskMobius",
     "PolynomialComponent", "ExponentialComponent", "MoebiusComponent",
     "StripMapComponent", "ComposedComponent", "ReciprocalComponent",
-    "AffineComponent", "PrecomposedComponent",
+    "AffineComponent",
     "eval_curve", "precompose_disk_mobius", "scale_curve",
     "identity_curve", "polynomial_curve", "exponential_curve",
     "strip_curve", "tan_truncation_curve", "radial_pair_curve",
@@ -262,28 +262,18 @@ class DiskMobius:
         return self.jet(z).val
 
 
-class PrecomposedComponent:
-    """f(T(z)) for a component f and a disk automorphism T."""
-
-    def __init__(self, base, mobius: DiskMobius):
-        self.base = base
-        self.mobius = mobius
-
-    def jet(self, z) -> Jet3:
-        tj = self.mobius.jet(z)
-        return self.base.jet(tj.val).compose(tj)
-
-
 # ---------------------------------------------------------------------------
 # Curves
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
 class CurveJet:
-    """Jets of all components of a curve at common evaluation points."""
+    """Jets of all components of a curve at common evaluation points, and
+    the metric factor q = sum |f_k'|^2 (= e^{2 sigma}) there."""
 
     z: complex | np.ndarray
     components: tuple[Jet3, ...]
+    q: np.ndarray
 
     @property
     def n(self) -> int:
@@ -324,11 +314,12 @@ class HoloCurve:
         if check_domain and np.any(np.abs(z) >= 1.0):
             raise DomainError("evaluation point outside the open unit disk")
         jets = tuple(m.jet(z) for m in self.components)
-        q = sum(np.abs(j.d1) ** 2 for j in jets)
+        d1 = np.stack([np.asarray(j.d1) for j in jets])
+        q = np.sum(np.abs(d1) ** 2, axis=0)
         if np.any(q < 1e-280):
             raise VanishingTangentError(
                 f"tangent vector of '{self.label}' vanished at a requested point")
-        return CurveJet(z, jets)
+        return CurveJet(z, jets, q)
 
 
 def eval_curve(curve: HoloCurve, z) -> CurveJet:
@@ -338,7 +329,7 @@ def eval_curve(curve: HoloCurve, z) -> CurveJet:
 
 def precompose_disk_mobius(curve: HoloCurve, mobius: DiskMobius) -> HoloCurve:
     """The curve z -> phi(T(z)) with exact chain-rule jets."""
-    comps = tuple(PrecomposedComponent(m, mobius) for m in curve.components)
+    comps = tuple(ComposedComponent(m, mobius) for m in curve.components)
     return HoloCurve(comps, label=f"{curve.label}∘mobius(rho={mobius.rho:g},"
                                   f"theta={mobius.theta:g})")
 

@@ -23,7 +23,6 @@ the radial comparison data A(r) and the weight metric curvature.
 """
 from __future__ import annotations
 
-import io
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
@@ -31,6 +30,7 @@ import numpy as np
 from scipy.integrate import solve_ivp
 from scipy.interpolate import CubicSpline
 
+from ._table import write_csv
 from .errors import NumericalError
 from .jets import DiskMobius
 
@@ -484,15 +484,7 @@ def richardson_lambda(p, j_lo: int = 10, j_hi: int = 20, levels: int = 3
 def write_profile_csv(profile: ExtremalProfile, path_or_buf) -> None:
     """Profile table: columns x,u0,Phi,PhiP,U,Psi,A,p at the sample grid."""
     xs = profile.xs
-    cols = [xs, profile.u0(xs), profile.Phi(xs), profile.PhiP(xs),
-            profile.U(xs), profile.Psi(xs), profile.A(xs),
-            np.asarray(profile.p(xs), dtype=float)]
-    buf = path_or_buf if isinstance(path_or_buf, io.IOBase) \
-        else open(path_or_buf, "w", newline="")
-    try:
-        buf.write("x,u0,Phi,PhiP,U,Psi,A,p\n")
-        for row in zip(*cols):
-            buf.write(",".join(f"{v:.17g}" for v in row) + "\n")
-    finally:
-        if buf is not path_or_buf:
-            buf.close()
+    write_csv(path_or_buf, ("x", "u0", "Phi", "PhiP", "U", "Psi", "A", "p"),
+              (xs, profile.u0(xs), profile.Phi(xs), profile.PhiP(xs),
+               profile.U(xs), profile.Psi(xs), profile.A(xs),
+               np.asarray(profile.p(xs), dtype=float)))

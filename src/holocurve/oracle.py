@@ -18,6 +18,7 @@ from .ahlfors import (MobiusRn, PlaneCurve, compose_real,
                       make_speed_curvature, s1_from_speed_curvature, s1_direct,
                       s1_mobius_invariance_check, s1_of_composed_curve,
                       s1_via_curvature)
+from .errors import NumericalError
 from .jets import (DiskMobius, HoloCurve, eval_curve, identity_curve,
                    polynomial_curve, precompose_disk_mobius,
                    radial_pair_curve, strip_curve)
@@ -219,6 +220,8 @@ def injectivity_scan(curve: HoloCurve, n_samples: int = 10000,
 
     Also reports the minimal admissible image distance, found with a KD-tree
     under an escalating radius so the N^2 pair set is never materialized.
+    Raises NumericalError if the image extent is not finite or too large for
+    squared distances.
     """
     z = disk_samples(n_samples, r_min=r_min, r_max=r_max, seed=seed)
     if symmetrize:
@@ -227,6 +230,12 @@ def injectivity_scan(curve: HoloCurve, n_samples: int = 10000,
     jet = eval_curve(curve, z)
     vals = jet.vals()
     X = np.concatenate([np.real(vals), np.imag(vals)], axis=0).T.copy()
+    # The KD-tree works with squared image distances up to (2 span)^2 and
+    # dim * span^2; a non-finite or overflowing extent is a numerical failure.
+    span = float(np.max(np.ptp(X, axis=0))) + 1e-300
+    if not np.isfinite(4.0 * X.shape[1] * span * span):
+        raise NumericalError(f"image of '{curve.label}' has extent {span:g}: "
+                             "squared distances are not finite")
 
     tree = cKDTree(X)
 
@@ -243,7 +252,6 @@ def injectivity_scan(curve: HoloCurve, n_samples: int = 10000,
         return float(d[i]), (complex(z[pairs[ok, 0][i]]),
                              complex(z[pairs[ok, 1][i]]))
 
-    span = float(np.max(np.ptp(X, axis=0))) + 1e-300
     radius = collision_threshold
     best = None
     while best is None and radius < 2.0 * span:

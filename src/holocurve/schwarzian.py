@@ -67,7 +67,7 @@ def conformal_data(jet: CurveJet) -> ConformalData:
     d1 = jet.d1s()
     d2 = jet.d2s()
     d3 = jet.d3s()
-    q = np.sum(np.abs(d1) ** 2, axis=0)
+    q = jet.q
     p_sum = np.sum(np.conj(d1) * d2, axis=0)
     r_sum = np.sum(np.conj(d1) * d3, axis=0)
     # Pairwise form of the Lagrange identity: immune to the cancellation that

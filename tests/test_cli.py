@@ -1,12 +1,13 @@
 """End-to-end runs of every subcommand through main(), plus the config
 parser's error reporting and the determinism guarantees."""
 
-import os
+import io
 import re
 
 import numpy as np
 import pytest
 
+from holocurve._table import write_csv
 from holocurve.cli import main, parse_config
 from holocurve.errors import ConfigError
 
@@ -280,27 +281,63 @@ def test_boundary_example1(tmp_path, capsys):
 # determinism
 # ---------------------------------------------------------------------------
 
-def test_byte_identical_reruns_and_worker_independence(tmp_path, capsys,
-                                                       monkeypatch):
-    cfg = _write(tmp_path, "det.cfg",
-                 "curve.kind = example2\ngrid.n_r = 50\ngrid.n_theta = 24\n"
-                 "nehari.kind = inverse_square\n")
-    out_dir = str(tmp_path / "out")
+_ARTIFACT_RUNS = [
+    ("check-criterion", "curve.kind = example2\nnehari.kind = inverse_square\n"
+     "grid.n_r = 50\ngrid.n_theta = 24\n", "scan.csv"),
+    ("extremal-profile", "nehari.kind = inverse_square\n"
+     "profile.samples = 129\n", "profile.csv"),
+    ("covering", "curve.kind = example1\ncovering.radii = 0.3,0.6\n"
+     "covering.resolution = 60\n", "covering.csv"),
+    ("reproduce-example", "example.which = 1\ngrid.n_r = 20\n"
+     "grid.n_theta = 8\n", "example1_table.csv"),
+    ("reproduce-example", "example.which = 2\ngrid.n_r = 20\n"
+     "grid.n_theta = 8\nexample.c_values = 0.05\n",
+     "example2_slack_hist.csv"),
+]
+
+
+@pytest.mark.parametrize("command,config,artifact", _ARTIFACT_RUNS,
+                         ids=[run[2] for run in _ARTIFACT_RUNS])
+def test_byte_identical_reruns(tmp_path, capsys, command, config, artifact):
+    cfg = _write(tmp_path, "det.cfg", config)
+    out_dir = tmp_path / "out"
 
     def run_once():
-        code = main(["check-criterion", cfg, "--output", out_dir])
-        assert code == 0
-        return capsys.readouterr().out, (tmp_path / "out" / "scan.csv").read_bytes()
+        assert main([command, cfg, "--output", str(out_dir)]) == 0
+        return capsys.readouterr().out, (out_dir / artifact).read_bytes()
 
     ref_out, ref_csv = run_once()
     again_out, again_csv = run_once()
     assert again_out == ref_out
     assert again_csv == ref_csv
-    for workers in ("1", "7"):
-        monkeypatch.setenv("HOLOCURVE_WORKERS", workers)
-        w_out, w_csv = run_once()
-        assert w_out == ref_out, workers
-        assert w_csv == ref_csv, workers
+
+
+def test_csv_writer_pins_special_values_and_counts():
+    buf = io.StringIO()
+    write_csv(buf, ("x", "y", "count"),
+              (np.array([np.nan, -0.0, 0.1]),
+               np.array([np.inf, -np.inf, 1e300]),
+               np.array([0, 7, 123456789], dtype=np.int64)))
+    assert buf.getvalue() == ("x,y,count\n"
+                              "nan,inf,0\n"
+                              "-0,-inf,7\n"
+                              "0.10000000000000001,1.0000000000000001e+300,"
+                              "123456789\n")
+
+
+@pytest.mark.parametrize("command", ["check-criterion", "injectivity"])
+def test_overflowing_curve_is_a_numerical_failure(tmp_path, capsys, command):
+    # c = 1e300 overflows Q = |f'|^2, so the margin is NaN, and the image
+    # spans ~1e301, so squared image distances overflow in the KD-tree.
+    cfg = _write(tmp_path, "huge.cfg",
+                 "curve.kind = example1\ncurve.c = 1e300\ngrid.n_r = 20\n"
+                 "grid.n_theta = 8\ninjectivity.samples = 2000\n")
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert main([command, cfg, "--output", str(tmp_path)]) == 5
+    out, err = capsys.readouterr()
+    assert "numerical failure" in err
+    assert out == ""
+    assert not (tmp_path / "scan.csv").exists()
 
 
 def test_all_floats_use_17_significant_digits(tmp_path, capsys):
