@@ -23,6 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import ConfigError
 from .jets import (ComposedComponent, ExponentialComponent, HoloCurve,
                    MoebiusComponent, PolynomialComponent,
                    ReciprocalComponent, StripMapComponent)
@@ -49,7 +50,7 @@ def example1_min_c() -> float:
 def example1_curve(c: float = 1700.0) -> HoloCurve:
     """phi(z) = (c e^{pi z}, e^{-pi z}); requires c >= example1_min_c()."""
     if c < example1_min_c():
-        raise ValueError(
+        raise ConfigError(
             f"c = {c:g} is below the admissible threshold "
             f"{example1_min_c():.6f}; the criterion would fail near x = -1")
     return HoloCurve((ExponentialComponent(c, np.pi),
@@ -102,8 +103,8 @@ def example2_curve(c: float = 0.05) -> HoloCurve:
     |Im w| <= pi/4, so f is finite and nonvanishing on the disk.
     """
     if not 0.0 < c < 4.0 / np.pi:
-        raise ValueError(f"c = {c:g} outside the admissible range "
-                         f"(0, {4.0 / np.pi:.6f})")
+        raise ConfigError(f"c = {c:g} outside the admissible range "
+                          f"(0, {4.0 / np.pi:.6f})")
     f = ComposedComponent(MoebiusComponent(c, 1j, c, -1j),
                           StripMapComponent())
     return HoloCurve((f, ReciprocalComponent(f)), label=f"example2(c={c:g})")

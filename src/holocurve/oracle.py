@@ -12,13 +12,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.spatial import cKDTree
+from scipy.spatial import cKDTree, distance
 
 from .ahlfors import (MobiusRn, PlaneCurve, compose_real,
                       make_speed_curvature, s1_from_speed_curvature, s1_direct,
                       s1_mobius_invariance_check, s1_of_composed_curve,
                       s1_via_curvature)
-from .errors import NumericalError
+from .errors import ConfigError, NumericalError
 from .jets import (DiskMobius, HoloCurve, eval_curve, identity_curve,
                    polynomial_curve, precompose_disk_mobius,
                    radial_pair_curve, strip_curve)
@@ -201,7 +201,6 @@ class InjectivityReport:
     collision_found: bool
     min_image_distance: float
     pair: tuple[complex, complex] | None
-    pair_image_distance: float | None
 
 
 def injectivity_scan(curve: HoloCurve, n_samples: int = 10000,
@@ -218,17 +217,20 @@ def injectivity_scan(curve: HoloCurve, n_samples: int = 10000,
     even curves like z^2, whose collisions are exactly antipodal and which a
     generic cloud would never hit.
 
-    Also reports the minimal admissible image distance, found with a KD-tree
-    under an escalating radius so the N^2 pair set is never materialized.
-    Raises NumericalError if the image extent is not finite or too large for
-    squared distances.
+    Also reports the exact minimal image distance over admissible pairs of
+    distinct samples, from each sample's k nearest images in a KD-tree
+    (Bentley, CACM 18(9), 1975), or its whole row once k passes n/16.
+    `pair` is deliberately the lowest-index sample attaining it with its
+    lowest-index partner; None when no two samples are min_sep apart.
+    Raises ConfigError if n_samples < 2, and NumericalError if the image
+    extent is not finite or too large for squared distances.
     """
+    if n_samples < 2:
+        raise ConfigError(f"need at least 2 samples, got {n_samples}")
     z = disk_samples(n_samples, r_min=r_min, r_max=r_max, seed=seed)
     if symmetrize:
-        half = n_samples // 2
-        z = np.concatenate([z[:half], -z[:half]])
-    jet = eval_curve(curve, z)
-    vals = jet.vals()
+        z = np.concatenate([z[:n_samples // 2], -z[:n_samples // 2]])
+    vals = eval_curve(curve, z).vals()
     X = np.concatenate([np.real(vals), np.imag(vals)], axis=0).T.copy()
     # The KD-tree works with squared image distances up to (2 span)^2 and
     # dim * span^2; a non-finite or overflowing extent is a numerical failure.
@@ -237,55 +239,55 @@ def injectivity_scan(curve: HoloCurve, n_samples: int = 10000,
         raise NumericalError(f"image of '{curve.label}' has extent {span:g}: "
                              "squared distances are not finite")
 
-    tree = cKDTree(X)
+    tree, n = cKDTree(X), len(z)
+    best = (np.inf, 0, 0)  # (image distance, i, j); the smallest tuple wins
+    rows, k = np.arange(n), 16
+    while rows.size:
+        # Past n/16 neighbours whole rows from cdist cost less than the tree.
+        k = k if 16 * k < n else n
+        step = max(1, 8192 * 16 // k)  # rows per query: 8192 at k = 16
+        again = []
+        for s in range(0, rows.size, step):
+            r = rows[s:s + step]
+            if k < n:
+                dist, idx = tree.query(X[r], k)
+                zj = z[idx]
+            else:
+                dist = distance.cdist(X[r], X)
+                idx, zj = np.broadcast_to(np.arange(n), dist.shape), z
+            ok = (np.abs(z[r, None] - zj) >= min_sep) & (idx != r[:, None])
+            # np.linalg.norm gives the printed bits; recompute near-minima.
+            cand = np.where(ok, dist, np.inf)
+            a, b = (ok & (cand <= cand.min(1)[:, None] * (1 + 1e-9))).nonzero()
+            d = np.full(idx.shape, np.inf)
+            d[a, b] = np.linalg.norm(X[r[a]] - X[idx[a, b]], axis=1)
+            row_min = d.min(axis=1)
+            first = int(np.argmin(row_min))
+            partner = int(np.min(idx[first][d[first] == row_min[first]]))
+            best = min(best, (float(row_min[first]), int(r[first]), partner))
+            # Rows that may still find a closer or tied partner go again.
+            limit = np.minimum(row_min, best[0]) * (1 + 1e-9)
+            again.append(r[(dist[:, -1] <= limit) & (k < n)])
+        rows = np.concatenate(again)
+        k *= 2
 
-    def admissible_min(radius: float):
-        pairs = tree.query_pairs(radius, output_type="ndarray")
-        if pairs.size == 0:
-            return None
-        dz = np.abs(z[pairs[:, 0]] - z[pairs[:, 1]])
-        ok = dz >= min_sep
-        if not np.any(ok):
-            return None
-        d = np.linalg.norm(X[pairs[ok, 0]] - X[pairs[ok, 1]], axis=1)
-        i = int(np.argmin(d))
-        return float(d[i]), (complex(z[pairs[ok, 0][i]]),
-                             complex(z[pairs[ok, 1][i]]))
-
-    radius = collision_threshold
-    best = None
-    while best is None and radius < 2.0 * span:
-        # Keep the candidate pair set bounded before materializing it.
-        n_pairs = tree.count_neighbors(tree, radius) - len(X)
-        if n_pairs > 6_000_000:
-            best = _admissible_min_brute(z, X, min_sep)
-            break
-        best = admissible_min(radius)
-        radius *= 8.0
-    if best is None:
-        best = _admissible_min_brute(z, X, min_sep)
-
-    min_dist, pair = best
-    collision = min_dist < collision_threshold
+    min_dist, i, j = best
     return InjectivityReport(
-        curve_label=curve.label, n_samples=len(z), min_sep=min_sep,
-        collision_threshold=collision_threshold, collision_found=collision,
-        min_image_distance=min_dist, pair=pair if collision else pair,
-        pair_image_distance=min_dist)
+        curve_label=curve.label, n_samples=n, min_sep=min_sep,
+        collision_threshold=collision_threshold,
+        collision_found=min_dist < collision_threshold,
+        min_image_distance=min_dist,
+        pair=(complex(z[i]), complex(z[j])) if min_dist < np.inf else None)
 
 
 def _admissible_min_brute(z, X, min_sep, chunk: int = 256):
-    """Chunked O(N^2) fallback for pathological image distributions."""
-    best = np.inf
-    pair = (0, 0)
-    n = len(z)
-    for i0 in range(0, n, chunk):
-        i1 = min(i0 + chunk, n)
-        dz = np.abs(z[i0:i1, None] - z[None, :])
-        dx = np.linalg.norm(X[i0:i1, None, :] - X[None, :, :], axis=2)
-        dx[dz < min_sep] = np.inf
-        j = np.unravel_index(np.argmin(dx), dx.shape)
-        if dx[j] < best:
-            best = float(dx[j])
-            pair = (i0 + j[0], j[1])
+    """Chunked O(N^2) reference for `injectivity_scan`'s pair search."""
+    best, pair, cols = np.inf, (0, 0), np.arange(len(z))
+    for i0 in range(0, len(z), chunk):
+        rows = cols[i0:i0 + chunk, None]
+        dx = np.linalg.norm(X[rows] - X, axis=2)
+        dx[(np.abs(z[rows] - z) < min_sep) | (rows == cols)] = np.inf
+        i, j = np.unravel_index(np.argmin(dx), dx.shape)
+        if dx[i, j] < best:
+            best, pair = float(dx[i, j]), (i0 + i, j)
     return best, (complex(z[pair[0]]), complex(z[pair[1]]))

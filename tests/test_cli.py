@@ -218,6 +218,27 @@ def test_injectivity_seed_flag_matches_config(tmp_path, capsys):
             != _stdout_value(out_flag, "min_image_distance"))
 
 
+@pytest.mark.parametrize("samples", [1, 0, -5])
+def test_injectivity_sample_count_below_two_is_a_config_error(tmp_path, capsys,
+                                                              samples):
+    cfg = _write(tmp_path, "few.cfg", f"injectivity.samples = {samples}\n")
+    assert main(["injectivity", cfg]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert "config error" in err and "at least 2" in err
+
+
+def test_injectivity_without_admissible_pair_prints_no_witness(tmp_path,
+                                                               capsys):
+    cfg = _write(tmp_path, "tiny.cfg",
+                 "injectivity.samples = 3\ninjectivity.r_max = 0.001\n")
+    assert main(["injectivity", cfg]) == 0
+    out = capsys.readouterr().out
+    assert _stdout_value(out, "min_image_distance") == "inf"
+    assert "pair_z1" not in out and "pair_z2" not in out
+    assert _stdout_value(out, "collision") == "false"
+
+
 # ---------------------------------------------------------------------------
 # reproduce-example
 # ---------------------------------------------------------------------------
@@ -255,6 +276,17 @@ def test_reproduce_example_bad_which(tmp_path, capsys):
     cfg = _write(tmp_path, "ex3.cfg", "example.which = 3\n")
     assert main(["reproduce-example", cfg]) == 2
     assert "example.which" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("which,c", [(1, 3), (2, 5)])
+def test_reproduce_example_bad_curve_c_is_a_config_error(tmp_path, capsys,
+                                                         which, c):
+    cfg = _write(tmp_path, "exc.cfg", f"example.which = {which}\n"
+                 f"curve.c = {c}\n")
+    assert main(["reproduce-example", cfg, "--output", str(tmp_path)]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert "config error" in err and f"c = {c}" in err
 
 
 # ---------------------------------------------------------------------------

@@ -1,10 +1,15 @@
 """The cross-route identity suite and the collision (injectivity) scan."""
 
+from types import SimpleNamespace
+
 import numpy as np
+import pytest
 
 import holocurve as hc
-from holocurve.oracle import (default_suite_curves, identity_suite,
-                              injectivity_scan)
+from holocurve import oracle
+from holocurve.oracle import (_admissible_min_brute, default_suite_curves,
+                              identity_suite, injectivity_scan)
+from holocurve.sampling import disk_samples
 
 EXPECTED_RECORDS = {
     "second_form_lagrange_vs_wronskian",
@@ -57,7 +62,9 @@ def test_injectivity_z_squared_symmetrized_collides():
     z1, z2 = rep.pair
     assert abs(z1 + z2) < 1e-12          # exact antipodal witness
     assert abs(z1 - z2) >= rep.min_sep
-    assert rep.pair_image_distance <= rep.collision_threshold
+    # every sample of the first half collides with its antipode: the tie
+    # rule names the first sample
+    assert z1 == disk_samples(4000, r_min=0.3, r_max=1.0 - 1e-4)[0]
 
 
 def test_injectivity_z_squared_without_symmetrize_is_clean():
@@ -91,3 +98,115 @@ def test_injectivity_annulus_restriction():
     z1, z2 = rep.pair
     for z in (z1, z2):
         assert 0.5 - 1e-12 <= abs(z) <= 0.8 + 1e-12
+
+
+def test_injectivity_rejects_fewer_than_two_samples():
+    for n in (1, 0, -5):
+        with pytest.raises(ValueError, match="at least 2"):
+            injectivity_scan(hc.identity_curve(), n_samples=n)
+
+
+def test_injectivity_without_admissible_pair_has_no_witness():
+    rep = injectivity_scan(hc.identity_curve(), n_samples=3, r_max=0.001)
+    assert rep.min_image_distance == np.inf
+    assert rep.pair is None
+    assert not rep.collision_found
+
+
+_REFERENCE_SCANS = [
+    ("identity", hc.identity_curve, {}),
+    ("example1", lambda: hc.example1_curve(1700.0), {"r_max": 0.9}),
+    ("example2", lambda: hc.example2_curve(0.05), {}),
+    ("radial_pair", lambda: hc.radial_pair_curve(0.7), {}),
+    ("z_squared", hc.z_squared_curve, {"r_min": 0.3}),
+    ("z_squared-symmetrized", hc.z_squared_curve,
+     {"r_min": 0.3, "symmetrize": True}),
+    ("annulus", hc.identity_curve, {"r_min": 0.5, "r_max": 0.8}),
+    ("identity-min_sep-0", hc.identity_curve, {"min_sep": 0.0}),
+    ("identity-min_sep-1", hc.identity_curve, {"min_sep": 1.0}),
+]
+
+
+def _brute_reference(z, vals, min_sep):
+    """The O(N^2) reference on the scan's cloud, with the scan's no-pair
+    convention."""
+    X = np.concatenate([np.real(vals), np.imag(vals)], axis=0).T.copy()
+    dist, pair = _admissible_min_brute(z, X, min_sep)
+    return dist, pair if dist < np.inf else None
+
+
+@pytest.mark.parametrize("make,kwargs", [c[1:] for c in _REFERENCE_SCANS],
+                         ids=[c[0] for c in _REFERENCE_SCANS])
+def test_injectivity_matches_brute_reference(monkeypatch, make, kwargs):
+    seen = []
+
+    def evaluate(curve, z):
+        jet = hc.eval_curve(curve, z)
+        seen.append((z, jet.vals()))
+        return jet
+
+    monkeypatch.setattr(oracle, "eval_curve", evaluate)
+    rep = injectivity_scan(make(), n_samples=1600, **kwargs)
+    (z, vals), = seen
+    assert (rep.min_image_distance, rep.pair) \
+        == _brute_reference(z, vals, rep.min_sep)
+
+
+@pytest.mark.parametrize("min_sep", [0.0, 0.1, 0.3])
+def test_injectivity_tie_rule_on_a_lattice(monkeypatch, min_sep):
+    # 1,500 samples on a 31 x 31 lattice: many coincide and many admissible
+    # pairs tie, so the tie rule alone picks the witness
+    rng = np.random.default_rng(0)
+    z = rng.integers(-15, 16, size=(1500, 2)) @ np.array([1, 1j]) / 32
+    monkeypatch.setattr(oracle, "disk_samples", lambda *args, **kwargs: z)
+    rep = injectivity_scan(hc.identity_curve(), n_samples=len(z),
+                           min_sep=min_sep)
+    assert (rep.min_image_distance, rep.pair) \
+        == _brute_reference(z, z[None], min_sep)
+
+
+@pytest.mark.parametrize("n_far", [0, 600])
+def test_injectivity_follows_the_printed_distance_on_near_ties(monkeypatch,
+                                                               n_far):
+    # The cyclic shifts of v, of v reversed and of v with neighbouring
+    # coordinates swapped are 24 points of C^4 equally far from the origin,
+    # but np.linalg.norm, cdist and the KD-tree round those distances to
+    # different last bits; the witness must follow np.linalg.norm.  n_far
+    # distant samples move the origin's row from the full-row scan to the
+    # tree query, whose first 16 neighbours then cut through the tie.
+    v = np.array([-0.387, 0.923, -0.068, 0.256, 0.27, -0.632, -0.876, -0.177])
+    copies = [np.roll(w, s) for w in (v, v[::-1], v[[1, 0, 3, 2, 5, 4, 7, 6]])
+              for s in range(8)]
+    X = np.vstack([np.zeros(8), copies,
+                   100.0 + np.arange(n_far)[:, None] * np.ones(8)])
+    z = np.concatenate([[0.0], 0.9 + 0.001j * np.arange(24),
+                        -0.9 + 0.001j * np.arange(n_far)])
+    vals = X[:, :4].T + 1j * X[:, 4:].T
+    monkeypatch.setattr(oracle, "disk_samples", lambda *args, **kwargs: z)
+    monkeypatch.setattr(oracle, "eval_curve",
+                        lambda curve, points: SimpleNamespace(vals=lambda: vals))
+    rep = injectivity_scan(hc.identity_curve(), n_samples=len(z), min_sep=0.5)
+    assert (rep.min_image_distance, rep.pair) \
+        == _brute_reference(z, vals, 0.5)
+
+
+def test_injectivity_min_sep_zero_skips_self_pairs():
+    # with no domain separation required the witness is the nearest pair of
+    # distinct samples, never a sample paired with itself
+    rep = injectivity_scan(hc.identity_curve(), n_samples=2000, min_sep=0.0)
+    z1, z2 = rep.pair
+    assert z1 != z2
+    assert rep.min_image_distance == pytest.approx(abs(z1 - z2), rel=1e-12)
+    assert rep.min_image_distance > 0
+    assert not rep.collision_found
+
+
+def test_injectivity_never_runs_the_quadratic_reference(monkeypatch, ex2):
+    # example 2 at 2e4 samples used to overflow a pair cap into O(N^2)
+    def refuse(*args, **kwargs):
+        raise AssertionError("the O(N^2) reference ran")
+
+    monkeypatch.setattr(oracle, "_admissible_min_brute", refuse)
+    rep = injectivity_scan(ex2, n_samples=20000)
+    assert not rep.collision_found
+    assert rep.min_image_distance > 1e-4
