@@ -26,8 +26,9 @@ import numpy as np
 
 from ._table import write_csv
 from .criterion import (GridSpec, boundary_diagnostics, boundary_trace,
-                        covering_bound, intrinsic_min_distance, normalize,
-                        scan, second_derivative_norm, write_scan_csv)
+                        check_covering_lattice, covering_bound,
+                        intrinsic_min_distance, normalize, scan,
+                        second_derivative_norm, write_scan_csv)
 from .errors import ConfigError, HolocurveError, NumericalError
 from .fixtures import (example1_curve, example2_curve, example2_reduced_slack,
                        strip_constants_check, z_squared_curve)
@@ -225,6 +226,13 @@ def _grid(cfg: RunConfig) -> GridSpec:
         raise ConfigError(f"invalid grid: {exc}") from exc
 
 
+def _float_list(cfg: RunConfig, key: str) -> list[float]:
+    try:
+        return [float(v) for v in cfg[key].split(",") if v.strip()]
+    except ValueError as exc:
+        raise ConfigError(f"invalid {key}: {exc}") from exc
+
+
 def _out_dir(cfg: RunConfig) -> Path:
     out = Path(cfg["run.output"])
     out.mkdir(parents=True, exist_ok=True)
@@ -283,22 +291,31 @@ def _cmd_extremal_profile(cfg: RunConfig) -> int:
 
 
 def _cmd_covering(cfg: RunConfig) -> int:
+    radii = _float_list(cfg, "covering.radii")
+    resolution = cfg["covering.resolution"]
+    # Mesh quadrature error on the measured distance is far above float
+    # noise, so the verdict allows a small absolute shortfall.
+    tol = cfg["covering.tol"]
+    if not radii:
+        raise ConfigError("covering.radii lists no radius")
+    if not 0.0 <= tol < np.inf:
+        raise ConfigError(f"covering.tol = {tol:g} must be finite and >= 0")
+    for r in radii:
+        check_covering_lattice(r, resolution)
     curve = normalize(build_curve(cfg))
     weight = build_weight(cfg)
     profile = extremal_profile(weight, eps=cfg["profile.eps"],
                                n_samples=cfg["profile.samples"])
     phi2 = second_derivative_norm(curve)
-    radii = [float(v) for v in cfg["covering.radii"].split(",") if v.strip()]
-    # Mesh quadrature error on the measured distance is far above float
-    # noise, so the verdict allows a small absolute shortfall.
-    tol = cfg["covering.tol"]
     rows = []
     violated = False
     for r in radii:
         h = float(covering_bound(profile, phi2, r))
-        measured = intrinsic_min_distance(curve, r,
-                                          resolution=cfg["covering.resolution"])
+        measured = intrinsic_min_distance(curve, r, resolution=resolution)
         slack = measured - h
+        if not np.isfinite(slack):
+            raise NumericalError(f"covering slack at r = {r:g} is {slack} "
+                                 f"(measured = {measured}, bound = {h})")
         violated = violated or (slack < -tol)
         rows.append((r, h, measured, slack))
     csv_path = _out_dir(cfg) / "covering.csv"
@@ -383,11 +400,15 @@ def _reproduce_example2(cfg: RunConfig) -> int:
     c_curve = cfg["curve.c"]
     c = 0.05 if np.isnan(c_curve) else c_curve
     curve = example2_curve(c)
+    # The strip fits validate example.c_values before anything is written.
+    fits = [strip_constants_check(cv, seed=cfg["run.seed"])
+            for cv in _float_list(cfg, "example.c_values")]
     weight = NehariFunction.inverse_square()
-    report = scan(curve, weight, _grid(cfg))
-    z = _grid(cfg).points()
-    slack = example2_reduced_slack(c, z)
+    # Before the scan, so that the slack's whole-grid temporaries and the
+    # scan's columns are never alive at once.
+    slack = example2_reduced_slack(c, _grid(cfg).points())
     hist, edges = np.histogram(slack, bins=24)
+    report = scan(curve, weight, _grid(cfg))
     csv_path = _out_dir(cfg) / "example2_slack_hist.csv"
     write_csv(csv_path, ("bin_lo", "bin_hi", "count"),
               (edges[:-1], edges[1:], hist))
@@ -396,9 +417,8 @@ def _reproduce_example2(cfg: RunConfig) -> int:
     print(f"min_margin = {_fmt(report.min_margin)}")
     print(f"min_reduced_slack = {_fmt(np.min(slack))}")
     print(f"hist_csv = {csv_path}")
-    for cv in [float(v) for v in cfg["example.c_values"].split(",") if v.strip()]:
-        sc = strip_constants_check(cv, seed=cfg["run.seed"])
-        print(f"c = {cv:g}: A = {_fmt(sc.A)}, B = {_fmt(sc.B)}, "
+    for sc in fits:
+        print(f"c = {sc.c:g}: A = {_fmt(sc.A)}, B = {_fmt(sc.B)}, "
               f"C = {_fmt(sc.C)} (n = {sc.n_used})")
     ok = report.verdict != "fails" and float(np.min(slack)) > -1e-9
     return 0 if ok else 1

@@ -23,7 +23,7 @@ from scipy.optimize import minimize
 from scipy.sparse.csgraph import dijkstra
 
 from ._table import write_csv
-from .errors import NumericalError
+from .errors import ConfigError, NumericalError
 from .jets import HoloCurve, eval_curve, scale_curve
 from .nehari import ExtremalProfile
 from .sampling import disk_samples
@@ -32,9 +32,9 @@ from .schwarzian import conformal_data, criterion_lhs
 __all__ = [
     "GridSpec", "CriterionReport", "scan", "write_scan_csv",
     "normalize", "second_derivative_norm", "covering_bound",
-    "intrinsic_min_distance", "radial_comparison_margin",
-    "weight_ratio", "BoundaryDiagnostics", "boundary_diagnostics",
-    "boundary_trace",
+    "check_covering_lattice", "intrinsic_min_distance",
+    "radial_comparison_margin", "weight_ratio", "BoundaryDiagnostics",
+    "boundary_diagnostics", "boundary_trace",
 ]
 
 
@@ -93,21 +93,31 @@ def _weight_label(weight) -> str:
 _CHUNK = 8192
 
 
+def _in_chunks(fn, z: np.ndarray) -> tuple:
+    """fn over z in _CHUNK-point blocks; each of its outputs concatenated."""
+    parts = [fn(z[i:i + _CHUNK]) for i in range(0, len(z), _CHUNK)]
+    return tuple(np.concatenate(p) for p in zip(*parts))
+
+
+def _metric_factor(curve: HoloCurve, z: np.ndarray) -> np.ndarray:
+    """e^{sigma} = sqrt(q) over z."""
+    return _in_chunks(lambda block: (np.sqrt(eval_curve(curve, block).q),),
+                      z)[0]
+
+
 def _margin_parts(curve: HoloCurve, weight, z: np.ndarray):
     """abs_schwarzian, curv_term, bound and margin over z.
 
     Raises NumericalError at the first point whose margin is not finite.
     """
-    parts = []
-    for i in range(0, len(z), _CHUNK):
-        block = z[i:i + _CHUNK]
+    def parts(block):
         data = conformal_data(eval_curve(curve, block))
         abs_s = np.abs(data.schwarzian)
         curv = 1.5 * data.wronskian_sq / data.q ** 2
         bound = 2.0 * np.asarray(weight(np.abs(block)), dtype=float)
-        parts.append((abs_s, curv, bound, bound - (abs_s + curv)))
-    abs_s, curv, bound, margin = (np.concatenate([p[k] for p in parts])
-                                  for k in range(4))
+        return abs_s, curv, bound, bound - (abs_s + curv)
+
+    abs_s, curv, bound, margin = _in_chunks(parts, z)
     bad = ~np.isfinite(margin)
     if np.any(bad):
         i = int(np.argmax(bad))
@@ -200,8 +210,12 @@ def normalize(curve: HoloCurve) -> HoloCurve:
 
     The criterion, curvature and Schwarzian are invariant under this, but
     the covering bound below is stated for normalized curves only.
+    Raises NumericalError if |phi'(0)| is not finite.
     """
     t = tangent_norm_at_zero(curve)
+    if not np.isfinite(t):
+        raise NumericalError(f"|phi'(0)| of '{curve.label}' is {t}; "
+                             "the curve cannot be normalized")
     if abs(t - 1.0) < 1e-12:
         return curve
     return scale_curve(curve, 1.0 / t)
@@ -233,6 +247,14 @@ _MOVES = [(1, 0), (0, 1), (1, 1), (1, -1),
           (2, 1), (2, -1), (1, 2), (1, -2)]
 
 
+def check_covering_lattice(r: float, resolution: int) -> None:
+    """Raise ConfigError unless 0 < r < 0.99 and resolution >= 2."""
+    if not 0.0 < r < 0.99:
+        raise ConfigError(f"covering radius {r:g} must lie in (0, 0.99)")
+    if resolution < 2:
+        raise ConfigError(f"covering resolution {resolution} must be >= 2")
+
+
 def intrinsic_min_distance(curve: HoloCurve, r: float,
                            resolution: int = 200) -> float:
     """min over |z| = r of the intrinsic distance d_phi(0, z).
@@ -240,10 +262,10 @@ def intrinsic_min_distance(curve: HoloCurve, r: float,
     Dijkstra on a square lattice covering |z| <= r + 0.02, edge weights
     |dz| * e^{sigma(midpoint)}, with a final radial continuation from the
     lattice nodes just inside the circle.  Upper-bounds the true distance up
-    to the lattice anisotropy (<~ 3%).
+    to the lattice anisotropy (<~ 3%).  Raises ConfigError for a radius or
+    resolution that check_covering_lattice rejects.
     """
-    if not 0.0 < r < 0.99:
-        raise ValueError("radius must lie in (0, 0.99)")
+    check_covering_lattice(r, resolution)
     R = min(r + 0.02, 0.999)
     h = 2.0 * R / resolution
     k = int(np.floor(R / h))
@@ -251,28 +273,34 @@ def intrinsic_min_distance(curve: HoloCurve, r: float,
                          indexing="ij")
     zz = (ii * h) + 1j * (jj * h)
     inside = np.abs(zz) <= R
-    ids = -np.ones(zz.shape, dtype=np.int64)
+    # int32, the sparse graph's own index type: no converted copies.
+    ids = -np.ones(zz.shape, dtype=np.int32)
     ids[inside] = np.arange(int(np.sum(inside)))
     n_nodes = int(np.sum(inside))
 
-    def sigma_factor(zpts: np.ndarray) -> np.ndarray:
-        return np.sqrt(eval_curve(curve, zpts).q)
-
+    # The midpoint of move (di, dj) from node (a, b) is node (2a+di, 2b+dj)
+    # of the half-step lattice, which edges of several moves share: mark the
+    # ones in use, evaluate e^{sigma} there once, then gather per move.
     H, W = zz.shape
-    rows, cols, ws = [], [], []
+    used = np.zeros((2 * H - 1, 2 * W - 1), dtype=bool)
+    rows, cols, moves = [], [], []
     for di, dj in _MOVES:
         s_sl = (slice(max(0, -di), H - max(0, di)),
                 slice(max(0, -dj), W - max(0, dj)))
         d_sl = (slice(max(0, di), H - max(0, -di)),
                 slice(max(0, dj), W - max(0, -dj)))
+        m_sl = tuple(slice(2 * s.start + d, 2 * s.stop + d - 1, 2)
+                     for s, d in zip(s_sl, (di, dj)))
         both = inside[s_sl] & inside[d_sl]
-        if not np.any(both):
-            continue
-        step = (di + 1j * dj) * h
-        mid = zz[s_sl][both] + 0.5 * step
+        used[m_sl] |= both
         rows.append(ids[s_sl][both])
         cols.append(ids[d_sl][both])
-        ws.append(np.abs(step) * sigma_factor(mid))
+        moves.append((np.abs((di + 1j * dj) * h), m_sl, both))
+    half = np.arange(-2 * k, 2 * k + 1) * (h / 2)
+    factor = np.zeros(used.shape)
+    factor[used] = _metric_factor(
+        curve, (half[:, None] + 1j * half[None, :])[used])
+    ws = [length * factor[m_sl][both] for length, m_sl, both in moves]
     graph = sparse.coo_matrix(
         (np.concatenate(ws), (np.concatenate(rows), np.concatenate(cols))),
         shape=(n_nodes, n_nodes)).tocsr()
@@ -285,7 +313,7 @@ def intrinsic_min_distance(curve: HoloCurve, r: float,
     if not np.any(band):
         raise NumericalError("no lattice nodes in the circle band; "
                              "increase the resolution")
-    tail = sigma_factor(node_z[band]) * (r - node_r[band])
+    tail = _metric_factor(curve, node_z[band]) * (r - node_r[band])
     return float(np.min(dist[band] + tail))
 
 

@@ -204,7 +204,8 @@ def strip_constants_check(c: float, n_samples: int = 20000,
     ratios stay clean arbitrarily close to the real axis.
     """
     if not 0.0 < c <= 0.2:
-        raise ValueError("the small-c estimates are fitted for 0 < c <= 0.2")
+        raise ConfigError(f"c = {c:g}: the small-c estimates are fitted for "
+                          "0 < c <= 0.2")
     w = strip_samples(n_samples, half_height=np.pi / 4.0, seed=seed)
     b = np.imag(w)
     mask = np.abs(b) >= 1e-9

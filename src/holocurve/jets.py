@@ -7,7 +7,9 @@ This module provides
 
 * ``Jet3`` -- (f, f', f'', f''') with Leibniz / chain / reciprocal algebra,
 * component models (polynomial, exponential, Moebius, strip map, composition
-  and affine/reciprocal wrappers) emitting exact jets,
+  and affine/reciprocal wrappers) emitting exact jets; within one
+  ``HoloCurve.eval`` a sub-component that several wrappers share is
+  evaluated once,
 * ``HoloCurve`` / ``CurveJet`` / ``eval_curve``,
 * ``DiskMobius`` disk automorphisms and ``precompose_disk_mobius``,
 * finite-difference reference derivatives (``fd_derivative``, ``fd_jet``)
@@ -187,32 +189,54 @@ class StripMapComponent:
         )
 
 
-class ComposedComponent:
+class _NestedComponent:
+    """A component built on other components at the same points.
+
+    `memo` maps id(component) to its jet at z; HoloCurve.eval passes one
+    memo to all its components, so a sub-component several of them share
+    (example 2's f inside 1/f) is evaluated once per call.
+    """
+
+    def jet(self, z, memo: dict | None = None) -> Jet3:
+        return self._jet(z, {} if memo is None else memo)
+
+
+def _shared_jet(m, z, memo: dict) -> Jet3:
+    """Jet of component m at z, computed at most once per memo."""
+    jet = memo.get(id(m))
+    if jet is None:
+        jet = m.jet(z, memo) if isinstance(m, _NestedComponent) else m.jet(z)
+        memo[id(m)] = jet
+    return jet
+
+
+class ComposedComponent(_NestedComponent):
     """outer(inner(z)) via the order-3 chain rule."""
 
     def __init__(self, outer, inner):
         self.outer = outer
         self.inner = inner
 
-    def jet(self, z) -> Jet3:
-        gj = self.inner.jet(z)
+    def _jet(self, z, memo) -> Jet3:
+        gj = _shared_jet(self.inner, z, memo)
+        # outer runs at inner's values, not at z: it gets no shared memo.
         return self.outer.jet(gj.val).compose(gj)
 
 
-class ReciprocalComponent:
+class ReciprocalComponent(_NestedComponent):
     """1/f for a nonvanishing component f."""
 
     def __init__(self, base):
         self.base = base
 
-    def jet(self, z) -> Jet3:
-        fj = self.base.jet(z)
+    def _jet(self, z, memo) -> Jet3:
+        fj = _shared_jet(self.base, z, memo)
         if np.any(np.abs(fj.val) < 1e-150):
             raise DomainError("reciprocal component hit a zero of its base")
         return fj.reciprocal()
 
 
-class AffineComponent:
+class AffineComponent(_NestedComponent):
     """mul * f(z) + add."""
 
     def __init__(self, base, mul: complex = 1.0, add: complex = 0.0):
@@ -220,8 +244,8 @@ class AffineComponent:
         self.mul = complex(mul)
         self.add = complex(add)
 
-    def jet(self, z) -> Jet3:
-        fj = self.base.jet(z) * self.mul
+    def _jet(self, z, memo) -> Jet3:
+        fj = _shared_jet(self.base, z, memo) * self.mul
         return Jet3(fj.val + self.add, fj.d1, fj.d2, fj.d3)
 
 
@@ -313,7 +337,8 @@ class HoloCurve:
         z = np.asarray(z, dtype=complex) if np.ndim(z) else complex(z)
         if check_domain and np.any(np.abs(z) >= 1.0):
             raise DomainError("evaluation point outside the open unit disk")
-        jets = tuple(m.jet(z) for m in self.components)
+        memo = {}
+        jets = tuple(_shared_jet(m, z, memo) for m in self.components)
         d1 = np.stack([np.asarray(j.d1) for j in jets])
         q = np.sum(np.abs(d1) ** 2, axis=0)
         if np.any(q < 1e-280):

@@ -164,6 +164,57 @@ def test_covering_example1_consistent(tmp_path, capsys):
         assert float(line.split(",")[3]) > -2e-3
 
 
+@pytest.mark.parametrize("line", [
+    "covering.radii = 0.3,1.2", "covering.radii = 0", "covering.radii = nan",
+    "covering.radii = 0.99", "covering.radii = abc", "covering.radii =",
+    "covering.resolution = 0", "covering.resolution = 1",
+    "covering.tol = nan", "covering.tol = -1e-3", "covering.tol = inf",
+])
+def test_covering_bad_config_is_a_config_error(tmp_path, capsys, line,
+                                                monkeypatch):
+    import holocurve.cli as cli
+
+    def no_work(*args, **kwargs):
+        raise AssertionError("work started before the config was checked")
+
+    monkeypatch.setattr(cli, "extremal_profile", no_work)
+    cfg = _write(tmp_path, "cov.cfg", line + "\n")
+    assert main(["covering", cfg, "--output", str(tmp_path)]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and "config error" in err
+    assert not (tmp_path / "covering.csv").exists()
+
+
+@pytest.mark.parametrize("curve", [
+    # |phi'(0)| = c pi overflows, so the curve cannot be normalized.
+    "curve.kind = example1\ncurve.c = 1e155",
+    # phi'(0) = 1, but q overflows off the origin: every edge weighs inf.
+    "curve.kind = polynomial\ncurve.coeffs = 0,1,1e200",
+])
+def test_covering_overflow_is_a_numerical_failure(tmp_path, capsys, curve):
+    cfg = _write(tmp_path, "cov.cfg",
+                 curve + "\ncovering.radii = 0.3\ncovering.resolution = 20\n")
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert main(["covering", cfg, "--output", str(tmp_path)]) == 5
+    out, err = capsys.readouterr()
+    assert out == "" and "numerical failure" in err
+    assert not (tmp_path / "covering.csv").exists()
+
+
+def test_covering_nan_distance_is_a_numerical_failure(tmp_path, capsys,
+                                                      monkeypatch):
+    # NaN compares false with -tol, which used to read as "consistent".
+    import holocurve.cli as cli
+
+    monkeypatch.setattr(cli, "intrinsic_min_distance",
+                        lambda *args, **kwargs: float("nan"))
+    cfg = _write(tmp_path, "cov.cfg", "covering.radii = 0.3\n")
+    assert main(["covering", cfg, "--output", str(tmp_path)]) == 5
+    out, err = capsys.readouterr()
+    assert out == "" and "slack" in err
+    assert not (tmp_path / "covering.csv").exists()
+
+
 # ---------------------------------------------------------------------------
 # verify-identities
 # ---------------------------------------------------------------------------
@@ -228,6 +279,20 @@ def test_injectivity_sample_count_below_two_is_a_config_error(tmp_path, capsys,
     assert "config error" in err and "at least 2" in err
 
 
+@pytest.mark.parametrize("annulus", [
+    "injectivity.r_max = 1.5", "injectivity.r_max = 1",
+    "injectivity.r_max = nan", "injectivity.r_min = -0.1",
+    "injectivity.r_min = 0.5\ninjectivity.r_max = 0.5",
+])
+def test_injectivity_bad_annulus_is_a_config_error(tmp_path, capsys,
+                                                   annulus):
+    cfg = _write(tmp_path, "ann.cfg", annulus + "\n")
+    assert main(["injectivity", cfg]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert "config error" in err and "r_min < r_max < 1" in err
+
+
 def test_injectivity_without_admissible_pair_prints_no_witness(tmp_path,
                                                                capsys):
     cfg = _write(tmp_path, "tiny.cfg",
@@ -287,6 +352,18 @@ def test_reproduce_example_bad_curve_c_is_a_config_error(tmp_path, capsys,
     out, err = capsys.readouterr()
     assert out == ""
     assert "config error" in err and f"c = {c}" in err
+
+
+@pytest.mark.parametrize("c_values", ["0.5", "0.01,0.5", "0", "x"])
+def test_reproduce_example2_bad_c_values_is_a_config_error(tmp_path, capsys,
+                                                           c_values):
+    cfg = _write(tmp_path, "ex2.cfg",
+                 f"example.which = 2\nexample.c_values = {c_values}\n"
+                 "grid.n_r = 20\ngrid.n_theta = 8\n")
+    assert main(["reproduce-example", cfg, "--output", str(tmp_path)]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and "config error" in err
+    assert not (tmp_path / "example2_slack_hist.csv").exists()
 
 
 # ---------------------------------------------------------------------------

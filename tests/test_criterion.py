@@ -19,7 +19,7 @@ from holocurve.criterion import (BoundaryDiagnostics, GridSpec, boundary_diagnos
                                  radial_comparison_margin, scan,
                                  second_derivative_norm, tangent_norm_at_zero,
                                  weight_ratio, write_scan_csv)
-from holocurve.errors import NumericalError
+from holocurve.errors import ConfigError, NumericalError
 from holocurve.jets import DiskMobius
 from holocurve.nehari import NehariFunction, extremal_profile
 from holocurve.sampling import disk_samples
@@ -163,6 +163,109 @@ def test_intrinsic_distance_validation():
         intrinsic_min_distance(hc.identity_curve(), 0.995)
     with pytest.raises(ValueError):
         intrinsic_min_distance(hc.identity_curve(), 0.0)
+    for r, resolution in ((float("nan"), 200), (0.5, 1), (0.5, 0)):
+        with pytest.raises(ConfigError):
+            intrinsic_min_distance(hc.identity_curve(), r, resolution)
+
+
+def test_normalize_rejects_a_non_finite_tangent():
+    with np.errstate(over="ignore"):
+        with pytest.raises(NumericalError):
+            normalize(hc.example1_curve(1e155))
+
+
+def _per_edge_min_distance(curve, r, resolution):
+    """The lattice distance with e^{sigma} evaluated at each edge's own
+    midpoint zz + step/2, one evaluation per edge: the reference for the
+    shared half-step midpoints of intrinsic_min_distance."""
+    from scipy import sparse
+    from scipy.sparse.csgraph import dijkstra
+
+    from holocurve.criterion import _MOVES
+
+    R = min(r + 0.02, 0.999)
+    h = 2.0 * R / resolution
+    k = int(np.floor(R / h))
+    ii, jj = np.meshgrid(np.arange(-k, k + 1), np.arange(-k, k + 1),
+                         indexing="ij")
+    zz = (ii * h) + 1j * (jj * h)
+    inside = np.abs(zz) <= R
+    ids = -np.ones(zz.shape, dtype=np.int64)
+    ids[inside] = np.arange(int(np.sum(inside)))
+    H, W = zz.shape
+    rows, cols, ws = [], [], []
+    for di, dj in _MOVES:
+        s_sl = (slice(max(0, -di), H - max(0, di)),
+                slice(max(0, -dj), W - max(0, dj)))
+        d_sl = (slice(max(0, di), H - max(0, -di)),
+                slice(max(0, dj), W - max(0, -dj)))
+        both = inside[s_sl] & inside[d_sl]
+        step = (di + 1j * dj) * h
+        mid = zz[s_sl][both] + 0.5 * step
+        rows.append(ids[s_sl][both])
+        cols.append(ids[d_sl][both])
+        ws.append(np.abs(step) * np.sqrt(curve.eval(mid).q))
+    n = int(np.sum(inside))
+    graph = sparse.coo_matrix(
+        (np.concatenate(ws), (np.concatenate(rows), np.concatenate(cols))),
+        shape=(n, n)).tocsr()
+    dist = dijkstra(graph, directed=False, indices=int(ids[k, k]))
+    node_z = zz[inside]
+    node_r = np.abs(node_z)
+    band = (node_r <= r) & (node_r >= r - 2.5 * h)
+    tail = np.sqrt(curve.eval(node_z[band]).q) * (r - node_r[band])
+    return float(np.min(dist[band] + tail))
+
+
+_COVERING_CURVES = {
+    "identity": hc.identity_curve,
+    "example1": lambda: hc.example1_curve(1700.0),
+    "example2-normalized": lambda: normalize(hc.example2_curve(0.05)),
+    "radial_pair": lambda: hc.radial_pair_curve(0.7),
+    "mobius": lambda: hc.precompose_disk_mobius(hc.radial_pair_curve(0.7),
+                                                DiskMobius(0.3, 0.5)),
+}
+
+
+@pytest.mark.parametrize("resolution", [40, 200])
+@pytest.mark.parametrize("name", sorted(_COVERING_CURVES))
+def test_intrinsic_distance_matches_per_edge_midpoints(name, resolution):
+    curve = _COVERING_CURVES[name]()
+    for r in (0.3, 0.9):
+        want = _per_edge_min_distance(curve, r, resolution)
+        got = intrinsic_min_distance(curve, r, resolution=resolution)
+        assert abs(got - want) <= 1e-13 * abs(want), (r, got, want)
+
+
+def test_intrinsic_distance_evaluates_each_midpoint_once(monkeypatch):
+    import holocurve.criterion as crit
+
+    seen = []
+
+    def recording(curve, z):
+        seen.append(np.atleast_1d(z).copy())
+        return curve.eval(z)
+
+    edges = []
+
+    def counting(graph, **kwargs):
+        edges.append(graph.nnz)
+        return dijkstra(graph, **kwargs)
+
+    dijkstra = crit.dijkstra
+    monkeypatch.setattr(crit, "eval_curve", recording)
+    monkeypatch.setattr(crit, "dijkstra", counting)
+    curve = hc.radial_pair_curve(0.7)
+    for r in (0.3, 0.9):
+        seen.clear()
+        intrinsic_min_distance(curve, r, resolution=60)
+        z = np.concatenate(seen)
+        # Half-step nodes and lattice nodes (the final radial step) are
+        # distinct points: none of them is evaluated twice.
+        assert len(np.unique(z)) == len(z)
+        assert all(len(block) <= crit._CHUNK for block in seen)
+        # 8 edges per node share about 3 midpoints per node.
+        assert len(z) < edges[-1] / 2
 
 
 def test_example1_covering_is_tight_and_consistent(ex1, profile_constant):

@@ -184,3 +184,44 @@ def test_polynomial_curve_validates_input():
         polynomial_curve([])
     with pytest.raises(ValueError):
         polynomial_curve([[]])
+
+
+@pytest.mark.parametrize("normalized", [False, True])
+def test_eval_shares_sub_jets_within_one_call(monkeypatch, normalized):
+    from holocurve.criterion import normalize
+    from holocurve.fixtures import example2_curve
+
+    curve = example2_curve(0.05)
+    if normalized:
+        curve = normalize(curve)  # wraps f and 1/f in AffineComponent
+    z = disk_samples(500, r_max=0.95, seed=1)
+    alone = [m.jet(z) for m in curve.components]
+
+    calls = []
+    strip_jet = StripMapComponent.jet
+
+    def counting(self, w):
+        calls.append(len(w))
+        return strip_jet(self, w)
+
+    monkeypatch.setattr(StripMapComponent, "jet", counting)
+    for _ in range(2):
+        calls.clear()
+        jet = curve.eval(z)
+        assert calls == [len(z)]   # f's strip map once per call, not twice
+        for got, want in zip(jet.components, alone):
+            for field in ("val", "d1", "d2", "d3"):
+                assert getattr(got, field).tobytes() == \
+                    getattr(want, field).tobytes()
+
+
+def test_outer_component_is_not_shared_with_inner_points():
+    # The same polynomial as inner map and as outer map: the outer runs at
+    # the inner values, so it must not reuse the jet taken at z.
+    p = PolynomialComponent([0.1, 1.0, 0.3])
+    curve = HoloCurve((p, ComposedComponent(p, p)))
+    z = disk_samples(50, r_max=0.5, seed=2)
+    got = curve.eval(z).components[1]
+    want = p.jet(p.jet(z).val).compose(p.jet(z))
+    assert np.array_equal(got.val, want.val)
+    assert np.array_equal(got.d3, want.d3)
