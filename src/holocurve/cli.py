@@ -425,6 +425,17 @@ def _reproduce_example2(cfg: RunConfig) -> int:
 
 
 def _cmd_boundary(cfg: RunConfig) -> int:
+    for key, ok, rule in (
+            ("boundary.rays", cfg["boundary.rays"] >= 1, ">= 1"),
+            ("boundary.s_points", cfg["boundary.s_points"] >= 1, ">= 1"),
+            ("boundary.r_cap", 0.0 < cfg["boundary.r_cap"] < 1.0,
+             "in (0, 1)"),
+            ("boundary.ring_offset", 0.0 < cfg["boundary.ring_offset"] < 1.0,
+             "in (0, 1)"),
+            ("boundary.ring_samples", cfg["boundary.ring_samples"] >= 2,
+             ">= 2")):
+        if not ok:
+            raise ConfigError(f"{key} = {cfg[key]} must be {rule}")
     curve = build_curve(cfg)
     weight = build_weight(cfg)
     profile = extremal_profile(weight, eps=cfg["profile.eps"],
@@ -502,6 +513,10 @@ def main(argv: list[str] | None = None) -> int:
         return 5
     except HolocurveError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 5
+    except (ValueError, ArithmeticError) as exc:
+        # Anything numpy or scipy raises past the checks above: never exit 1.
+        print(f"numerical failure: {exc}", file=sys.stderr)
         return 5
     except MemoryError:  # pragma: no cover
         print("out of memory", file=sys.stderr)

@@ -227,12 +227,13 @@ def covering_bound(profile: ExtremalProfile, phi2_norm: float, r) -> np.ndarray:
         H(r) = 2 Psi(r) / (2 + |phi''(0)| Psi(r))
 
     for a normalized curve satisfying the criterion with a nondecreasing
-    weight.  Raises if the profile's weight decreases somewhere on [0, 1).
+    weight.  Raises ConfigError if the profile's weight decreases somewhere
+    on [0, 1).
     """
     rs = np.linspace(0.0, profile.xs[-1], 512)
     pv = np.asarray(profile.p(rs), dtype=float)
     if np.any(np.diff(pv) < -1e-12 * max(pv[0], 1.0)):
-        raise ValueError("covering bound requires a nondecreasing weight")
+        raise ConfigError("covering bound requires a nondecreasing weight")
     psi = profile.Psi(np.asarray(r, dtype=float))
     return 2.0 * psi / (2.0 + phi2_norm * psi)
 
@@ -370,22 +371,44 @@ class BoundaryDiagnostics:
     holder_exponent: float
 
 
-def _critical_points(curve, profile, r_cap, coarse=(24, 48), h=1e-3):
-    wfun = lambda x, y: float(weight_ratio(curve, profile, x + 1j * y))
+def _log_weight_derivatives(curve: HoloCurve, profile: ExtremalProfile, z):
+    """w and the first and second derivatives of l = log w over z, exactly.
 
-    def grad_sq(xy):
-        x, y = xy
-        if np.hypot(x, y) > r_cap:
-            return 1e6
-        dx = (wfun(x + h, y) - wfun(x - h, y)) / (2 * h)
-        dy = (wfun(x, y + h) - wfun(x, y - h)) / (2 * h)
-        return dx * dx + dy * dy
+    With m = Phi''/Phi' = -2 u0'/u0, rho = m/r = 2A - m^2/2 (A carries the
+    small-r series) and rho_r = r rho' = 2p + m^2 - 2A:
 
+        l_z      = (rho zbar - P/Q) / 4
+        l_zz     = (rho_r zetabar^2 / 2 - (R/Q - (P/Q)^2)) / 4
+        l_zzbar  = (rho_r / 2 + rho - W^2/Q^2) / 4,      zeta = z/|z|.
+
+    Returns (w, m, u0, g, a, b) with g = l_x + i l_y = 2 conj(l_z),
+    a = l_zz and b = l_zzbar; the second derivative of l along a unit
+    vector v is 2b + 2 Re(a v^2).
+    """
+    z = np.asarray(z, dtype=complex)
+    data = conformal_data(eval_curve(curve, z))
+    r = np.abs(z)
+    u0, u0p = profile.u0(r), profile.u0_prime(r)
+    m = -2.0 * u0p / u0
+    a_r = profile.A(r)
+    rho = 2.0 * a_r - 0.5 * m * m
+    rho_r = 2.0 * np.asarray(profile.p(r), dtype=float) + m * m - 2.0 * a_r
+    zeta = np.where(r > 0, z / np.where(r > 0, r, 1.0), 1.0)
+    ratio = data.p_sum / data.q
+    g = 0.5 * np.conj(rho * np.conj(z) - ratio)
+    a = 0.25 * (0.5 * rho_r * np.conj(zeta) ** 2
+                - (data.r_sum / data.q - ratio * ratio))
+    b = 0.25 * (0.5 * rho_r + rho - data.wronskian_sq / data.q ** 2)
+    return 1.0 / (u0 * data.q ** 0.25), m, u0, g, a, b
+
+
+def _critical_points(curve, profile, r_cap, coarse=(24, 48)):
     # Coarse sweep for small-gradient cells, then a few polished starts.
     rs = r_cap * (np.arange(1, coarse[0] + 1) - 0.5) / coarse[0]
     ths = 2.0 * np.pi * np.arange(coarse[1]) / coarse[1]
     grid = (rs[:, None] * np.exp(1j * ths)[None, :]).ravel()
-    gnorm = np.sqrt([grad_sq([z.real, z.imag]) for z in grid])
+    w, _, _, g, _, _ = _log_weight_derivatives(curve, profile, grid)
+    gnorm = w * np.abs(g)
     scale = float(np.median(gnorm)) + 1e-30
     cand = [0.0 + 0.0j]
     for i in np.argsort(gnorm):
@@ -395,16 +418,27 @@ def _critical_points(curve, profile, r_cap, coarse=(24, 48), h=1e-3):
         if all(abs(z0 - zc) > 0.08 for zc in cand):
             cand.append(z0)
 
+    def grad_sq(xy):
+        """|grad l|^2 and its gradient 2 H grad l = 4 (b g + conj(a g))."""
+        z = complex(xy[0], xy[1])
+        if abs(z) > r_cap:
+            return 1e6, np.zeros(2)
+        _, _, _, g, a, b = _log_weight_derivatives(curve, profile, z)
+        d = 4.0 * (b * g + np.conj(a * g))
+        return float(abs(g) ** 2), np.array([d.real, d.imag])
+
     found = []
     for z0 in cand:
-        res = minimize(grad_sq, [z0.real, z0.imag], method="Nelder-Mead",
-                       options={"xatol": 1e-9, "fatol": 1e-18,
-                                "maxiter": 400})
-        g = float(np.sqrt(max(res.fun, 0.0)))
-        if g < 1e-5:
-            zc = complex(res.x[0], res.x[1])
-            if all(abs(zc - zf) > 1e-3 for zf, _ in found):
-                found.append((zc, g))
+        # gtol bounds |2 H grad l|: at 1e-12 the point is a root of grad l to
+        # about 1e-12 / |H|^2.  The default 1e-5 stopped 7e-4 from the
+        # critical point 0.3i of example 2 precomposed with a Moebius map.
+        res = minimize(grad_sq, [z0.real, z0.imag], jac=True, method="BFGS",
+                       options={"gtol": 1e-12})
+        zc = complex(res.x[0], res.x[1])
+        w, _, _, g, _, _ = _log_weight_derivatives(curve, profile, zc)
+        gw = float(w * abs(g))
+        if gw < 1e-5 and all(abs(zc - zf) > 1e-3 for zf, _ in found):
+            found.append((zc, gw))
     return tuple(found)
 
 
@@ -415,24 +449,26 @@ def boundary_diagnostics(curve: HoloCurve, profile: ExtremalProfile,
                          ) -> BoundaryDiagnostics:
     """Convexity of omega_theta(s) = w(r e^{i theta}), s = Phi(r), along rays,
     plus refined critical points of w, a linear distortion minorant fit on an
-    annulus, and the boundary exponent data of the weight."""
+    annulus, and the boundary exponent data of the weight.
+
+    omega'' = w (l_rr + l_r^2 - m l_r) u0^4, l = log w, is taken in closed
+    form at all n_s points of each of the n_rays rays; a critical point
+    carries its exact |grad w|.
+    """
     r_cap = min(r_cap, profile.xs[-1])
     s_max = float(profile.Phi(r_cap))
     s = np.linspace(s_max / n_s, s_max, n_s)
-    rs = profile.phi_inverse(s)
-    worst = np.inf
-    argmin = (0.0, 0.0)
-    ds = s[1] - s[0]
-    for i in range(n_rays):
-        theta = 2.0 * np.pi * i / n_rays
-        om = np.asarray(weight_ratio(curve, profile, rs * np.exp(1j * theta)),
-                        dtype=float)
-        om2 = (-om[4:] + 16 * om[3:-1] - 30 * om[2:-2] + 16 * om[1:-3]
-               - om[:-4]) / (12 * ds * ds)
-        j = int(np.argmin(om2))
-        if om2[j] < worst:
-            worst = float(om2[j])
-            argmin = (theta, float(s[j + 2]))
+    theta = 2.0 * np.pi * np.arange(n_rays) / n_rays
+    e = np.repeat(np.exp(1j * theta), n_s)     # ray by ray
+    w, m, u0, g, a, b = _log_weight_derivatives(
+        curve, profile, np.tile(profile.phi_inverse(s), n_rays) * e)
+    l_r = np.real(np.conj(e) * g)
+    l_rr = 2.0 * b + 2.0 * np.real(a * e * e)
+    om2 = w * (l_rr + l_r * l_r - m * l_r) * u0 ** 4
+    k = int(np.argmin(om2))
+    i, j = divmod(k, n_s)
+    worst = float(om2[k])
+    argmin = (float(theta[i]), float(s[j]))
 
     # Linear minorant w >= a s + b on the annulus (heuristic fit).
     zs = disk_samples(400, r_min=annulus[0], r_max=min(annulus[1], r_cap),

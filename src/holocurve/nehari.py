@@ -332,13 +332,26 @@ class ExtremalProfile:
             / self.PhiP(r) ** 2
 
     def phi_inverse(self, s):
-        """r with Phi(r) = s (vectorized; Newton-polished interpolation)."""
+        """r with Phi(r) = s (vectorized), for 0 <= s <= Phi(xs[-1]).
+
+        Phi is increasing and convex (Phi''/Phi' = -2 u0'/u0 >= 0), so
+        Newton's iterates from the right end of the table interval that
+        brackets s decrease monotonically onto the root; each point stops
+        once its residual stops shrinking.
+        """
         s = np.asarray(s, dtype=float)
-        phis = self.Phi(self.xs)
-        r = np.interp(s, phis, self.xs)
-        for _ in range(2):
-            r = np.clip(r - (self.Phi(r) - s) * self.u0(r) ** 2, 0.0,
-                        self.xs[-1])
+        j = np.minimum(np.searchsorted(self.Phi(self.xs), s), len(self.xs) - 1)
+        r = self.xs[j]
+        last = np.full(np.shape(s), np.inf)
+        for _ in range(100):
+            y = self._y(r)
+            res = y[2] - s
+            moving = np.abs(res) < last
+            if not np.any(moving):
+                break
+            r = np.where(moving, np.clip(r - res * y[0] ** 2, 0.0,
+                                         self.xs[-1]), r)
+            last = np.where(moving, np.abs(res), 0.0)
         return r
 
     @property

@@ -386,6 +386,64 @@ def test_boundary_example1(tmp_path, capsys):
     assert float(_stdout_value(out, "ring_real_axis_gap")) > 1e3 * gap
 
 
+@pytest.mark.parametrize("line", [
+    "boundary.rays = 0", "boundary.s_points = 0", "boundary.s_points = -3",
+    "boundary.r_cap = 0", "boundary.r_cap = 1", "boundary.r_cap = nan",
+    "boundary.ring_offset = 0", "boundary.ring_offset = -0.5",
+    "boundary.ring_offset = 1", "boundary.ring_samples = 1",
+])
+def test_boundary_bad_config_is_a_config_error(tmp_path, capsys, line,
+                                               monkeypatch):
+    import holocurve.cli as cli
+
+    def no_work(*args, **kwargs):
+        raise AssertionError("work started before the config was checked")
+
+    monkeypatch.setattr(cli, "extremal_profile", no_work)
+    cfg = _write(tmp_path, "bd.cfg", line + "\n")
+    assert main(["boundary", cfg]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and "config error" in err
+
+
+def test_boundary_few_s_points(tmp_path, capsys):
+    # Three points used to leave a 5-point stencil nothing to work on.
+    cfg = _write(tmp_path, "bd.cfg",
+                 "curve.kind = example2\nnehari.kind = inverse_square\n"
+                 "boundary.rays = 4\nboundary.s_points = 3\n"
+                 "boundary.ring_samples = 64\n")
+    assert main(["boundary", cfg]) == 0
+    out = capsys.readouterr().out
+    assert float(_stdout_value(out, "worst_radial_convexity")) > 0.0
+
+
+def test_covering_decreasing_weight_is_a_config_error(tmp_path, capsys):
+    cfg = _write(tmp_path, "cov.cfg",
+                 "nehari.kind = tabulated\nnehari.table_x = 0,0.3,0.6,0.9\n"
+                 "nehari.table_p = 2,1.5,1.2,1.0\ncovering.radii = 0.3\n"
+                 "covering.resolution = 20\n")
+    assert main(["covering", cfg, "--output", str(tmp_path)]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and "nondecreasing weight" in err
+    assert not (tmp_path / "covering.csv").exists()
+
+
+@pytest.mark.parametrize("exc", [ValueError, FloatingPointError,
+                                 ZeroDivisionError, OverflowError])
+def test_escaping_errors_are_numerical_failures(tmp_path, capsys, exc,
+                                                monkeypatch):
+    import holocurve.cli as cli
+
+    def fail(cfg):
+        raise exc("boom")
+
+    monkeypatch.setitem(cli._DISPATCH, "boundary", fail)
+    cfg = _write(tmp_path, "bd.cfg", "")
+    assert main(["boundary", cfg]) == 5
+    out, err = capsys.readouterr()
+    assert out == "" and err == "numerical failure: boom\n"
+
+
 # ---------------------------------------------------------------------------
 # determinism
 # ---------------------------------------------------------------------------

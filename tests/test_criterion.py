@@ -335,6 +335,127 @@ def test_boundary_diagnostics_examples(ex1, ex2, profile_constant,
     assert abs(d2.holder_exponent) < 1e-6
 
 
+_MOBIUS = DiskMobius(0.3, 0.7)     # sends 0.3i to 0
+
+
+def _boundary_case(name, profile_constant, profile_inverse_square):
+    ex2 = hc.example2_curve(0.05)
+    return {
+        "example1": (hc.example1_curve(1700.0), profile_constant),
+        "example2": (ex2, profile_inverse_square),
+        "radial_pair": (hc.radial_pair_curve(0.7), profile_constant),
+        "example2-mobius": (hc.precompose_disk_mobius(ex2, _MOBIUS),
+                            profile_inverse_square),
+    }[name]
+
+
+def _d1(f, z, h, v):
+    """Fourth-order central difference of f at z along the direction v."""
+    return (-f(z + 2 * h * v) + 8 * f(z + h * v) - 8 * f(z - h * v)
+            + f(z - 2 * h * v)) / (12 * h)
+
+
+@pytest.mark.parametrize("name", ["example1", "example2", "radial_pair",
+                                  "example2-mobius"])
+def test_log_weight_derivatives_match_finite_differences(
+        name, profile_constant, profile_inverse_square):
+    from holocurve.criterion import _log_weight_derivatives
+
+    curve, prof = _boundary_case(name, profile_constant,
+                                 profile_inverse_square)
+    # The origin, |z| = 1e-6, both sides of the series switch of A at 1e-4,
+    # and |z| = 0.98.
+    z = np.array([0.0, 1e-6 * np.exp(0.7j), 0.9e-4 * np.exp(2.1j),
+                  1.1e-4 * np.exp(2.1j), 0.98 * np.exp(0.4j),
+                  0.98 * np.exp(2.5j)])
+    h = 1e-3 * np.minimum(1.0, 1.0 - np.abs(z))
+
+    def ell(zz):
+        return np.log(weight_ratio(curve, prof, zz))
+
+    def ell_x(zz):
+        return _d1(ell, zz, h, 1.0)
+
+    def ell_y(zz):
+        return _d1(ell, zz, h, 1j)
+
+    w, _, _, g, a, b = _log_weight_derivatives(curve, prof, z)
+    assert np.max(np.abs(w / weight_ratio(curve, prof, z) - 1.0)) < 1e-15
+    g_fd = ell_x(z) + 1j * ell_y(z)
+    assert np.all(np.abs(g - g_fd) <= 1e-7 * np.maximum(np.abs(g_fd), 1.0))
+    hess = np.array([[2 * b + 2 * a.real, -2 * a.imag],
+                     [-2 * a.imag, 2 * b - 2 * a.real]])
+    hess_fd = np.array([[_d1(ell_x, z, h, 1.0), _d1(ell_x, z, h, 1j)],
+                        [_d1(ell_y, z, h, 1.0), _d1(ell_y, z, h, 1j)]])
+    scale = np.maximum(np.max(np.abs(hess_fd), axis=(0, 1)), 1.0)
+    assert np.all(np.max(np.abs(hess - hess_fd), axis=(0, 1)) <= 1e-6 * scale)
+
+
+def test_critical_points_are_exact(profile_constant, profile_inverse_square):
+    from scipy.optimize import brentq
+
+    # Example 1 on the real axis: dl/dx = (pi/2)(tan(pi x/2) - tanh(2 pi x
+    # + log c)), whose root sits 4e-10 below 0.5.
+    x1 = brentq(lambda x: np.tan(np.pi * x / 2) - np.tanh(2 * np.pi * x
+                                                            + np.log(1700.0)),
+                0.4, 0.6, xtol=1e-15)
+    for name, expected in (("example1", x1), ("example2", 0.0),
+                           ("example2-mobius", 0.3j)):
+        curve, prof = _boundary_case(name, profile_constant,
+                                     profile_inverse_square)
+        found = boundary_diagnostics(curve, prof).critical_points
+        assert len(found) == 1
+        zc, grad = found[0]
+        assert abs(zc - expected) < 1e-9, (name, zc)
+        assert grad < 1e-10
+
+
+def _stencil_convexity(curve, prof, n_rays, n_s, r_cap):
+    """min over the rays and s points of omega'' by a 5-point s-stencil."""
+    s_max = float(prof.Phi(min(r_cap, prof.xs[-1])))
+    s = np.linspace(s_max / n_s, s_max, n_s)
+    ds = 1e-3 * s_max / n_s
+    worst = np.inf
+    for theta in 2.0 * np.pi * np.arange(n_rays) / n_rays:
+        om = [weight_ratio(curve, prof,
+                           prof.phi_inverse(s + k * ds) * np.exp(1j * theta))
+              for k in (-2, -1, 0, 1, 2)]
+        om2 = (-om[4] + 16 * om[3] - 30 * om[2] + 16 * om[1] - om[0]) \
+            / (12 * ds * ds)
+        worst = min(worst, float(np.min(om2)))
+    return worst
+
+
+@pytest.mark.parametrize("name", ["example1", "example2", "example2-mobius"])
+def test_radial_convexity_matches_a_stencil(name, profile_constant,
+                                            profile_inverse_square):
+    curve, prof = _boundary_case(name, profile_constant,
+                                 profile_inverse_square)
+    d = boundary_diagnostics(curve, prof, n_rays=8, n_s=40, r_cap=0.99)
+    ref = _stencil_convexity(curve, prof, 8, 40, 0.99)
+    assert abs(d.worst_radial_convexity - ref) < 1e-6
+
+
+def test_radial_convexity_near_the_boundary(ex2, profile_inverse_square):
+    # A stencil on a non-uniform s grid read -4e5 here.
+    d = boundary_diagnostics(ex2, profile_inverse_square, r_cap=0.9999)
+    assert d.worst_radial_convexity >= -1e-6
+
+
+def test_boundary_diagnostics_evaluates_few_points(ex2,
+                                                   profile_inverse_square,
+                                                   monkeypatch):
+    import holocurve.criterion as criterion
+
+    calls = []
+    real = criterion.eval_curve
+    monkeypatch.setattr(criterion, "eval_curve",
+                        lambda *args, **kw: calls.append(1) or real(*args,
+                                                                    **kw))
+    boundary_diagnostics(ex2, profile_inverse_square)
+    assert len(calls) <= 1000
+
+
 def test_boundary_trace_finds_cut_pair(ex1):
     tr = boundary_trace(ex1)
     eps = 1.0 - tr["ring_radius"]

@@ -187,6 +187,21 @@ def test_phi_inverse_round_trip(profile_constant):
     assert np.max(np.abs(profile_constant.Phi(x) - s)) < 1e-9
 
 
+@pytest.mark.parametrize("kind", ["constant", "inverse_square",
+                                  "half_strip"])
+def test_phi_inverse_is_accurate_up_to_the_profile_end(kind):
+    # Phi grows like 1/(1-x) or log(1/(1-x)) near x = 1; a uniform-x
+    # interpolation polished by two clipped Newton steps missed by up to
+    # 2e5 there.
+    prof = extremal_profile(NehariFunction(kind))
+    s_end = float(prof.Phi(prof.xs[-1]))
+    s = np.concatenate([np.linspace(0.0, s_end, 1001),
+                        s_end * (1.0 - np.logspace(-12, -1, 100))])
+    x = prof.phi_inverse(s)
+    assert np.all((x >= 0.0) & (x <= prof.xs[-1]))
+    assert np.all(np.abs(prof.Phi(x) - s) <= 1e-9 * s)
+
+
 def test_oscillating_weight_profile_raises():
     with pytest.raises(NumericalError):
         extremal_profile(NehariFunction.constant(1.5))
