@@ -18,7 +18,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import DomainError, VanishingTangentError
-from .jets import HoloCurve, Jet3, fd_derivative
+from .jets import HoloCurve, Jet3, _fd_stencil, fd_derivative
 from .schwarzian import conformal_data
 
 __all__ = [
@@ -117,15 +117,10 @@ def _interleave(vals: np.ndarray) -> np.ndarray:
 def compose_real(curve: HoloCurve, path: PlaneCurve, t: float) -> RealCurveSample:
     """Jets of the real curve t -> phi(gamma(t)) in R^{2n}."""
     gj = path.jet(t)
-    jet = curve.eval(gj.val)
-    comp = [cj.compose(gj) for cj in jet.components]
-    return RealCurveSample(
-        t=float(t),
-        x0=_interleave(np.array([c.val for c in comp])),
-        x1=_interleave(np.array([c.d1 for c in comp])),
-        x2=_interleave(np.array([c.d2 for c in comp])),
-        x3=_interleave(np.array([c.d3 for c in comp])),
-    )
+    jet = curve.eval(gj.val).compose(gj)
+    return RealCurveSample(t=float(t), x0=_interleave(jet.val),
+                           x1=_interleave(jet.d1), x2=_interleave(jet.d2),
+                           x3=_interleave(jet.d3))
 
 
 def s1_of_composed_curve(curve: HoloCurve, path: PlaneCurve, t: float) -> float:
@@ -275,11 +270,7 @@ def s1_mobius_invariance_check(curve: HoloCurve, path: PlaneCurve,
         vals = {}
         for step in (h, 2.0 * h):
             f = [pos(t + k * step) for k in range(-3, 4)]
-            x1 = (-f[5] + 8 * f[4] - 8 * f[2] + f[1]) / (12 * step)
-            x2 = (-f[5] + 16 * f[4] - 30 * f[3] + 16 * f[2] - f[1]) \
-                / (12 * step * step)
-            x3 = (-f[6] + 8 * f[5] - 13 * f[4] + 13 * f[2] - 8 * f[1] + f[0]) \
-                / (8 * step ** 3)
+            x1, x2, x3 = (_fd_stencil(f, order, step) for order in (1, 2, 3))
             vals[step] = s1_direct(RealCurveSample(t, f[3], x1, x2, x3))
         s1_fd = (16.0 * vals[h] - vals[2.0 * h]) / 15.0
         dev = abs(s1_fd - s1_of_composed_curve(curve, path, t))

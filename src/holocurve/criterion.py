@@ -26,8 +26,9 @@ from ._table import write_csv
 from .errors import ConfigError, NumericalError
 from .jets import HoloCurve, eval_curve, scale_curve
 from .nehari import ExtremalProfile
+from .oracle import _image_points
 from .sampling import disk_samples
-from .schwarzian import conformal_data, criterion_lhs
+from .schwarzian import _criterion_terms, conformal_data
 
 __all__ = [
     "GridSpec", "CriterionReport", "scan", "write_scan_csv",
@@ -111,11 +112,10 @@ def _margin_parts(curve: HoloCurve, weight, z: np.ndarray):
     Raises NumericalError at the first point whose margin is not finite.
     """
     def parts(block):
-        data = conformal_data(eval_curve(curve, block))
-        abs_s = np.abs(data.schwarzian)
-        curv = 1.5 * data.wronskian_sq / data.q ** 2
+        abs_s, curv, lhs = _criterion_terms(
+            conformal_data(eval_curve(curve, block)))
         bound = 2.0 * np.asarray(weight(np.abs(block)), dtype=float)
-        return abs_s, curv, bound, bound - (abs_s + curv)
+        return abs_s, curv, bound, bound - lhs
 
     abs_s, curv, bound, margin = _in_chunks(parts, z)
     bad = ~np.isfinite(margin)
@@ -202,7 +202,7 @@ def tangent_norm_at_zero(curve: HoloCurve) -> float:
 
 def second_derivative_norm(curve: HoloCurve) -> float:
     jet = eval_curve(curve, 0.0)
-    return float(np.sqrt(np.sum(np.abs(jet.d2s()) ** 2)))
+    return float(np.sqrt(np.sum(np.abs(jet.d2) ** 2)))
 
 
 def normalize(curve: HoloCurve) -> HoloCurve:
@@ -404,7 +404,9 @@ def _log_weight_derivatives(curve: HoloCurve, profile: ExtremalProfile, z):
 
 def _critical_points(curve, profile, r_cap, coarse=(24, 48)):
     # Coarse sweep for small-gradient cells, then a few polished starts.
-    rs = r_cap * (np.arange(1, coarse[0] + 1) - 0.5) / coarse[0]
+    # Radii even in s = Phi(r) reach into the boundary layer.
+    rs = profile.phi_inverse(float(profile.Phi(r_cap))
+                             * (np.arange(1, coarse[0] + 1) - 0.5) / coarse[0])
     ths = 2.0 * np.pi * np.arange(coarse[1]) / coarse[1]
     grid = (rs[:, None] * np.exp(1j * ths)[None, :]).ravel()
     w, _, _, g, _, _ = _log_weight_derivatives(curve, profile, grid)
@@ -453,7 +455,8 @@ def boundary_diagnostics(curve: HoloCurve, profile: ExtremalProfile,
 
     omega'' = w (l_rr + l_r^2 - m l_r) u0^4, l = log w, is taken in closed
     form at all n_s points of each of the n_rays rays; a critical point
-    carries its exact |grad w|.
+    carries its exact |grad w|.  Raises NumericalError at the first
+    non-finite omega''.
     """
     r_cap = min(r_cap, profile.xs[-1])
     s_max = float(profile.Phi(r_cap))
@@ -465,6 +468,11 @@ def boundary_diagnostics(curve: HoloCurve, profile: ExtremalProfile,
     l_r = np.real(np.conj(e) * g)
     l_rr = 2.0 * b + 2.0 * np.real(a * e * e)
     om2 = w * (l_rr + l_r * l_r - m * l_r) * u0 ** 4
+    bad = ~np.isfinite(om2)
+    if np.any(bad):
+        k = int(np.argmax(bad))
+        raise NumericalError(f"omega'' is {om2[k]} on the ray theta = "
+                             f"{theta[k // n_s]:.17g} at s = {s[k % n_s]:.17g}")
     k = int(np.argmin(om2))
     i, j = divmod(k, n_s)
     worst = float(om2[k])
@@ -494,14 +502,14 @@ def boundary_trace(curve: HoloCurve, ring_offset: float = 1e-3,
     Finds the minimal image distance over sample pairs with angular
     separation at least min_angle_sep, and also reports the image gap of the
     two real-axis ring points (useful when a claimed boundary
-    identification should be checked rather than assumed).
+    identification should be checked rather than assumed).  Raises
+    NumericalError if the image extent of the ring is not finite or too
+    large for squared distances.
     """
     r = 1.0 - ring_offset
     th = 2.0 * np.pi * np.arange(n_samples) / n_samples
     z = r * np.exp(1j * th)
-    jet = eval_curve(curve, z)
-    vals = jet.vals()                       # (n, N) complex
-    X = np.concatenate([np.real(vals), np.imag(vals)], axis=0).T  # (N, 2n)
+    X = _image_points(curve.label, eval_curve(curve, z).val)
 
     k_min = max(1, int(np.ceil(min_angle_sep * n_samples / (2 * np.pi))))
     best = np.inf

@@ -10,7 +10,8 @@ This module provides
   and affine/reciprocal wrappers) emitting exact jets; within one
   ``HoloCurve.eval`` a sub-component that several wrappers share is
   evaluated once,
-* ``HoloCurve`` / ``CurveJet`` / ``eval_curve``,
+* ``HoloCurve``, whose ``eval`` (alias ``eval_curve``) returns one
+  ``CurveJet``: a ``Jet3`` stacking the jets of all components,
 * ``DiskMobius`` disk automorphisms and ``precompose_disk_mobius``,
 * finite-difference reference derivatives (``fd_derivative``, ``fd_jet``)
   used as independent oracles by the test-suite and the identity checker.
@@ -35,7 +36,6 @@ __all__ = [
     "eval_curve", "precompose_disk_mobius", "scale_curve",
     "identity_curve", "polynomial_curve", "exponential_curve",
     "strip_curve", "tan_truncation_curve", "radial_pair_curve",
-    "planar_affine_curve",
     "fd_derivative", "fd_jet", "tan_series",
 ]
 
@@ -291,31 +291,16 @@ class DiskMobius:
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
-class CurveJet:
-    """Jets of all components of a curve at common evaluation points, and
-    the metric factor q = sum |f_k'|^2 (= e^{2 sigma}) there."""
+class CurveJet(Jet3):
+    """The order-3 jet of a whole curve at common evaluation points.
+
+    val, d1, d2 and d3 stack the components' jets, row k holding component
+    k, so each has shape (n,) + shape(z); q = sum |f_k'|^2 (= e^{2 sigma})
+    has the shape of z.
+    """
 
     z: complex | np.ndarray
-    components: tuple[Jet3, ...]
     q: np.ndarray
-
-    @property
-    def n(self) -> int:
-        return len(self.components)
-
-    # Stacked views, shape (n,) + shape(z); convenient for sums over
-    # components.
-    def vals(self) -> np.ndarray:
-        return np.stack([np.asarray(c.val) for c in self.components])
-
-    def d1s(self) -> np.ndarray:
-        return np.stack([np.asarray(c.d1) for c in self.components])
-
-    def d2s(self) -> np.ndarray:
-        return np.stack([np.asarray(c.d2) for c in self.components])
-
-    def d3s(self) -> np.ndarray:
-        return np.stack([np.asarray(c.d3) for c in self.components])
 
 
 @dataclass(frozen=True)
@@ -338,13 +323,14 @@ class HoloCurve:
         if check_domain and np.any(np.abs(z) >= 1.0):
             raise DomainError("evaluation point outside the open unit disk")
         memo = {}
-        jets = tuple(_shared_jet(m, z, memo) for m in self.components)
-        d1 = np.stack([np.asarray(j.d1) for j in jets])
-        q = np.sum(np.abs(d1) ** 2, axis=0)
+        jets = [_shared_jet(m, z, memo) for m in self.components]
+        stack = np.array([[getattr(j, f) for j in jets]
+                          for f in ("val", "d1", "d2", "d3")])
+        q = np.sum(np.abs(stack[1]) ** 2, axis=0)
         if np.any(q < 1e-280):
             raise VanishingTangentError(
                 f"tangent vector of '{self.label}' vanished at a requested point")
-        return CurveJet(z, jets, q)
+        return CurveJet(*stack, z, q)
 
 
 def eval_curve(curve: HoloCurve, z) -> CurveJet:
@@ -399,12 +385,6 @@ def radial_pair_curve(k: float = 0.7) -> HoloCurve:
         label=f"radial-pair(k={k:g})")
 
 
-def planar_affine_curve(base, a: complex, b: complex,
-                        label: str = "planar") -> HoloCurve:
-    """phi = (f, a f + b): image in an affine line, so curvature vanishes."""
-    return HoloCurve((base, AffineComponent(base, mul=a, add=b)), label=label)
-
-
 def tan_series(degree: int) -> np.ndarray:
     """Maclaurin coefficients of tan up to `degree` (ascending).
 
@@ -455,8 +435,13 @@ def fd_derivative(f: Callable, z, order: int, h: float | None = None):
         raise ValueError("order must be 1, 2 or 3")
     if h is None:
         h = _FD_STEPS[order]
-    zs = [f(z + k * h) for k in range(-3, 4)]
-    fm3, fm2, fm1, f0, fp1, fp2, fp3 = zs
+    return _fd_stencil([f(z + k * h) for k in range(-3, 4)], order, h)
+
+
+def _fd_stencil(samples, order: int, h: float):
+    """fd_derivative's difference of `order` from the seven samples
+    f(z + k h), k = -3, ..., 3."""
+    fm3, fm2, fm1, f0, fp1, fp2, fp3 = samples
     if order == 1:
         return (-fp2 + 8.0 * fp1 - 8.0 * fm1 + fm2) / (12.0 * h)
     if order == 2:

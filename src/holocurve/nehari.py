@@ -32,7 +32,7 @@ from scipy.interpolate import CubicSpline
 
 from ._table import write_csv
 from .errors import NumericalError
-from .jets import DiskMobius
+from .jets import DiskMobius, fd_derivative
 
 __all__ = [
     "NehariFunction", "NehariValidation", "validate_nehari",
@@ -400,9 +400,7 @@ def extremal_profile(p, eps: float = 1e-6, n_samples: int = 1025,
         raise NumericalError(f"profile integration failed: {sol.message}")
 
     # p''(0), for the small-r series of A.
-    h = 1e-3
-    p2 = (-float(p(2 * h)) + 16 * float(p(h)) - 30 * float(p(0.0))
-          + 16 * float(p(-h)) - float(p(-2 * h))) / (12 * h * h)
+    p2 = fd_derivative(lambda x: float(p(x)), 0.0, 2, h=1e-3)
     xs = np.linspace(0.0, x_end, n_samples)
     return ExtremalProfile(p=p, eps=eps, xs=xs, _sol=sol, _p2_at_0=p2)
 

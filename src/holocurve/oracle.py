@@ -234,15 +234,7 @@ def injectivity_scan(curve: HoloCurve, n_samples: int = 10000,
     z = disk_samples(n_samples, r_min=r_min, r_max=r_max, seed=seed)
     if symmetrize:
         z = np.concatenate([z[:n_samples // 2], -z[:n_samples // 2]])
-    vals = eval_curve(curve, z).vals()
-    X = np.concatenate([np.real(vals), np.imag(vals)], axis=0).T.copy()
-    # The KD-tree works with squared image distances up to (2 span)^2 and
-    # dim * span^2; a non-finite or overflowing extent is a numerical failure.
-    span = float(np.max(np.ptp(X, axis=0))) + 1e-300
-    if not np.isfinite(4.0 * X.shape[1] * span * span):
-        raise NumericalError(f"image of '{curve.label}' has extent {span:g}: "
-                             "squared distances are not finite")
-
+    X = _image_points(curve.label, eval_curve(curve, z).val)
     tree, n = cKDTree(X), len(z)
     best = (np.inf, 0, 0)  # (image distance, i, j); the smallest tuple wins
     rows, k = np.arange(n), 16
@@ -282,6 +274,21 @@ def injectivity_scan(curve: HoloCurve, n_samples: int = 10000,
         collision_found=min_dist < collision_threshold,
         min_image_distance=min_dist,
         pair=(complex(z[i]), complex(z[j])) if min_dist < np.inf else None)
+
+
+def _image_points(label: str, vals: np.ndarray) -> np.ndarray:
+    """Image points (Re f_1, ..., Re f_n, Im f_1, ..., Im f_n) as the rows of
+    an (N, 2n) array, from the stacked values of a curve jet.
+
+    Pair searches work with squared image distances up to (2 span)^2 and
+    dim * span^2; raises NumericalError if those are not finite.
+    """
+    X = np.concatenate([np.real(vals), np.imag(vals)], axis=0).T.copy()
+    span = float(np.max(np.ptp(X, axis=0))) + 1e-300
+    if not np.isfinite(4.0 * X.shape[1] * span * span):
+        raise NumericalError(f"image of '{label}' has extent {span:g}: "
+                             "squared distances are not finite")
+    return X
 
 
 def _admissible_min_brute(z, X, min_sep, chunk: int = 256):

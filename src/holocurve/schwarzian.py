@@ -64,16 +64,13 @@ class ConformalData:
 
 
 def conformal_data(jet: CurveJet) -> ConformalData:
-    d1 = jet.d1s()
-    d2 = jet.d2s()
-    d3 = jet.d3s()
-    q = jet.q
+    d1, d2, q = jet.d1, jet.d2, jet.q
     p_sum = np.sum(np.conj(d1) * d2, axis=0)
-    r_sum = np.sum(np.conj(d1) * d3, axis=0)
+    r_sum = np.sum(np.conj(d1) * jet.d3, axis=0)
     # Pairwise form of the Lagrange identity: immune to the cancellation that
     # sum|f''|^2 * Q - |P|^2 suffers when one component dominates.
     w2 = np.zeros(np.shape(q))
-    for i, j in combinations(range(jet.n), 2):
+    for i, j in combinations(range(len(d1)), 2):
         w2 = w2 + np.abs(d1[i] * d2[j] - d1[j] * d2[i]) ** 2
     ratio = p_sum / q
     schwarzian = r_sum / q - 1.5 * ratio * ratio
@@ -91,7 +88,14 @@ def classical_schwarzian(jet: Jet3) -> np.ndarray:
 
 def criterion_lhs(data: ConformalData) -> np.ndarray:
     """|S phi| + (3/2) e^{-4 sigma} W^2  =  |S phi| + (3/4) e^{2 sigma} |K|."""
-    return np.abs(data.schwarzian) + 1.5 * data.wronskian_sq / data.q ** 2
+    return _criterion_terms(data)[2]
+
+
+def _criterion_terms(data: ConformalData) -> tuple:
+    """|S phi|, (3/2) e^{-4 sigma} W^2 and their sum, criterion_lhs."""
+    abs_s = np.abs(data.schwarzian)
+    curv = 1.5 * data.wronskian_sq / data.q ** 2
+    return abs_s, curv, abs_s + curv
 
 
 # ---------------------------------------------------------------------------
@@ -105,8 +109,7 @@ def second_form_sq_lagrange(jet: CurveJet) -> np.ndarray:
     cancellation-prone difference; useful as a consistency probe on curves
     whose component scales are balanced.
     """
-    d1 = jet.d1s()
-    d2 = jet.d2s()
+    d1, d2 = jet.d1, jet.d2
     q = np.sum(np.abs(d1) ** 2, axis=0)
     p_sum = np.sum(np.conj(d1) * d2, axis=0)
     phixx_sq = np.sum(np.abs(d2) ** 2, axis=0)
@@ -121,13 +124,13 @@ def second_form_sq_fd(curve: HoloCurve, z: complex, h: float = 1e-4) -> float:
     """
     def sigma_at(w):
         jet = curve.eval(w, check_domain=False)
-        return 0.5 * np.log(np.sum(np.abs(jet.d1s()) ** 2, axis=0))
+        return 0.5 * np.log(np.sum(np.abs(jet.d1) ** 2, axis=0))
 
     x0, y0 = float(np.real(z)), float(np.imag(z))
     sx = fd_derivative(lambda x: sigma_at(x + 1j * y0), x0, 1, h=h)
     sy = fd_derivative(lambda y: sigma_at(x0 + 1j * y), y0, 1, h=h)
     jet = curve.eval(z)
-    q = float(np.sum(np.abs(jet.d1s()) ** 2, axis=0))
-    phixx_sq = float(np.sum(np.abs(jet.d2s()) ** 2, axis=0))
+    q = float(np.sum(np.abs(jet.d1) ** 2, axis=0))
+    phixx_sq = float(np.sum(np.abs(jet.d2) ** 2, axis=0))
     grad_sq = float(sx) ** 2 + float(sy) ** 2
     return (phixx_sq - q * grad_sq) / q ** 2

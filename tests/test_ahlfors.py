@@ -47,6 +47,25 @@ def test_circle_inside_disk_enforced():
         PlaneCurve.circle(0.5, 0.6)
 
 
+def test_compose_real_matches_a_per_component_compose():
+    # One chain rule over the stacked jet against each component composed
+    # alone: equal up to the rounding of array against scalar arithmetic.
+    from holocurve.oracle import _paths, default_suite_curves
+
+    for curve in default_suite_curves():
+        for path in _paths():
+            for t in np.linspace(*path.t_range(), 9):
+                gj = path.jet(t)
+                alone = [m.jet(gj.val).compose(gj) for m in curve.components]
+                got = compose_real(curve, path, t)
+                for x, field in zip((got.x0, got.x1, got.x2, got.x3),
+                                    ("val", "d1", "d2", "d3")):
+                    want = np.array([getattr(j, field) for j in alone])
+                    want = np.column_stack([want.real, want.imag]).ravel()
+                    assert np.max(np.abs(x - want)) \
+                        <= 1e-15 * np.max(np.abs(want)), (curve.label, t)
+
+
 def test_direct_equals_curvature_decomposition(ex1, ex2):
     paths = [PlaneCurve.diameter(0.0), PlaneCurve.diameter(1.1),
              PlaneCurve.circle(0.3), PlaneCurve.circle(0.6)]

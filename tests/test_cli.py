@@ -406,6 +406,23 @@ def test_boundary_bad_config_is_a_config_error(tmp_path, capsys, line,
     assert out == "" and "config error" in err
 
 
+@pytest.mark.parametrize("curve", [
+    "curve.kind = example1\ncurve.c = 1e300",
+    "curve.kind = polynomial\ncurve.coeffs = 0,1,1e200",
+    "curve.kind = example2\ncurve.scale = 1e300",
+], ids=["example1-c1e300", "polynomial-1e200", "example2-scale1e300"])
+def test_boundary_overflow_is_a_numerical_failure(tmp_path, capsys, curve):
+    # These used to print worst_radial_convexity = nan and an infinite ring
+    # gap with exit 0.
+    cfg = _write(tmp_path, "b.cfg",
+                 curve + "\nboundary.rays = 4\nboundary.s_points = 10\n"
+                 "boundary.ring_samples = 64\n")
+    with np.errstate(all="ignore"):
+        assert main(["boundary", cfg]) == 5
+    out, err = capsys.readouterr()
+    assert out == "" and "numerical failure: omega''" in err
+
+
 def test_boundary_few_s_points(tmp_path, capsys):
     # Three points used to leave a 5-point stencil nothing to work on.
     cfg = _write(tmp_path, "bd.cfg",

@@ -410,6 +410,32 @@ def test_critical_points_are_exact(profile_constant, profile_inverse_square):
         assert grad < 1e-10
 
 
+def test_critical_point_in_the_boundary_layer(profile_inverse_square):
+    # Moving example 2's critical point to 0.9i puts it where coarse radii
+    # spaced evenly in r leave no node with a small enough gradient.
+    curve = hc.precompose_disk_mobius(hc.example2_curve(0.05),
+                                      DiskMobius(0.9, 0.7))
+    found = boundary_diagnostics(curve, profile_inverse_square).critical_points
+    assert len(found) == 1
+    zc, grad = found[0]
+    assert abs(zc - 0.9j) < 1e-9, zc
+    assert grad < 1e-10
+
+
+@pytest.mark.parametrize("make", [
+    lambda: hc.example1_curve(1e300),
+    lambda: hc.polynomial_curve([[0, 1, 1e200]]),
+    lambda: hc.scale_curve(hc.example2_curve(0.05), 1e300),
+], ids=["example1-c1e300", "polynomial-1e200", "example2-scale1e300"])
+def test_overflowing_curve_fails_the_boundary_checks(make, profile_constant):
+    curve = make()
+    with np.errstate(all="ignore"):
+        with pytest.raises(NumericalError, match="omega''"):
+            boundary_diagnostics(curve, profile_constant, n_rays=4, n_s=10)
+        with pytest.raises(NumericalError, match="extent"):
+            boundary_trace(curve, n_samples=64)
+
+
 def _stencil_convexity(curve, prof, n_rays, n_s, r_cap):
     """min over the rays and s points of omega'' by a 5-point s-stencil."""
     s_max = float(prof.Phi(min(r_cap, prof.xs[-1])))

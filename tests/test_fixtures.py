@@ -88,7 +88,7 @@ def test_example2_equality_defect_on_real_axis():
 def test_z_squared_curve_collides_antipodally():
     curve = hc.z_squared_curve()
     z = np.array([0.5 + 0.2j, -0.5 - 0.2j])
-    vals = curve.eval(z).vals()
+    vals = curve.eval(z).val
     assert abs(vals[0, 0] - vals[0, 1]) < 1e-16
 
 

@@ -116,7 +116,7 @@ def test_tan_series_schwarzian_at_zero():
     from holocurve.schwarzian import classical_schwarzian
     curve = tan_truncation_curve(stretch=1.2, degree=41)
     jet = curve.eval(np.array([0.0]))
-    s0 = classical_schwarzian(jet.components[0])[0]
+    s0 = classical_schwarzian(jet)[0, 0]
     a = 1.2 * np.pi / 2
     assert abs(s0 - 2 * a * a) < 1e-10
 
@@ -158,8 +158,8 @@ def test_precompose_disk_mobius_values():
     curve = radial_pair_curve(0.7)
     pre = precompose_disk_mobius(curve, mob)
     zs = disk_samples(12, r_max=0.7, seed=5)
-    direct = curve.eval(mob(zs)).vals()
-    viaa = pre.eval(zs).vals()
+    direct = curve.eval(mob(zs)).val
+    viaa = pre.eval(zs).val
     assert np.max(np.abs(direct - viaa)) < 1e-14
 
 
@@ -167,7 +167,7 @@ def test_scale_curve_scales_all_components():
     curve = exponential_curve([(1700.0, np.pi), (1.0, -np.pi)])
     scaled = scale_curve(curve, 0.5j)
     z = np.array([0.2 + 0.1j])
-    assert np.max(np.abs(scaled.eval(z).vals() - 0.5j * curve.eval(z).vals())) < 1e-12
+    assert np.max(np.abs(scaled.eval(z).val - 0.5j * curve.eval(z).val)) < 1e-12
     with pytest.raises(ValueError):
         scale_curve(curve, 0.0)
 
@@ -175,8 +175,8 @@ def test_scale_curve_scales_all_components():
 def test_strip_curve_is_artanh():
     z = np.array([0.4 - 0.2j])
     jet = strip_curve().eval(z)
-    assert abs(jet.vals()[0, 0] - np.arctanh(z[0])) < 1e-14
-    assert abs(jet.d1s()[0, 0] - 1.0 / (1.0 - z[0] ** 2)) < 1e-14
+    assert abs(jet.val[0, 0] - np.arctanh(z[0])) < 1e-14
+    assert abs(jet.d1[0, 0] - 1.0 / (1.0 - z[0] ** 2)) < 1e-14
 
 
 def test_polynomial_curve_validates_input():
@@ -194,25 +194,28 @@ def test_eval_shares_sub_jets_within_one_call(monkeypatch, normalized):
     curve = example2_curve(0.05)
     if normalized:
         curve = normalize(curve)  # wraps f and 1/f in AffineComponent
-    z = disk_samples(500, r_max=0.95, seed=1)
-    alone = [m.jet(z) for m in curve.components]
-
+    zs = disk_samples(500, r_max=0.95, seed=1)
     calls = []
     strip_jet = StripMapComponent.jet
 
     def counting(self, w):
-        calls.append(len(w))
+        calls.append(np.size(w))
         return strip_jet(self, w)
 
     monkeypatch.setattr(StripMapComponent, "jet", counting)
-    for _ in range(2):
-        calls.clear()
-        jet = curve.eval(z)
-        assert calls == [len(z)]   # f's strip map once per call, not twice
-        for got, want in zip(jet.components, alone):
-            for field in ("val", "d1", "d2", "d3"):
-                assert getattr(got, field).tobytes() == \
-                    getattr(want, field).tobytes()
+    # Row k of each stacked field is component k's own jet, bit for bit,
+    # for an array of points and for a single point.
+    for z in (zs, complex(zs[7])):
+        alone = [m.jet(z) for m in curve.components]
+        for _ in range(2):
+            calls.clear()
+            jet = curve.eval(z)
+            assert calls == [np.size(z)]   # f's strip map once, not twice
+            assert jet.val.shape == (curve.n,) + np.shape(z)
+            for k, want in enumerate(alone):
+                for field in ("val", "d1", "d2", "d3"):
+                    assert getattr(jet, field)[k].tobytes() == \
+                        np.asarray(getattr(want, field)).tobytes()
 
 
 def test_outer_component_is_not_shared_with_inner_points():
@@ -221,7 +224,7 @@ def test_outer_component_is_not_shared_with_inner_points():
     p = PolynomialComponent([0.1, 1.0, 0.3])
     curve = HoloCurve((p, ComposedComponent(p, p)))
     z = disk_samples(50, r_max=0.5, seed=2)
-    got = curve.eval(z).components[1]
+    got = curve.eval(z)
     want = p.jet(p.jet(z).val).compose(p.jet(z))
-    assert np.array_equal(got.val, want.val)
-    assert np.array_equal(got.d3, want.d3)
+    assert np.array_equal(got.val[1], want.val)
+    assert np.array_equal(got.d3[1], want.d3)

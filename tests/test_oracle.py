@@ -142,7 +142,7 @@ def test_injectivity_matches_brute_reference(monkeypatch, make, kwargs):
 
     def evaluate(curve, z):
         jet = hc.eval_curve(curve, z)
-        seen.append((z, jet.vals()))
+        seen.append((z, jet.val))
         return jet
 
     monkeypatch.setattr(oracle, "eval_curve", evaluate)
@@ -184,7 +184,7 @@ def test_injectivity_follows_the_printed_distance_on_near_ties(monkeypatch,
     vals = X[:, :4].T + 1j * X[:, 4:].T
     monkeypatch.setattr(oracle, "disk_samples", lambda *args, **kwargs: z)
     monkeypatch.setattr(oracle, "eval_curve",
-                        lambda curve, points: SimpleNamespace(vals=lambda: vals))
+                        lambda curve, points: SimpleNamespace(val=vals))
     rep = injectivity_scan(hc.identity_curve(), n_samples=len(z), min_sep=0.5)
     assert (rep.min_image_distance, rep.pair) \
         == _brute_reference(z, vals, 0.5)

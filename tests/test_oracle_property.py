@@ -38,7 +38,7 @@ def test_injectivity_matches_brute_reference_on_random_clouds(
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(oracle, "disk_samples", lambda *args, **kwargs: z)
         mp.setattr(oracle, "eval_curve",
-                   lambda curve, points: SimpleNamespace(vals=lambda: vals))
+                   lambda curve, points: SimpleNamespace(val=vals))
         rep = injectivity_scan(hc.identity_curve(), n_samples=n,
                                min_sep=min_sep)
     X = np.concatenate([np.real(vals), np.imag(vals)], axis=0).T.copy()

@@ -32,7 +32,7 @@ def test_reduces_to_classical_schwarzian_at_n_1():
     for comp in comps:
         jet = _single(comp).eval(zs)
         gen = conformal_data(jet).schwarzian
-        cls = classical_schwarzian(jet.components[0])
+        cls = classical_schwarzian(jet)[0]
         dev = np.abs(gen - cls) / (1.0 + np.abs(cls))
         assert np.max(dev) < 1e-12, type(comp).__name__
 
