@@ -99,10 +99,10 @@ class PlaneCurve:
     def curvature(self, t: float) -> float:
         return 0.0 if self.kind == "diameter" else 1.0 / self.radius
 
-    def t_range(self, margin: float = 0.05) -> tuple[float, float]:
+    def t_range(self) -> tuple[float, float]:
         """A parameter interval safely inside the domain."""
         if self.kind == "diameter":
-            return (-1.0 + margin, 1.0 - margin)
+            return (-0.95, 0.95)
         return (0.0, 2.0 * np.pi * self.radius)
 
 
@@ -171,17 +171,17 @@ def make_speed_curvature(curve: HoloCurve, path: PlaneCurve):
 
 def s1_from_speed_curvature(speed: Callable[[float], float],
                        curvature: Callable[[float], float],
-                       t: float, h: float = 1e-3) -> float:
+                       t: float) -> float:
     """S1 from speed v and curvature kappa of the curve itself:
 
         S1 = (log v)'' - (1/2) ((log v)')^2 + (1/2) v^2 kappa^2,
 
-    with the log-speed derivatives taken by 4th-order central differences.
+    with the log-speed derivatives from 4th-order differences at h = 1e-3.
     Exactly equivalent to the direct formula for any regular C^3 curve.
     """
     logv = lambda s: np.log(speed(s))
-    l1 = fd_derivative(logv, t, 1, h=h)
-    l2 = fd_derivative(logv, t, 2, h=h)
+    l1 = fd_derivative(logv, t, 1, h=1e-3)
+    l2 = fd_derivative(logv, t, 2, h=1e-3)
     v = speed(t)
     k = curvature(t)
     return float(l2 - 0.5 * l1 * l1 + 0.5 * (v * k) ** 2)
@@ -252,27 +252,26 @@ class MobiusRn:
 
 
 def s1_mobius_invariance_check(curve: HoloCurve, path: PlaneCurve,
-                               mobius: MobiusRn, t_values: Sequence[float],
-                               h: float = 1e-3) -> float:
+                               mobius: MobiusRn, t_values: Sequence[float]
+                               ) -> float:
     """Worst |S1(M o phi o gamma) - S1(phi o gamma)| over t_values.
 
     The transformed side only sees *positions* of M(phi(gamma(t))): its
-    derivatives come from 4th-order finite differences at steps h and 2h
-    with one Richardson round, so the check is independent of the jet
+    derivatives come from 4th-order finite differences at steps 1e-3 and
+    2e-3 with one Richardson round, so the check is independent of the jet
     engine.  Returns the largest absolute deviation (should be ~ FD noise:
     S1 is invariant under Moebius transformations of the target).
     """
     def pos(t: float) -> np.ndarray:
         return mobius.apply(compose_real(curve, path, t).x0)
 
-    worst = 0.0
+    devs = []
     for t in t_values:
-        vals = {}
-        for step in (h, 2.0 * h):
+        vals = []
+        for step in (1e-3, 2e-3):
             f = [pos(t + k * step) for k in range(-3, 4)]
             x1, x2, x3 = (_fd_stencil(f, order, step) for order in (1, 2, 3))
-            vals[step] = s1_direct(RealCurveSample(t, f[3], x1, x2, x3))
-        s1_fd = (16.0 * vals[h] - vals[2.0 * h]) / 15.0
-        dev = abs(s1_fd - s1_of_composed_curve(curve, path, t))
-        worst = max(worst, dev)
-    return worst
+            vals.append(s1_direct(RealCurveSample(t, f[3], x1, x2, x3)))
+        s1_fd = (16.0 * vals[0] - vals[1]) / 15.0
+        devs.append(abs(s1_fd - s1_of_composed_curve(curve, path, t)))
+    return float(np.max(devs, initial=0.0))

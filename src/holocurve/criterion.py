@@ -201,8 +201,11 @@ def tangent_norm_at_zero(curve: HoloCurve) -> float:
 
 
 def second_derivative_norm(curve: HoloCurve) -> float:
-    jet = eval_curve(curve, 0.0)
-    return float(np.sqrt(np.sum(np.abs(jet.d2) ** 2)))
+    """|phi''(0)|; raises NumericalError if it is not finite."""
+    norm = float(np.sqrt(np.sum(np.abs(eval_curve(curve, 0.0).d2) ** 2)))
+    if not np.isfinite(norm):
+        raise NumericalError(f"|phi''(0)| of '{curve.label}' is {norm}")
+    return norm
 
 
 def normalize(curve: HoloCurve) -> HoloCurve:
@@ -402,12 +405,12 @@ def _log_weight_derivatives(curve: HoloCurve, profile: ExtremalProfile, z):
     return 1.0 / (u0 * data.q ** 0.25), m, u0, g, a, b
 
 
-def _critical_points(curve, profile, r_cap, coarse=(24, 48)):
-    # Coarse sweep for small-gradient cells, then a few polished starts.
-    # Radii even in s = Phi(r) reach into the boundary layer.
+def _critical_points(curve, profile, r_cap):
+    # Coarse 24 x 48 polar sweep for small-gradient cells, then a few
+    # polished starts.  Radii even in s = Phi(r) reach into the boundary layer.
     rs = profile.phi_inverse(float(profile.Phi(r_cap))
-                             * (np.arange(1, coarse[0] + 1) - 0.5) / coarse[0])
-    ths = 2.0 * np.pi * np.arange(coarse[1]) / coarse[1]
+                             * (np.arange(1, 25) - 0.5) / 24)
+    ths = 2.0 * np.pi * np.arange(48) / 48
     grid = (rs[:, None] * np.exp(1j * ths)[None, :]).ravel()
     w, _, _, g, _, _ = _log_weight_derivatives(curve, profile, grid)
     gnorm = w * np.abs(g)
@@ -446,17 +449,15 @@ def _critical_points(curve, profile, r_cap, coarse=(24, 48)):
 
 def boundary_diagnostics(curve: HoloCurve, profile: ExtremalProfile,
                          n_rays: int = 32, n_s: int = 100,
-                         r_cap: float = 0.99,
-                         annulus: tuple[float, float] = (0.5, 0.99),
-                         ) -> BoundaryDiagnostics:
+                         r_cap: float = 0.99) -> BoundaryDiagnostics:
     """Convexity of omega_theta(s) = w(r e^{i theta}), s = Phi(r), along rays,
-    plus refined critical points of w, a linear distortion minorant fit on an
-    annulus, and the boundary exponent data of the weight.
+    plus refined critical points of w, a linear distortion minorant fit on
+    0.5 <= |z| < min(0.99, r_cap), and the weight's boundary exponents.
 
     omega'' = w (l_rr + l_r^2 - m l_r) u0^4, l = log w, is taken in closed
     form at all n_s points of each of the n_rays rays; a critical point
     carries its exact |grad w|.  Raises NumericalError at the first
-    non-finite omega''.
+    non-finite omega'' or weight ratio on the annulus.
     """
     r_cap = min(r_cap, profile.xs[-1])
     s_max = float(profile.Phi(r_cap))
@@ -479,13 +480,16 @@ def boundary_diagnostics(curve: HoloCurve, profile: ExtremalProfile,
     argmin = (float(theta[i]), float(s[j]))
 
     # Linear minorant w >= a s + b on the annulus (heuristic fit).
-    zs = disk_samples(400, r_min=annulus[0], r_max=min(annulus[1], r_cap),
-                      seed=0)
+    zs = disk_samples(400, r_min=0.5, r_max=min(0.99, r_cap), seed=0)
     w_ann = np.asarray(weight_ratio(curve, profile, zs), dtype=float)
+    if not np.all(np.isfinite(w_ann)):
+        k = int(np.argmax(~np.isfinite(w_ann)))
+        raise NumericalError(f"weight ratio is {w_ann[k]} at z = "
+                             f"{complex(zs[k])} on the distortion annulus")
     s_ann = profile.Phi(np.abs(zs))
     a = 0.95 * float(np.min(w_ann / np.maximum(s_ann, 1e-300)))
     b = float(np.min(w_ann - a * s_ann))
-    distortion = {"a": a, "b": b, "r0": annulus[0]} if b >= 1e-8 else None
+    distortion = {"a": a, "b": b, "r0": 0.5} if b >= 1e-8 else None
 
     return BoundaryDiagnostics(
         critical_points=_critical_points(curve, profile, r_cap),
@@ -495,12 +499,11 @@ def boundary_diagnostics(curve: HoloCurve, profile: ExtremalProfile,
 
 
 def boundary_trace(curve: HoloCurve, ring_offset: float = 1e-3,
-                   n_samples: int = 4096,
-                   min_angle_sep: float = np.pi / 8) -> dict:
+                   n_samples: int = 4096) -> dict:
     """Near-collision search on the ring |z| = 1 - ring_offset.
 
     Finds the minimal image distance over sample pairs with angular
-    separation at least min_angle_sep, and also reports the image gap of the
+    separation at least pi/8, and also reports the image gap of the
     two real-axis ring points (useful when a claimed boundary
     identification should be checked rather than assumed).  Raises
     NumericalError if the image extent of the ring is not finite or too
@@ -511,7 +514,7 @@ def boundary_trace(curve: HoloCurve, ring_offset: float = 1e-3,
     z = r * np.exp(1j * th)
     X = _image_points(curve.label, eval_curve(curve, z).val)
 
-    k_min = max(1, int(np.ceil(min_angle_sep * n_samples / (2 * np.pi))))
+    k_min = max(1, int(np.ceil(np.pi / 8 * n_samples / (2 * np.pi))))
     best = np.inf
     best_pair = (0, 0)
     for k in range(k_min, n_samples // 2 + 1):

@@ -130,14 +130,11 @@ def _zeta_parts(c: float, Phi: np.ndarray):
     return re_z, im_z, abs_z, gap
 
 
-def example2_zeta(c: float, z=None, Phi=None) -> np.ndarray:
-    """zeta(z) of the reduced criterion (pass either z or Phi = artanh z)."""
-    if Phi is None:
-        if z is None:
-            raise ValueError("need z or Phi")
-        z = np.asarray(z, dtype=complex)
-        Phi = 0.5 * (np.log(1.0 + z) - np.log(1.0 - z))
-    re_z, im_z, _, _ = _zeta_parts(c, np.asarray(Phi, dtype=complex))
+def example2_zeta(c: float, z) -> np.ndarray:
+    """zeta(z) of the reduced criterion."""
+    z = np.asarray(z, dtype=complex)
+    Phi = 0.5 * (np.log(1.0 + z) - np.log(1.0 - z))
+    re_z, im_z, _, _ = _zeta_parts(c, Phi)
     return re_z + 1j * im_z
 
 

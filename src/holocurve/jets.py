@@ -367,10 +367,9 @@ def polynomial_curve(coeff_lists: Sequence[Sequence[complex]],
     return HoloCurve(comps, label=label or f"polynomial(n={len(comps)})")
 
 
-def exponential_curve(pairs: Sequence[tuple[complex, complex]],
-                      label: str | None = None) -> HoloCurve:
+def exponential_curve(pairs: Sequence[tuple[complex, complex]]) -> HoloCurve:
     comps = tuple(ExponentialComponent(a, b) for a, b in pairs)
-    return HoloCurve(comps, label=label or f"exponential(n={len(comps)})")
+    return HoloCurve(comps, label=f"exponential(n={len(comps)})")
 
 
 def strip_curve() -> HoloCurve:

@@ -12,9 +12,9 @@ kinds:
 each times an optional positive factor, plus cubic-spline tabulated weights.
 
 Disconjugacy is certified through the compactified equation
-v'' + (P(t) - 1) v = 0 on |t| <= t_max (v = u cosh t shares its zeros with
+v'' + (P(t) - 1) v = 0 on |t| <= _T_MAX (v = u cosh t shares its zeros with
 u), integrated in Pruefer phase form so no exponentially large magnitudes
-ever appear; with t_max = 120 the untested endpoint gap is ~4e-105, far
+ever appear; with _T_MAX = 120 the untested endpoint gap is ~4e-105, far
 below anything float64 sampling of x could reach.
 
 The extremal profile solves u0'' + p u0 = 0 (u0(0)=1, u0'(0)=0) and
@@ -43,6 +43,9 @@ __all__ = [
 ]
 
 _KINDS = ("constant", "inverse_square", "half_strip", "tabulated")
+
+# Half-width of the t window on which disconjugacy is certified.
+_T_MAX = 120.0
 
 
 def _one_minus_sq(x):
@@ -163,8 +166,7 @@ class NehariValidation:
                 and self.disconjugate)
 
 
-def validate_nehari(p, resolution: int = 2001, t_max: float = 120.0
-                    ) -> NehariValidation:
+def validate_nehari(p) -> NehariValidation:
     """Check the defining properties of a Nehari weight on a sample grid.
 
     Positivity/evenness are sampled on (-1, 1); the monotonicity of the
@@ -172,7 +174,7 @@ def validate_nehari(p, resolution: int = 2001, t_max: float = 120.0
     refined near |x| = 1, which is where violations hide).
     """
     msgs = []
-    xs = np.tanh(np.linspace(-16.0, 16.0, resolution))
+    xs = np.tanh(np.linspace(-16.0, 16.0, 2001))
     vals = np.asarray(p(xs), dtype=float)
     positive = bool(np.all(vals > 0.0))
     if not positive:
@@ -183,14 +185,14 @@ def validate_nehari(p, resolution: int = 2001, t_max: float = 120.0
         msgs.append("weight is not even")
 
     kern = _as_kernel(p)
-    ts = np.linspace(0.0, 40.0, resolution)
+    ts = np.linspace(0.0, 40.0, 2001)
     kv = np.asarray(kern(ts), dtype=float)
     tol = 1e-10 * max(float(kv[0]), 1e-300)
     kernel_noninc = bool(np.all(np.diff(kv) <= tol))
     if not kernel_noninc:
         msgs.append("(1-x^2)^2 p(x) increases somewhere in |x|")
 
-    count = disconjugacy_count(p, t_max=t_max) if positive else -1
+    count = disconjugacy_count(p) if positive else -1
     disconj = count == 0
     if positive and not disconj:
         msgs.append(f"u'' + p u = 0 oscillates ({count} interior zero(s))")
@@ -202,16 +204,22 @@ def validate_nehari(p, resolution: int = 2001, t_max: float = 120.0
 # Disconjugacy and the extremality margin
 # ---------------------------------------------------------------------------
 
-def disconjugacy_count(p, t_max: float = 120.0, rtol: float = 1e-10) -> int:
-    """Number of zeros in (-t_max, t_max] of the solution of
-    v'' + (P(t) - 1) v = 0 started as v(-t_max) = 0, v'(-t_max) = 1.
+def disconjugacy_count(p) -> int:
+    """Number of zeros in (-_T_MAX, _T_MAX] of the solution of
+    v'' + (P(t) - 1) v = 0 started as v(-_T_MAX) = 0, v'(-_T_MAX) = 1.
 
     Zero count == 0 certifies disconjugacy of u'' + p u = 0 on
-    |x| <= tanh(t_max).  The count is obtained from the Pruefer phase
-    theta' = cos^2 theta + (P - 1) sin^2 theta, theta(-t_max) = 0: zeros of v
-    correspond to theta crossing positive multiples of pi (each crossed
-    transversally, theta' = 1 there), so the count is floor(theta(t_max)/pi).
+    |x| <= tanh(_T_MAX).  The count is obtained from the Pruefer phase
+    theta' = cos^2 theta + (P - 1) sin^2 theta, theta(-_T_MAX) = 0: zeros of
+    v correspond to theta crossing positive multiples of pi (each crossed
+    transversally, theta' = 1 there), so the count is floor(theta(_T_MAX)/pi).
     """
+    return _phase_zeros(p, stop_at_first=False)
+
+
+def _phase_zeros(p, stop_at_first: bool) -> int:
+    """The phase solve of disconjugacy_count; with stop_at_first it ends
+    where theta first reaches pi, and the count reads 1 ("at least one")."""
     kern = _as_kernel(p)
 
     def rhs(t, y):
@@ -219,32 +227,38 @@ def disconjugacy_count(p, t_max: float = 120.0, rtol: float = 1e-10) -> int:
         s, c = np.sin(y[0]), np.cos(y[0])
         return [c * c + g * s * s]
 
-    sol = solve_ivp(rhs, (-t_max, t_max), [0.0], method="DOP853",
-                    rtol=rtol, atol=1e-12)
+    def reaches_pi(t, y):
+        return y[0] - np.pi
+    reaches_pi.terminal = True
+    reaches_pi.direction = 1
+
+    sol = solve_ivp(rhs, (-_T_MAX, _T_MAX), [0.0], method="DOP853",
+                    rtol=1e-10, atol=1e-12,
+                    events=reaches_pi if stop_at_first else None)
     if not sol.success:  # pragma: no cover - smooth bounded RHS
         raise NumericalError(f"phase integration failed: {sol.message}")
     return int(np.floor(sol.y[0, -1] / np.pi + 1e-9))
 
 
-def extremality_margin(p, k_hi: float = 4.0, k_tol: float = 1e-4,
-                       t_max: float = 120.0) -> float:
-    """sup{k >= 1 : u'' + k p u = 0 is disconjugate}, by bisection.
+def extremality_margin(p, k_hi: float = 4.0) -> float:
+    """sup{k >= 1 : u'' + k p u = 0 is disconjugate}, by bisection to 1e-4.
 
     Requires p itself to be disconjugate and the margin to lie below k_hi.
     A margin of ~1 means p is extremal: any upward scaling destroys
-    disconjugacy.
+    disconjugacy.  Each phase solve stops at the first zero: one zero
+    already decides a bisection step.
     """
     def count(k: float) -> int:
         if isinstance(p, NehariFunction):
-            return disconjugacy_count(p.scaled(k), t_max=t_max)
-        return disconjugacy_count(lambda x: k * p(x), t_max=t_max)
+            return _phase_zeros(p.scaled(k), stop_at_first=True)
+        return _phase_zeros(lambda x: k * p(x), stop_at_first=True)
 
     if count(1.0) != 0:
         raise ValueError("weight is not disconjugate; margin undefined")
     if count(k_hi) == 0:
         raise NumericalError(f"extremality margin exceeds the bracket {k_hi}")
     lo, hi = 1.0, k_hi
-    while hi - lo > k_tol:
+    while hi - lo > 1e-4:
         mid = 0.5 * (lo + hi)
         if count(mid) == 0:
             lo = mid
@@ -373,8 +387,7 @@ class ExtremalProfile:
         return float(np.sqrt(1.0 - lam))
 
 
-def extremal_profile(p, eps: float = 1e-6, n_samples: int = 1025,
-                     rtol: float = 1e-12, atol: float = 1e-14
+def extremal_profile(p, eps: float = 1e-6, n_samples: int = 1025
                      ) -> ExtremalProfile:
     """Integrate the profile ODEs of a weight out to x = 1 - eps."""
 
@@ -390,7 +403,7 @@ def extremal_profile(p, eps: float = 1e-6, n_samples: int = 1025,
 
     x_end = 1.0 - eps
     sol = solve_ivp(rhs, (0.0, x_end), [1.0, 0.0, 0.0, 1.0, 0.0, 0.0],
-                    method="DOP853", rtol=rtol, atol=atol,
+                    method="DOP853", rtol=1e-12, atol=1e-14,
                     dense_output=True, events=u_hits_zero)
     if sol.status == 1:
         raise NumericalError(
@@ -417,28 +430,24 @@ def metric_quantities(profile: ExtremalProfile, r) -> dict:
     }
 
 
-def completeness_probe(p, radii: tuple[float, ...] = (1e-4, 1e-6, 1e-8),
-                       threshold: float = 5.0) -> dict:
-    """Phi(1 - delta) for a few delta, plus a divergence verdict.
+def completeness_probe(p) -> dict:
+    """Phi(1 - delta) for delta = 1e-4, 1e-6, 1e-8, plus a divergence verdict.
 
     Extremal weights have Phi(1) = +inf; the built-in extremal kinds all
-    exceed `threshold` already at delta = 1e-6, while any non-extremal
+    exceed the threshold 5 already at delta = 1e-6, while any non-extremal
     rescaling saturates far below it.
     """
-    eps = min(radii)
-    prof = extremal_profile(p, eps=eps, n_samples=17)
-    values = {d: float(prof.Phi(1.0 - d)) for d in sorted(radii, reverse=True)}
-    diverging = values[1e-6 if 1e-6 in values else eps] > threshold
-    return {"phi_values": values, "diverging": diverging,
-            "threshold": threshold}
+    prof = extremal_profile(p, eps=1e-8, n_samples=17)
+    values = {d: float(prof.Phi(1.0 - d)) for d in (1e-4, 1e-6, 1e-8)}
+    return {"phi_values": values, "diverging": values[1e-6] > 5.0,
+            "threshold": 5.0}
 
 
 # ---------------------------------------------------------------------------
 # Moebius compatibility of weights
 # ---------------------------------------------------------------------------
 
-def mobius_weight_check(p, mobius: DiskMobius, xs: np.ndarray | None = None
-                        ) -> dict:
+def mobius_weight_check(p, mobius: DiskMobius) -> dict:
     """min over real x of  p(x) - |T'(x)|^2 p(|T(x)|)  for a disk Moebius T.
 
     Nonnegative for every admissible weight (the two sides collapse to
@@ -446,8 +455,7 @@ def mobius_weight_check(p, mobius: DiskMobius, xs: np.ndarray | None = None
     non-increasing kernel and |T(x)| >= |x|); identically zero exactly when
     the kernel is constant, i.e. for the inverse-square weight.
     """
-    if xs is None:
-        xs = np.tanh(np.linspace(-14.0, 14.0, 2001))
+    xs = np.tanh(np.linspace(-14.0, 14.0, 2001))
     base = np.asarray(p(np.abs(xs)), float)
     # 1 - |T(x)|^2 = (1-x^2)(1-rho^2)/(1+rho^2 x^2) exactly; direct
     # subtraction loses ~12 digits once |x| > 1 - 1e-6, so evaluate the
@@ -476,17 +484,15 @@ def mobius_weight_check(p, mobius: DiskMobius, xs: np.ndarray | None = None
 # Boundary exponent and CSV export
 # ---------------------------------------------------------------------------
 
-def richardson_lambda(p, j_lo: int = 10, j_hi: int = 20, levels: int = 3
-                      ) -> float:
-    """Estimate lambda = lim (1-x^2)^2 p(x) by Richardson extrapolation
-    along x_j = 1 - 2^{-j} (the kernel tail is ~ lambda + a 2^{-j} + ...).
+def richardson_lambda(p) -> float:
+    """Estimate lambda = lim (1-x^2)^2 p(x) by three rounds of Richardson
+    extrapolation along x_j = 1 - 2^{-j}, j = 10 ... 20 (the kernel tail is
+    ~ lambda + a 2^{-j} + ...).
     """
-    js = np.arange(j_lo, j_hi + 1)
+    js = np.arange(10, 21)
     x = 1.0 - 2.0 ** (-js.astype(float))
     m = _one_minus_sq(x) ** 2 * np.asarray(p(x), dtype=float)
-    for level in range(1, levels + 1):
-        if m.size < 2:
-            break
+    for level in range(1, 4):
         fac = 2.0 ** level
         m = (fac * m[1:] - m[:-1]) / (fac - 1.0)
     return float(np.clip(m[-1], 0.0, 1.0))

@@ -72,6 +72,16 @@ def _paths() -> list[PlaneCurve]:
             PlaneCurve.circle(0.45)]
 
 
+def _record(name: str, tol: float, devs) -> IdentityRecord:
+    """The record of the largest deviation among the (deviation, where)
+    pairs in devs; the first NaN deviation counts as the largest and fails."""
+    worst, where = 0.0, ""
+    for dev, at in devs:
+        if not (dev <= worst or np.isnan(worst)):
+            worst, where = float(dev), at
+    return IdentityRecord(name, worst, tol, worst <= tol, where)
+
+
 def identity_suite(curves: list[HoloCurve] | None = None, seed: int = 0,
                    n_points: int = 40) -> IdentityReport:
     """Run all consistency identities; see the record names in the result.
@@ -86,20 +96,17 @@ def identity_suite(curves: list[HoloCurve] | None = None, seed: int = 0,
     records = []
 
     # (1) |II|^2: Lagrange-difference route vs. pairwise Wronskian route.
-    worst, where = 0.0, ""
+    devs = []
     for curve in curves:
         z = disk_samples(n_points, r_max=0.8, seed=seed)
         jet = eval_curve(curve, z)
         a = second_form_sq_lagrange(jet)
         b = conformal_data(jet).second_form_sq
-        dev = np.max(np.abs(a - b) / (1.0 + np.abs(b)))
-        if dev > worst:
-            worst, where = float(dev), curve.label
-    records.append(IdentityRecord("second_form_lagrange_vs_wronskian",
-                                  worst, 1e-8, worst <= 1e-8, where))
+        devs.append((np.max(np.abs(a - b) / (1.0 + np.abs(b))), curve.label))
+    records.append(_record("second_form_lagrange_vs_wronskian", 1e-8, devs))
 
     # (2) S1: direct real formula vs. curvature decomposition.
-    worst, where = 0.0, ""
+    devs = []
     ts = np.linspace(-0.7, 0.7, 7)
     for curve in curves:
         for path in _paths():
@@ -107,29 +114,25 @@ def identity_suite(curves: list[HoloCurve] | None = None, seed: int = 0,
             for t in np.interp(ts, [-0.7, 0.7], [t_lo, t_hi]):
                 a = s1_of_composed_curve(curve, path, float(t))
                 b = s1_via_curvature(curve, path, float(t))
-                dev = abs(a - b) / (1.0 + abs(a))
-                if dev > worst:
-                    worst = dev
-                    where = f"{curve.label} / {path.kind} t={t:.3f}"
-    records.append(IdentityRecord("s1_direct_vs_curvature_decomposition",
-                                  worst, 1e-8, worst <= 1e-8, where))
+                devs.append((abs(a - b) / (1.0 + abs(a)),
+                             f"{curve.label} / {path.kind} t={t:.3f}"))
+    records.append(_record("s1_direct_vs_curvature_decomposition", 1e-8,
+                           devs))
 
     # (3) S1: direct vs. speed/curvature (finite-difference log-speed) form.
-    worst, where = 0.0, ""
+    devs = []
     for curve in curves:
         for path in _paths()[:2]:
             speed, kappa = make_speed_curvature(curve, path)
             for t in (-0.5, 0.0, 0.4):
                 a = s1_of_composed_curve(curve, path, t)
                 b = s1_from_speed_curvature(speed, kappa, t)
-                dev = abs(a - b) / (1.0 + abs(a))
-                if dev > worst:
-                    worst, where = dev, f"{curve.label} / {path.kind} t={t}"
-    records.append(IdentityRecord("s1_direct_vs_speed_curvature_form",
-                                  worst, 1e-5, worst <= 1e-5, where))
+                devs.append((abs(a - b) / (1.0 + abs(a)),
+                             f"{curve.label} / {path.kind} t={t}"))
+    records.append(_record("s1_direct_vs_speed_curvature_form", 1e-5, devs))
 
     # (4) Schwarzian chain rule under disk automorphisms (exact jets).
-    worst, where = 0.0, ""
+    devs = []
     rng_mob = [DiskMobius(0.3, 0.7), DiskMobius(-0.55, 2.1)]
     for curve in curves:
         for mob in rng_mob:
@@ -140,13 +143,11 @@ def identity_suite(curves: list[HoloCurve] | None = None, seed: int = 0,
             s_chain = conformal_data(eval_curve(curve, tj.val)).schwarzian \
                 * tj.d1 ** 2
             dev = np.max(np.abs(s_pre - s_chain) / (1.0 + np.abs(s_chain)))
-            if dev > worst:
-                worst, where = float(dev), f"{curve.label} / rho={mob.rho}"
-    records.append(IdentityRecord("schwarzian_disk_mobius_chain_rule",
-                                  worst, 1e-8, worst <= 1e-8, where))
+            devs.append((dev, f"{curve.label} / rho={mob.rho}"))
+    records.append(_record("schwarzian_disk_mobius_chain_rule", 1e-8, devs))
 
     # (5) S1 invariance under Moebius maps of the target (FD route).
-    worst, where = 0.0, ""
+    devs = []
     t_values = (-0.5, -0.1, 0.35)
     for curve in curves:
         path = PlaneCurve.diameter(0.0)
@@ -163,15 +164,13 @@ def identity_suite(curves: list[HoloCurve] | None = None, seed: int = 0,
         mob = MobiusRn(dim=dim)
         mob.translate(0.3 * (-1.0) ** np.arange(dim)).invert(center) \
            .scale(1.7).orthogonal(rot)
-        dev = s1_mobius_invariance_check(curve, path, mob, t_values)
-        if dev > worst:
-            worst, where = float(dev), curve.label
-    records.append(IdentityRecord("s1_target_mobius_invariance",
-                                  worst, 1e-4, worst <= 1e-4, where))
+        devs.append((s1_mobius_invariance_check(curve, path, mob, t_values),
+                     curve.label))
+    records.append(_record("s1_target_mobius_invariance", 1e-4, devs))
 
     # (6) The signed-curvature reading: its gap from the direct formula must
     # equal (3/2) e^{2 sigma} |K| (documents the incorrect variant).
-    worst, where = 0.0, ""
+    devs = []
     for curve in curves:
         path = PlaneCurve.circle(0.45)
         for t in (0.3, 1.1, 2.0):
@@ -179,11 +178,9 @@ def identity_suite(curves: list[HoloCurve] | None = None, seed: int = 0,
             literal = s1_via_curvature(curve, path, t, signed_curvature=True)
             data = conformal_data(eval_curve(curve, path.jet(t).val))
             predicted_gap = 1.5 * float(data.q * np.abs(data.curvature))
-            dev = abs((direct - literal) - predicted_gap) / (1.0 + predicted_gap)
-            if dev > worst:
-                worst, where = dev, f"{curve.label} t={t}"
-    records.append(IdentityRecord("s1_signed_curvature_reading_gap",
-                                  worst, 1e-8, worst <= 1e-8, where))
+            devs.append((abs((direct - literal) - predicted_gap)
+                         / (1.0 + predicted_gap), f"{curve.label} t={t}"))
+    records.append(_record("s1_signed_curvature_reading_gap", 1e-8, devs))
 
     return IdentityReport(tuple(records))
 
@@ -206,13 +203,12 @@ class InjectivityReport:
 def injectivity_scan(curve: HoloCurve, n_samples: int = 10000,
                      min_sep: float = 0.05, seed: int = 0,
                      r_min: float = 0.0, r_max: float = 1.0 - 1e-4,
-                     symmetrize: bool = False,
-                     collision_threshold: float = 1e-9) -> InjectivityReport:
+                     symmetrize: bool = False) -> InjectivityReport:
     """Search for image collisions among domain-separated sample pairs.
 
     Only pairs with |z1 - z2| >= min_sep count (nearby domain points always
     have nearby images); a pair collides when its image distance drops below
-    collision_threshold.  `symmetrize` replaces the second half of the
+    1e-9.  `symmetrize` replaces the second half of the
     sample with the antipodes of the first half -- the designed fixture for
     even curves like z^2, whose collisions are exactly antipodal and which a
     generic cloud would never hit.
@@ -270,8 +266,7 @@ def injectivity_scan(curve: HoloCurve, n_samples: int = 10000,
     min_dist, i, j = best
     return InjectivityReport(
         curve_label=curve.label, n_samples=n, min_sep=min_sep,
-        collision_threshold=collision_threshold,
-        collision_found=min_dist < collision_threshold,
+        collision_threshold=1e-9, collision_found=min_dist < 1e-9,
         min_image_distance=min_dist,
         pair=(complex(z[i]), complex(z[j])) if min_dist < np.inf else None)
 
@@ -291,11 +286,11 @@ def _image_points(label: str, vals: np.ndarray) -> np.ndarray:
     return X
 
 
-def _admissible_min_brute(z, X, min_sep, chunk: int = 256):
+def _admissible_min_brute(z, X, min_sep):
     """Chunked O(N^2) reference for `injectivity_scan`'s pair search."""
     best, pair, cols = np.inf, (0, 0), np.arange(len(z))
-    for i0 in range(0, len(z), chunk):
-        rows = cols[i0:i0 + chunk, None]
+    for i0 in range(0, len(z), 256):
+        rows = cols[i0:i0 + 256, None]
         dx = np.linalg.norm(X[rows] - X, axis=2)
         dx[(np.abs(z[rows] - z) < min_sep) | (rows == cols)] = np.inf
         i, j = np.unravel_index(np.argmin(dx), dx.shape)

@@ -41,15 +41,15 @@ def disk_samples(n: int, r_min: float = 0.0, r_max: float = 1.0,
     return r * np.exp(1j * theta)
 
 
-def strip_samples(n: int, half_height: float, tail_scale: float = 2.0,
-                  seed: int = 0) -> np.ndarray:
+def strip_samples(n: int, half_height: float, seed: int = 0) -> np.ndarray:
     """Complex points covering the horizontal strip |Im w| < half_height.
 
-    The real part is tan-transformed so the sample has heavy tails (reaching
-    |Re w| in the thousands at n ~ 1e4); estimates whose extremes live at
-    large |Re w| (as the asymptotic constants here do) need those tails.
+    The real part is 2 tan(pi (u - 1/2)) of an equidistributed u in [0, 1),
+    so the sample has heavy tails (reaching |Re w| in the thousands at
+    n ~ 1e4); estimates whose extremes live at large |Re w| (as the
+    asymptotic constants here do) need those tails.
     """
     u = r2_sequence(n, 2, seed)
-    x = tail_scale * np.tan(np.pi * (u[:, 0] - 0.5))
+    x = 2.0 * np.tan(np.pi * (u[:, 0] - 0.5))
     y = half_height * (2.0 * u[:, 1] - 1.0) * (1.0 - 1e-9)
     return x + 1j * y

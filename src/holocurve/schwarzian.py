@@ -116,19 +116,19 @@ def second_form_sq_lagrange(jet: CurveJet) -> np.ndarray:
     return (phixx_sq - np.abs(p_sum) ** 2 / q) / q ** 2
 
 
-def second_form_sq_fd(curve: HoloCurve, z: complex, h: float = 1e-4) -> float:
+def second_form_sq_fd(curve: HoloCurve, z: complex) -> float:
     """|II|^2 with the metric-gradient term taken by finite differences.
 
-    sigma is sampled as (1/2) log Q on a cross stencil around z, so this
-    route does not consult P at all.
+    sigma is sampled as (1/2) log Q on a cross stencil around z (the step
+    1e-4 of fd_derivative), so this route does not consult P at all.
     """
     def sigma_at(w):
         jet = curve.eval(w, check_domain=False)
         return 0.5 * np.log(np.sum(np.abs(jet.d1) ** 2, axis=0))
 
     x0, y0 = float(np.real(z)), float(np.imag(z))
-    sx = fd_derivative(lambda x: sigma_at(x + 1j * y0), x0, 1, h=h)
-    sy = fd_derivative(lambda y: sigma_at(x0 + 1j * y), y0, 1, h=h)
+    sx = fd_derivative(lambda x: sigma_at(x + 1j * y0), x0, 1)
+    sy = fd_derivative(lambda y: sigma_at(x0 + 1j * y), y0, 1)
     jet = curve.eval(z)
     q = float(np.sum(np.abs(jet.d1) ** 2, axis=0))
     phixx_sq = float(np.sum(np.abs(jet.d2) ** 2, axis=0))

@@ -215,6 +215,20 @@ def test_covering_nan_distance_is_a_numerical_failure(tmp_path, capsys,
     assert not (tmp_path / "covering.csv").exists()
 
 
+def test_covering_overflowing_second_derivative_is_a_numerical_failure(
+        tmp_path, capsys):
+    # |phi''(0)| = 2e200 overflows its sum of squares; the infinite norm made
+    # the bound 0, which read as "consistent" at a coarse resolution.
+    cfg = _write(tmp_path, "cov.cfg",
+                 "curve.kind = polynomial\ncurve.coeffs = 0,1,1e200\n"
+                 "covering.radii = 0.3\ncovering.resolution = 4\n")
+    with np.errstate(all="ignore"):
+        assert main(["covering", cfg, "--output", str(tmp_path)]) == 5
+    out, err = capsys.readouterr()
+    assert out == "" and "|phi''(0)| of 'polynomial(n=1)' is inf" in err
+    assert not (tmp_path / "covering.csv").exists()
+
+
 # ---------------------------------------------------------------------------
 # verify-identities
 # ---------------------------------------------------------------------------
@@ -226,6 +240,22 @@ def test_verify_identities(tmp_path, capsys):
     assert out.count("PASS ") == 6
     assert "FAIL" not in out
     assert _stdout_value(out, "verdict") == "ok"
+
+
+def test_nan_identity_deviation_is_an_identity_failure(tmp_path, capsys,
+                                                      monkeypatch):
+    # A NaN deviation compares false with the worst so far, which used to
+    # skip it and pass the record.
+    import holocurve.oracle as oracle
+
+    monkeypatch.setattr(oracle, "second_form_sq_lagrange",
+                        lambda jet: np.full(np.shape(jet.q), np.nan))
+    cfg = _write(tmp_path, "id.cfg", "")
+    assert main(["verify-identities", cfg]) == 3
+    out = capsys.readouterr().out
+    assert "FAIL second_form_lagrange_vs_wronskian: worst_dev = nan" in out
+    assert out.count("PASS ") == 5
+    assert _stdout_value(out, "verdict") == "identity-failure"
 
 
 # ---------------------------------------------------------------------------
@@ -423,6 +453,22 @@ def test_boundary_overflow_is_a_numerical_failure(tmp_path, capsys, curve):
     assert out == "" and "numerical failure: omega''" in err
 
 
+def test_boundary_nan_weight_ratio_is_a_numerical_failure(tmp_path, capsys,
+                                                         monkeypatch):
+    # A NaN on the distortion annulus used to print
+    # distortion_fit = infeasible with exit 0.
+    import holocurve.criterion as criterion
+
+    monkeypatch.setattr(criterion, "weight_ratio",
+                        lambda curve, profile, z: np.full(len(z), np.nan))
+    cfg = _write(tmp_path, "b.cfg",
+                 "boundary.rays = 4\nboundary.s_points = 10\n"
+                 "boundary.ring_samples = 64\n")
+    assert main(["boundary", cfg]) == 5
+    out, err = capsys.readouterr()
+    assert out == "" and "numerical failure: weight ratio is nan" in err
+
+
 def test_boundary_few_s_points(tmp_path, capsys):
     # Three points used to leave a 5-point stencil nothing to work on.
     cfg = _write(tmp_path, "bd.cfg",
@@ -531,3 +577,16 @@ def test_all_floats_use_17_significant_digits(tmp_path, capsys):
     out = capsys.readouterr().out
     tol = _stdout_value(out, "tol_eq")
     assert tol == f"{1e-6 * np.pi ** 2 / 2.0:.17g}"
+
+
+def test_readme_config_table_lists_exactly_the_schema_keys():
+    from pathlib import Path
+
+    from holocurve.cli import _SCHEMA
+
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    table = readme.split("### Config keys", 1)[1].split("\n\n", 2)[1]
+    keys = set()
+    for row in table.splitlines()[2:]:
+        keys.update(re.findall(r"`([a-z_]+\.[a-z_]+)`", row.split("|")[1]))
+    assert keys == set(_SCHEMA)

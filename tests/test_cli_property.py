@@ -1,10 +1,11 @@
-"""Property test: the CLI contract on random curves, extreme scales and small
+"""Property tests: the CLI contract on random curves, extreme scales and small
 grids, run in-process through `cli.main`.  Kept apart so that the rest of
 the CLI tests do not need hypothesis."""
 
 import contextlib
 import io
 import math
+import re
 import tempfile
 from pathlib import Path
 
@@ -78,4 +79,52 @@ def test_cli_contract_on_random_configs(command, curve, check, injectivity):
     if "verdict = holds" in out:
         margin = out.split("min_margin = ", 1)[1].split("\n", 1)[0]
         assert math.isfinite(float(margin)), text
+    assert again == first, text
+
+
+_COVERING = st.fixed_dictionaries({
+    "covering.radii": st.just(0.3),
+    "covering.resolution": st.integers(4, 20),
+    "nehari.kind": st.sampled_from(["constant", "inverse_square",
+                                    "half_strip"]),
+})
+_BOUNDARY = st.fixed_dictionaries({
+    "boundary.rays": st.integers(1, 4),
+    "boundary.s_points": st.integers(1, 10),
+    "boundary.ring_samples": st.integers(2, 64),
+    "nehari.kind": st.sampled_from(["constant", "inverse_square",
+                                    "half_strip"]),
+})
+
+
+# Boundary runs cost up to 1.4 s each (the per-candidate BFGS of the
+# critical-point search); 70 fixed examples take about 7 s.
+@hypothesis.settings(max_examples=70, deadline=None, derandomize=True)
+@hypothesis.given(
+    command=st.sampled_from(["covering", "boundary"]),
+    curve=_CURVES, covering=_COVERING, boundary=_BOUNDARY)
+def test_covering_and_boundary_contract_on_random_configs(command, curve,
+                                                          covering, boundary):
+    options = dict(curve, **(covering if command == "covering"
+                             else boundary))
+    text = "".join(f"{key} = {value}\n" for key, value in options.items()
+                   if value is not None)
+    with tempfile.TemporaryDirectory() as tmp:
+        cfg = Path(tmp) / "run.cfg"
+        cfg.write_text(text)
+        first = _run(command, cfg, Path(tmp) / "out")
+        again = _run(command, cfg, Path(tmp) / "out")
+    code, out, err, _ = first
+    assert code in range(6), (text, err)
+    assert "Traceback" not in err
+    if code == 0:   # every printed number but the curve label's and paths'
+        for line in out.splitlines():
+            if line.startswith("curve = ") or "_csv = " in line:
+                continue
+            for token in re.split(r"[\s=(),:|]+", line):
+                try:
+                    value = float(token)
+                except ValueError:
+                    continue
+                assert math.isfinite(value), (text, line)
     assert again == first, text

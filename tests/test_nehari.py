@@ -120,6 +120,40 @@ def test_extremality_margins():
     assert abs(extremality_margin(NehariFunction.inverse_square(0.5)) - 2.0) < 1e-3
 
 
+@pytest.mark.parametrize("kind,factor,bits", [
+    ("constant", 1.0, "0x1.0003000000000p+0"),
+    ("constant", 0.5, "0x1.ffff000000000p+0"),
+    ("inverse_square", 1.0, "0x1.0009000000000p+0"),
+    ("inverse_square", 0.5, "0x1.000b800000000p+1"),
+    ("half_strip", 1.0, "0x1.0003000000000p+0"),
+    ("half_strip", 0.5, "0x1.ffff000000000p+0"),
+])
+def test_extremality_margin_bits(kind, factor, bits):
+    # Stopping each phase solve at its first zero leaves every bisection
+    # step, and so every bit of the margin, as the full-window count had it.
+    assert extremality_margin(NehariFunction(kind, factor)) \
+        == float.fromhex(bits)
+
+
+def test_oscillating_margin_solve_stops_at_its_first_zero(monkeypatch):
+    import holocurve.nehari as nehari
+
+    ends, original = [], nehari.solve_ivp
+
+    def solve(*args, **kwargs):
+        sol = original(*args, **kwargs)
+        ends.append(sol.t[-1])
+        return sol
+
+    monkeypatch.setattr(nehari, "solve_ivp", solve)
+    extremality_margin(NehariFunction.constant())
+    # k = 1 is disconjugate and runs to the window's end; the bracket end
+    # k = 4 and every midpoint above the margin 1.00005 oscillate, and each
+    # of their solves ends at the first zero, far inside |t| <= 120.
+    assert ends[0] == 120.0
+    assert len(ends) == 17 and max(ends[1:]) < 10.0
+
+
 def test_extremality_margin_guards():
     with pytest.raises(ValueError):
         extremality_margin(NehariFunction.constant(1.2))   # already oscillates
