@@ -197,11 +197,10 @@ def build_curve(cfg: RunConfig) -> HoloCurve:
                                   cfg["curve.mobius_theta"]))
         if cfg["curve.scale"] != 1.0:
             curve = scale_curve(curve, cfg["curve.scale"])
-        if cfg["curve.normalize"]:
-            curve = normalize(curve)
-        return curve
     except (ValueError, ZeroDivisionError) as exc:
         raise ConfigError(f"invalid curve configuration: {exc}") from exc
+    # Outside the wrapper: a vanished tangent is a numerical failure here too.
+    return normalize(curve) if cfg["curve.normalize"] else curve
 
 
 def build_weight(cfg: RunConfig) -> NehariFunction:

@@ -25,7 +25,7 @@ from scipy.sparse.csgraph import dijkstra
 from ._table import write_csv
 from .errors import ConfigError, NumericalError
 from .jets import HoloCurve, eval_curve, scale_curve
-from .nehari import ExtremalProfile
+from .nehari import ExtremalProfile, NehariFunction
 from .oracle import _image_points
 from .sampling import disk_samples
 from .schwarzian import _criterion_terms, conformal_data
@@ -83,13 +83,6 @@ class CriterionReport:
     margin: np.ndarray
 
 
-def _weight_label(weight) -> str:
-    kind = getattr(weight, "kind", None)
-    if kind is None:
-        return getattr(weight, "__name__", "weight")
-    return f"{kind}(factor={getattr(weight, 'factor', 1.0):g})"
-
-
 # Fixed-size chunks bound the jet temporaries on the 1M-point grids.
 _CHUNK = 8192
 
@@ -106,7 +99,7 @@ def _metric_factor(curve: HoloCurve, z: np.ndarray) -> np.ndarray:
                       z)[0]
 
 
-def _margin_parts(curve: HoloCurve, weight, z: np.ndarray):
+def _margin_parts(curve: HoloCurve, weight: NehariFunction, z: np.ndarray):
     """abs_schwarzian, curv_term, bound and margin over z.
 
     Raises NumericalError at the first point whose margin is not finite.
@@ -126,7 +119,8 @@ def _margin_parts(curve: HoloCurve, weight, z: np.ndarray):
     return abs_s, curv, bound, margin
 
 
-def scan(curve: HoloCurve, weight, grid: GridSpec | None = None,
+def scan(curve: HoloCurve, weight: NehariFunction,
+         grid: GridSpec | None = None,
          tol_eq: float | None = None) -> CriterionReport:
     """Evaluate the criterion margin over the grid and classify.
 
@@ -175,7 +169,8 @@ def scan(curve: HoloCurve, weight, grid: GridSpec | None = None,
     else:
         verdict = "holds"
     return CriterionReport(
-        curve_label=curve.label, weight_label=_weight_label(weight),
+        curve_label=curve.label,
+        weight_label=f"{weight.kind}(factor={weight.factor:g})",
         verdict=verdict, min_margin=min_margin, argmin_z=complex(z[i_min]),
         tol_eq=float(tol_eq),
         equality_count=int(np.sum(np.abs(margin) <= tol_eq)),
@@ -230,9 +225,12 @@ def covering_bound(profile: ExtremalProfile, phi2_norm: float, r) -> np.ndarray:
         H(r) = 2 Psi(r) / (2 + |phi''(0)| Psi(r))
 
     for a normalized curve satisfying the criterion with a nondecreasing
-    weight.  Raises ConfigError if the profile's weight decreases somewhere
-    on [0, 1).
+    weight.  Raises ConfigError if r lies beyond the profile's end or the
+    profile's weight decreases somewhere on [0, 1).
     """
+    if np.any(np.asarray(r) > profile.xs[-1]):
+        raise ConfigError(f"covering radius {r} lies beyond the profile's "
+                          f"end 1 - eps = {profile.xs[-1]:g}")
     rs = np.linspace(0.0, profile.xs[-1], 512)
     pv = np.asarray(profile.p(rs), dtype=float)
     if np.any(np.diff(pv) < -1e-12 * max(pv[0], 1.0)):
@@ -489,7 +487,9 @@ def boundary_diagnostics(curve: HoloCurve, profile: ExtremalProfile,
     s_ann = profile.Phi(np.abs(zs))
     a = 0.95 * float(np.min(w_ann / np.maximum(s_ann, 1e-300)))
     b = float(np.min(w_ann - a * s_ann))
-    distortion = {"a": a, "b": b, "r0": 0.5} if b >= 1e-8 else None
+    # Relative threshold: w scales as |phi'|^(-1/2), and so do a and b.
+    distortion = ({"a": a, "b": b, "r0": 0.5}
+                  if b >= 1e-8 * float(np.max(w_ann)) else None)
 
     return BoundaryDiagnostics(
         critical_points=_critical_points(curve, profile, r_cap),

@@ -24,14 +24,13 @@ the radial comparison data A(r) and the weight metric curvature.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 from scipy.integrate import solve_ivp
-from scipy.interpolate import CubicSpline
 
 from ._table import write_csv
-from .errors import NumericalError
+from .errors import ConfigError, NumericalError
 from .jets import DiskMobius, fd_derivative
 
 __all__ = [
@@ -42,10 +41,15 @@ __all__ = [
     "richardson_lambda",
 ]
 
-_KINDS = ("constant", "inverse_square", "half_strip", "tabulated")
+# kind -> (c, m): p = factor c (1-x^2)^(m-2), kernel factor c sech^(2m) t.
+_CLOSED = {"constant": (np.pi ** 2 / 4.0, 2), "inverse_square": (1.0, 0),
+           "half_strip": (2.0, 1)}
 
 # Half-width of the t window on which disconjugacy is certified.
 _T_MAX = 120.0
+
+# Zero counts stop here: a weight scaled by 1e150 has ~1e75 zeros.
+_MAX_ZEROS = 64
 
 
 def _one_minus_sq(x):
@@ -61,14 +65,15 @@ class NehariFunction:
     factor: float = 1.0
     table_x: np.ndarray | None = None
     table_p: np.ndarray | None = None
-    _spline: CubicSpline | None = field(default=None, repr=False, compare=False)
+    _spline: object = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
-        if self.kind not in _KINDS:
+        if self.kind not in _CLOSED and self.kind != "tabulated":
             raise ValueError(f"unknown weight kind {self.kind!r}")
-        if not self.factor > 0:
-            raise ValueError("weight factor must be positive")
+        if not 0.0 < self.factor < np.inf:
+            raise ValueError("weight factor must be positive and finite")
         if self.kind == "tabulated":
+            from scipy.interpolate import CubicSpline
             x = np.asarray(self.table_x, dtype=float)
             p = np.asarray(self.table_p, dtype=float)
             if x.ndim != 1 or x.shape != p.shape or x.size < 4:
@@ -109,42 +114,26 @@ class NehariFunction:
 
     def __call__(self, x):
         ax = np.abs(x)
-        if self.kind == "constant":
-            return self.factor * (np.pi ** 2 / 4.0) * np.ones_like(ax)
-        if self.kind == "inverse_square":
-            return self.factor / _one_minus_sq(ax) ** 2
-        if self.kind == "half_strip":
-            return 2.0 * self.factor / _one_minus_sq(ax)
-        # tabulated: spline evaluated on |x|, clamped at the table edge
-        xe = np.minimum(ax, self.table_x[-1])
-        return self.factor * self._spline(xe)
+        if self.kind == "tabulated":   # clamped at the table edge
+            return self.factor * self._spline(np.minimum(ax, self.table_x[-1]))
+        c, m = _CLOSED[self.kind]
+        return self.factor * c / _one_minus_sq(ax) ** (2 - m)
 
     def kernel(self, t):
         """P(t) = (1-x^2)^2 p(x) at x = tanh t (closed forms where known)."""
-        if self.kind == "constant":
-            return self.factor * (np.pi ** 2 / 4.0) / np.cosh(t) ** 4
-        if self.kind == "inverse_square":
-            return self.factor * np.ones_like(np.asarray(t, dtype=float))
-        if self.kind == "half_strip":
-            return 2.0 * self.factor / np.cosh(t) ** 2
-        x = np.tanh(t)
-        return (1.0 / np.cosh(t) ** 4) * self(x)
+        if self.kind == "tabulated":
+            return (1.0 / np.cosh(t) ** 4) * self(np.tanh(t))
+        c, m = _CLOSED[self.kind]
+        return self.factor * c / np.cosh(t) ** (2 * m)
 
     @property
-    def boundary_lambda(self) -> float | None:
-        """lim_{|x| -> 1} (1-x^2)^2 p(x), when known in closed form."""
-        if self.kind == "constant" or self.kind == "half_strip":
+    def boundary_lambda(self) -> float:
+        """lim_{|x| -> 1} (1-x^2)^2 p(x); 0 for a table, which the spline
+        clamps at its last node below 1."""
+        if self.kind == "tabulated":
             return 0.0
-        if self.kind == "inverse_square":
-            return self.factor
-        return None
-
-
-def _as_kernel(p) -> Callable:
-    """Kernel P(t) for a NehariFunction or plain callable weight."""
-    if isinstance(p, NehariFunction):
-        return p.kernel
-    return lambda t: (1.0 / np.cosh(t) ** 4) * p(np.tanh(t))
+        c, m = _CLOSED[self.kind]
+        return self.factor * c if m == 0 else 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -154,7 +143,6 @@ def _as_kernel(p) -> Callable:
 @dataclass(frozen=True)
 class NehariValidation:
     positive: bool
-    even: bool
     kernel_nonincreasing: bool
     disconjugate: bool
     zero_count: int
@@ -162,16 +150,16 @@ class NehariValidation:
 
     @property
     def ok(self) -> bool:
-        return (self.positive and self.even and self.kernel_nonincreasing
+        return (self.positive and self.kernel_nonincreasing
                 and self.disconjugate)
 
 
-def validate_nehari(p) -> NehariValidation:
+def validate_nehari(p: NehariFunction) -> NehariValidation:
     """Check the defining properties of a Nehari weight on a sample grid.
 
-    Positivity/evenness are sampled on (-1, 1); the monotonicity of the
-    compactified kernel is sampled in the t variable (uniform there = heavily
-    refined near |x| = 1, which is where violations hide).
+    Positivity is sampled on (-1, 1); the monotonicity of the compactified
+    kernel is sampled in the t variable (uniform there = heavily refined
+    near |x| = 1, which is where violations hide).
     """
     msgs = []
     xs = np.tanh(np.linspace(-16.0, 16.0, 2001))
@@ -179,14 +167,9 @@ def validate_nehari(p) -> NehariValidation:
     positive = bool(np.all(vals > 0.0))
     if not positive:
         msgs.append("weight is not strictly positive on the sample grid")
-    scale = float(np.max(np.abs(vals))) or 1.0
-    even = bool(np.all(np.abs(vals - vals[::-1]) <= 1e-9 * scale))
-    if not even:
-        msgs.append("weight is not even")
 
-    kern = _as_kernel(p)
     ts = np.linspace(0.0, 40.0, 2001)
-    kv = np.asarray(kern(ts), dtype=float)
+    kv = np.asarray(p.kernel(ts), dtype=float)
     tol = 1e-10 * max(float(kv[0]), 1e-300)
     kernel_noninc = bool(np.all(np.diff(kv) <= tol))
     if not kernel_noninc:
@@ -195,16 +178,17 @@ def validate_nehari(p) -> NehariValidation:
     count = disconjugacy_count(p) if positive else -1
     disconj = count == 0
     if positive and not disconj:
-        msgs.append(f"u'' + p u = 0 oscillates ({count} interior zero(s))")
-    return NehariValidation(positive, even, kernel_noninc, disconj,
-                            count, tuple(msgs))
+        msgs.append(f"u'' + p u = 0 oscillates ({count}"
+                    f"{'+' * (count == _MAX_ZEROS)} interior zero(s))")
+    return NehariValidation(positive, kernel_noninc, disconj, count,
+                            tuple(msgs))
 
 
 # ---------------------------------------------------------------------------
 # Disconjugacy and the extremality margin
 # ---------------------------------------------------------------------------
 
-def disconjugacy_count(p) -> int:
+def disconjugacy_count(p: NehariFunction) -> int:
     """Number of zeros in (-_T_MAX, _T_MAX] of the solution of
     v'' + (P(t) - 1) v = 0 started as v(-_T_MAX) = 0, v'(-_T_MAX) = 1.
 
@@ -213,34 +197,32 @@ def disconjugacy_count(p) -> int:
     theta' = cos^2 theta + (P - 1) sin^2 theta, theta(-_T_MAX) = 0: zeros of
     v correspond to theta crossing positive multiples of pi (each crossed
     transversally, theta' = 1 there), so the count is floor(theta(_T_MAX)/pi).
+    The solve stops at theta = _MAX_ZEROS pi, so counts saturate there.
     """
-    return _phase_zeros(p, stop_at_first=False)
+    return _phase_zeros(p, _MAX_ZEROS)
 
 
-def _phase_zeros(p, stop_at_first: bool) -> int:
-    """The phase solve of disconjugacy_count; with stop_at_first it ends
-    where theta first reaches pi, and the count reads 1 ("at least one")."""
-    kern = _as_kernel(p)
-
+def _phase_zeros(p: NehariFunction, max_zeros: int) -> int:
+    """The phase solve of disconjugacy_count; it ends where theta first
+    reaches max_zeros pi, and the count then reads max_zeros."""
     def rhs(t, y):
-        g = float(kern(t)) - 1.0
+        g = float(p.kernel(t)) - 1.0
         s, c = np.sin(y[0]), np.cos(y[0])
         return [c * c + g * s * s]
 
-    def reaches_pi(t, y):
-        return y[0] - np.pi
-    reaches_pi.terminal = True
-    reaches_pi.direction = 1
+    def reaches_cap(t, y):
+        return y[0] - max_zeros * np.pi
+    reaches_cap.terminal = True
+    reaches_cap.direction = 1
 
     sol = solve_ivp(rhs, (-_T_MAX, _T_MAX), [0.0], method="DOP853",
-                    rtol=1e-10, atol=1e-12,
-                    events=reaches_pi if stop_at_first else None)
-    if not sol.success:  # pragma: no cover - smooth bounded RHS
+                    rtol=1e-10, atol=1e-12, events=reaches_cap)
+    if not sol.success:  # e.g. a weight so large no step resolves it
         raise NumericalError(f"phase integration failed: {sol.message}")
     return int(np.floor(sol.y[0, -1] / np.pi + 1e-9))
 
 
-def extremality_margin(p, k_hi: float = 4.0) -> float:
+def extremality_margin(p: NehariFunction, k_hi: float = 4.0) -> float:
     """sup{k >= 1 : u'' + k p u = 0 is disconjugate}, by bisection to 1e-4.
 
     Requires p itself to be disconjugate and the margin to lie below k_hi.
@@ -249,9 +231,7 @@ def extremality_margin(p, k_hi: float = 4.0) -> float:
     already decides a bisection step.
     """
     def count(k: float) -> int:
-        if isinstance(p, NehariFunction):
-            return _phase_zeros(p.scaled(k), stop_at_first=True)
-        return _phase_zeros(lambda x: k * p(x), stop_at_first=True)
+        return _phase_zeros(p.scaled(k), 1)
 
     if count(1.0) != 0:
         raise ValueError("weight is not disconjugate; margin undefined")
@@ -281,7 +261,7 @@ class ExtremalProfile:
     are restricted to 0 <= x <= 1 - eps.
     """
 
-    p: object
+    p: NehariFunction
     eps: float
     xs: np.ndarray
     _sol: object = field(repr=False, compare=False, default=None)
@@ -310,9 +290,6 @@ class ExtremalProfile:
 
     def U(self, x):
         return self._y(x)[3]
-
-    def U_prime(self, x):
-        return self._y(x)[4]
 
     def Psi(self, x):
         return self._y(x)[5]
@@ -370,10 +347,7 @@ class ExtremalProfile:
 
     @property
     def boundary_lambda(self) -> float:
-        lam = getattr(self.p, "boundary_lambda", None)
-        if lam is None:
-            lam = richardson_lambda(self.p)
-        return float(lam)
+        return float(self.p.boundary_lambda)
 
     @property
     def mu(self) -> float:
@@ -387,9 +361,14 @@ class ExtremalProfile:
         return float(np.sqrt(1.0 - lam))
 
 
-def extremal_profile(p, eps: float = 1e-6, n_samples: int = 1025
-                     ) -> ExtremalProfile:
-    """Integrate the profile ODEs of a weight out to x = 1 - eps."""
+def extremal_profile(p: NehariFunction, eps: float = 1e-6,
+                     n_samples: int = 1025) -> ExtremalProfile:
+    """Integrate the profile ODEs of a weight out to x = 1 - eps.
+    Raises ConfigError unless 0 < eps < 1 and n_samples >= 2."""
+    if not 0.0 < eps < 1.0:
+        raise ConfigError(f"profile eps = {eps:g} must lie in (0, 1)")
+    if n_samples < 2:
+        raise ConfigError(f"profile samples = {n_samples} must be >= 2")
 
     def rhs(x, y):
         pv = float(p(x))
@@ -430,7 +409,7 @@ def metric_quantities(profile: ExtremalProfile, r) -> dict:
     }
 
 
-def completeness_probe(p) -> dict:
+def completeness_probe(p: NehariFunction) -> dict:
     """Phi(1 - delta) for delta = 1e-4, 1e-6, 1e-8, plus a divergence verdict.
 
     Extremal weights have Phi(1) = +inf; the built-in extremal kinds all
@@ -447,7 +426,7 @@ def completeness_probe(p) -> dict:
 # Moebius compatibility of weights
 # ---------------------------------------------------------------------------
 
-def mobius_weight_check(p, mobius: DiskMobius) -> dict:
+def mobius_weight_check(p: NehariFunction, mobius: DiskMobius) -> dict:
     """min over real x of  p(x) - |T'(x)|^2 p(|T(x)|)  for a disk Moebius T.
 
     Nonnegative for every admissible weight (the two sides collapse to
@@ -459,20 +438,15 @@ def mobius_weight_check(p, mobius: DiskMobius) -> dict:
     base = np.asarray(p(np.abs(xs)), float)
     # 1 - |T(x)|^2 = (1-x^2)(1-rho^2)/(1+rho^2 x^2) exactly; direct
     # subtraction loses ~12 digits once |x| > 1 - 1e-6, so evaluate the
-    # kernel difference instead of the weight difference when we can.
+    # kernel difference instead of the weight difference.
     rho2 = mobius.rho ** 2
     denom = 1.0 + rho2 * xs ** 2
-    img_sq = (xs ** 2 + rho2) / denom
+    img = np.sqrt((xs ** 2 + rho2) / denom)
     one_minus_sq = _one_minus_sq(xs)
     one_minus_img = one_minus_sq * (1.0 - rho2) / denom
-    if hasattr(p, "kernel"):
-        img = np.sqrt(img_sq)
-        t_img = 0.5 * np.log((1.0 + img) ** 2 / one_minus_img)
-        slack = ((np.asarray(p.kernel(np.arctanh(np.abs(xs))), float)
-                  - np.asarray(p.kernel(t_img), float)) / one_minus_sq ** 2)
-    else:
-        tj = mobius.jet(xs.astype(complex))
-        slack = base - np.abs(tj.d1) ** 2 * np.asarray(p(np.sqrt(img_sq)), float)
+    t_img = 0.5 * np.log((1.0 + img) ** 2 / one_minus_img)
+    slack = ((np.asarray(p.kernel(np.arctanh(np.abs(xs))), float)
+              - np.asarray(p.kernel(t_img), float)) / one_minus_sq ** 2)
     rel = slack / base
     i = int(np.argmin(rel))
     return {"min_slack": float(np.min(slack)),
@@ -484,7 +458,7 @@ def mobius_weight_check(p, mobius: DiskMobius) -> dict:
 # Boundary exponent and CSV export
 # ---------------------------------------------------------------------------
 
-def richardson_lambda(p) -> float:
+def richardson_lambda(p: NehariFunction) -> float:
     """Estimate lambda = lim (1-x^2)^2 p(x) by three rounds of Richardson
     extrapolation along x_j = 1 - 2^{-j}, j = 10 ... 20 (the kernel tail is
     ~ lambda + a 2^{-j} + ...).

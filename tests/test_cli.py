@@ -491,6 +491,41 @@ def test_covering_decreasing_weight_is_a_config_error(tmp_path, capsys):
     assert not (tmp_path / "covering.csv").exists()
 
 
+@pytest.mark.parametrize("command,line", [
+    ("boundary", "profile.samples = 0"), ("covering", "profile.samples = 0"),
+    ("boundary", "profile.samples = 1"),
+    ("extremal-profile", "profile.eps = 0"),
+    ("extremal-profile", "profile.eps = -0.5"),
+    ("extremal-profile", "profile.eps = 1.5"),
+    ("extremal-profile", "profile.eps = nan"),
+    ("covering", "profile.eps = 0.5"),      # radius 0.6 past x = 0.5
+])
+def test_out_of_range_profile_is_a_config_error(tmp_path, capsys, command,
+                                                line):
+    # These used to die with an IndexError (exit 1), exit 5, or, with one
+    # sample, collapse r_cap to 0 and print a wrong convexity with exit 0.
+    cfg = _write(tmp_path, "p.cfg",
+                 line + "\nboundary.rays = 2\nboundary.s_points = 3\n"
+                 "boundary.ring_samples = 64\ncovering.resolution = 20\n")
+    assert main([command, cfg, "--output", str(tmp_path)]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and "config error: " in err
+    assert list(tmp_path.glob("*.csv")) == []
+
+
+@pytest.mark.parametrize("normalize", ["false", "true"])
+def test_vanishing_tangent_exit_code_ignores_normalize(tmp_path, capsys,
+                                                       normalize):
+    # normalize used to run inside the curve builder's ValueError wrapper,
+    # which turned the same vanished tangent into exit 2.
+    cfg = _write(tmp_path, "c.cfg",
+                 f"curve.scale = 1e-150\ncurve.normalize = {normalize}\n"
+                 "grid.n_r = 2\ngrid.n_theta = 4\n")
+    assert main(["check-criterion", cfg, "--output", str(tmp_path)]) == 5
+    out, err = capsys.readouterr()
+    assert out == "" and "vanished" in err
+
+
 @pytest.mark.parametrize("exc", [ValueError, FloatingPointError,
                                  ZeroDivisionError, OverflowError])
 def test_escaping_errors_are_numerical_failures(tmp_path, capsys, exc,

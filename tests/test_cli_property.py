@@ -128,3 +128,80 @@ def test_covering_and_boundary_contract_on_random_configs(command, curve,
                     continue
                 assert math.isfinite(value), (text, line)
     assert again == first, text
+
+
+_TABLES = {    # nehari.table_x, nehari.table_p
+    "valid": ("0,0.3,0.6,0.9", "2,2,2,2"),
+    "negative": ("0,0.3,0.6,0.9", "-1,-1,-1,-1"),
+    "kernel-increasing": ("0,0.3,0.6,0.9", "1,3,10,100"),
+    "non-increasing-x": ("0,0.6,0.3,0.9", "2,2,2,2"),
+}
+_PROFILE = st.fixed_dictionaries({
+    "nehari.kind": st.sampled_from(["constant", "inverse_square",
+                                    "half_strip", "tabulated"]),
+    "nehari.factor": _OPTIONAL,
+    "profile.eps": st.sampled_from([1e-8, 1e-6, 0.5, 0.0, 1.0,
+                                    float("nan")]),
+    "profile.samples": st.sampled_from([0, 1, 2, 17]),
+})
+_EXAMPLE = st.fixed_dictionaries({
+    "example.which": st.sampled_from([1, 2, 3]),
+    "curve.c": _OPTIONAL,
+    "grid.n_r": st.integers(1, 4),
+    "grid.n_theta": st.integers(4, 8),
+    "example.c_values": st.sampled_from(["0.01,0.05,0.1", "0.05", "0",
+                                         "0.01,nan", "1e300", ""]),
+})
+
+
+def _check_contract(command, options):
+    """Exit code 0-5, no traceback, only finite numbers printed with exit 0
+    (paths aside), and a byte-identical rerun."""
+    text = "".join(f"{key} = {value}\n" for key, value in options.items()
+                   if value is not None)
+    with tempfile.TemporaryDirectory() as tmp:
+        cfg = Path(tmp) / "run.cfg"
+        cfg.write_text(text)
+        first = _run(command, cfg, Path(tmp) / "out")
+        again = _run(command, cfg, Path(tmp) / "out")
+    code, out, err, _ = first
+    assert code in range(6), (text, err)
+    assert "Traceback" not in err
+    if code == 0:
+        for line in out.splitlines():
+            if "_csv = " in line:
+                continue
+            for token in re.split(r"[\s=(),:|/]+", line):
+                try:
+                    value = float(token)
+                except ValueError:
+                    continue
+                assert math.isfinite(value), (text, line)
+    assert again == first, text
+
+
+_SEEDS = st.sampled_from([0, 1, 12345, 2 ** 40])
+
+
+# A valid run costs 0.5-2.5 s, and most drawn configs are rejected at once:
+# these 15 fixed examples take about 3 s.
+@hypothesis.settings(max_examples=15, deadline=None, derandomize=True)
+@hypothesis.given(profile=_PROFILE, table=st.sampled_from(sorted(_TABLES)),
+                  seed=_SEEDS)
+def test_extremal_profile_contract_on_random_configs(profile, table, seed):
+    options = dict(profile, **{"run.seed": seed})
+    if profile["nehari.kind"] == "tabulated":
+        options["nehari.table_x"], options["nehari.table_p"] = _TABLES[table]
+    _check_contract("extremal-profile", options)
+
+
+@hypothesis.settings(max_examples=4, deadline=None, derandomize=True)
+@hypothesis.given(seed=_SEEDS)
+def test_verify_identities_contract_on_random_seeds(seed):
+    _check_contract("verify-identities", {"run.seed": seed})
+
+
+@hypothesis.settings(max_examples=60, deadline=None, derandomize=True)
+@hypothesis.given(example=_EXAMPLE, seed=_SEEDS)
+def test_reproduce_example_contract_on_random_configs(example, seed):
+    _check_contract("reproduce-example", dict(example, **{"run.seed": seed}))

@@ -335,6 +335,21 @@ def test_boundary_diagnostics_examples(ex1, ex2, profile_constant,
     assert abs(d2.holder_exponent) < 1e-6
 
 
+def test_distortion_fit_is_scale_invariant(profile_constant):
+    # w scales as scale^(-1/2); an absolute threshold on b used to make the
+    # fit infeasible at scale 1e20.
+    fits = []
+    for scale in (1.0, 1e20, 1e40):
+        curve = hc.scale_curve(hc.identity_curve(), scale)
+        d = boundary_diagnostics(curve, profile_constant, n_rays=2, n_s=3)
+        assert d.distortion is not None, scale
+        fits.append((d.distortion["a"] * np.sqrt(scale),
+                     d.distortion["b"] * np.sqrt(scale)))
+    for a, b in fits[1:]:
+        assert abs(a - fits[0][0]) <= 1e-12 * abs(fits[0][0])
+        assert abs(b - fits[0][1]) <= 1e-12 * abs(fits[0][1])
+
+
 _MOBIUS = DiskMobius(0.3, 0.7)     # sends 0.3i to 0
 
 

@@ -14,10 +14,15 @@ Closed forms used below (all hand-derivable from u'' +- p u = 0):
 """
 
 import io
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import holocurve
 from holocurve.errors import NumericalError
 from holocurve.jets import DiskMobius
 from holocurve.nehari import (NehariFunction, completeness_probe,
@@ -57,9 +62,28 @@ def test_increasing_kernel_rejected():
 
 
 def test_odd_and_negative_callables_rejected():
-    assert not validate_nehari(lambda x: 1.0 + np.asarray(x)).even
-    v = validate_nehari(lambda x: -1.0 + 0.0 * np.asarray(x))
+    # Every weight is a NehariFunction, evaluated on |x|: even bit for bit.
+    xs = np.linspace(-0.999, 0.999, 201)
+    tab = NehariFunction.tabulated(np.linspace(0.0, 0.9, 10),
+                                   1.0 + np.linspace(0.0, 0.9, 10))
+    for p in (NehariFunction.constant(), NehariFunction.inverse_square(0.8),
+              NehariFunction.half_strip(1.3), tab):
+        assert np.array_equal(p(-xs), p(xs))
+    v = validate_nehari(NehariFunction.tabulated(np.linspace(0.0, 0.9, 10),
+                                                 -np.ones(10)))
     assert not v.positive
+
+
+def test_import_leaves_the_spline_module_unloaded():
+    # CubicSpline is imported when a tabulated weight is built, not before.
+    src = str(Path(holocurve.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    code = ("import sys, holocurve; "
+            "print('scipy.interpolate' in sys.modules)")
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "False"
 
 
 def test_tabulated_input_validation():
@@ -239,6 +263,20 @@ def test_phi_inverse_is_accurate_up_to_the_profile_end(kind):
 def test_oscillating_weight_profile_raises():
     with pytest.raises(NumericalError):
         extremal_profile(NehariFunction.constant(1.5))
+
+
+def test_tabulated_boundary_lambda_is_zero():
+    # The spline is clamped at its last node, below 1, so (1-x^2)^2 p -> 0.
+    tab = NehariFunction.tabulated(np.linspace(0.0, 0.95, 12),
+                                   2.0 / (1.0 - np.linspace(0.0, 0.95, 12)))
+    assert tab.boundary_lambda == 0.0 == richardson_lambda(tab)
+
+
+def test_huge_weight_zero_count_saturates():
+    # The phase would cross ~1e75 multiples of pi; the count stops at 64.
+    v = validate_nehari(NehariFunction.constant(1e150))
+    assert not v.disconjugate and v.zero_count == 64
+    assert "64+ interior zero(s)" in v.messages[0]
 
 
 def test_boundary_exponents():
