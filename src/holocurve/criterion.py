@@ -18,9 +18,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import sparse
-from scipy.optimize import minimize
-from scipy.sparse.csgraph import dijkstra
 
 from ._table import write_csv
 from .errors import ConfigError, NumericalError
@@ -257,6 +254,12 @@ def check_covering_lattice(r: float, resolution: int) -> None:
         raise ConfigError(f"covering resolution {resolution} must be >= 2")
 
 
+def dijkstra(*args, **kwargs):
+    """scipy.sparse.csgraph.dijkstra, imported at first use."""
+    from scipy.sparse.csgraph import dijkstra
+    return dijkstra(*args, **kwargs)
+
+
 def intrinsic_min_distance(curve: HoloCurve, r: float,
                            resolution: int = 200) -> float:
     """min over |z| = r of the intrinsic distance d_phi(0, z).
@@ -303,6 +306,7 @@ def intrinsic_min_distance(curve: HoloCurve, r: float,
     factor[used] = _metric_factor(
         curve, (half[:, None] + 1j * half[None, :])[used])
     ws = [length * factor[m_sl][both] for length, m_sl, both in moves]
+    from scipy import sparse
     graph = sparse.coo_matrix(
         (np.concatenate(ws), (np.concatenate(rows), np.concatenate(cols))),
         shape=(n_nodes, n_nodes)).tocsr()
@@ -401,6 +405,12 @@ def _log_weight_derivatives(curve: HoloCurve, profile: ExtremalProfile, z):
                 - (data.r_sum / data.q - ratio * ratio))
     b = 0.25 * (0.5 * rho_r + rho - data.wronskian_sq / data.q ** 2)
     return 1.0 / (u0 * data.q ** 0.25), m, u0, g, a, b
+
+
+def minimize(*args, **kwargs):
+    """scipy.optimize.minimize, imported at first use."""
+    from scipy.optimize import minimize
+    return minimize(*args, **kwargs)
 
 
 def _critical_points(curve, profile, r_cap):

@@ -48,11 +48,12 @@ def example1_min_c() -> float:
 
 
 def example1_curve(c: float = 1700.0) -> HoloCurve:
-    """phi(z) = (c e^{pi z}, e^{-pi z}); requires c >= example1_min_c()."""
-    if c < example1_min_c():
+    """phi(z) = (c e^{pi z}, e^{-pi z}); needs example1_min_c() <= c < inf."""
+    if not example1_min_c() <= c < np.inf:
         raise ConfigError(
-            f"c = {c:g} is below the admissible threshold "
-            f"{example1_min_c():.6f}; the criterion would fail near x = -1")
+            f"c = {c:g} must be finite and at least the admissible threshold "
+            f"{example1_min_c():.6f}; below it the criterion would fail "
+            f"near x = -1")
     return HoloCurve((ExponentialComponent(c, np.pi),
                       ExponentialComponent(1.0, -np.pi)),
                      label=f"example1(c={c:g})")

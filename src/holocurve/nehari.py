@@ -27,7 +27,6 @@ from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
-from scipy.integrate import solve_ivp
 
 from ._table import write_csv
 from .errors import ConfigError, NumericalError
@@ -50,6 +49,12 @@ _T_MAX = 120.0
 
 # Zero counts stop here: a weight scaled by 1e150 has ~1e75 zeros.
 _MAX_ZEROS = 64
+
+
+def solve_ivp(*args, **kwargs):
+    """scipy.integrate.solve_ivp, imported at first use."""
+    from scipy.integrate import solve_ivp
+    return solve_ivp(*args, **kwargs)
 
 
 def _one_minus_sq(x):

@@ -12,7 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.spatial import cKDTree, distance
 
 from .ahlfors import (MobiusRn, PlaneCurve, compose_real,
                       make_speed_curvature, s1_from_speed_curvature, s1_direct,
@@ -200,6 +199,12 @@ class InjectivityReport:
     pair: tuple[complex, complex] | None
 
 
+def cKDTree(*args, **kwargs):
+    """scipy.spatial.cKDTree, imported at first use."""
+    from scipy.spatial import cKDTree
+    return cKDTree(*args, **kwargs)
+
+
 def injectivity_scan(curve: HoloCurve, n_samples: int = 10000,
                      min_sep: float = 0.05, seed: int = 0,
                      r_min: float = 0.0, r_max: float = 1.0 - 1e-4,
@@ -245,7 +250,8 @@ def injectivity_scan(curve: HoloCurve, n_samples: int = 10000,
                 dist, idx = tree.query(X[r], k)
                 zj = z[idx]
             else:
-                dist = distance.cdist(X[r], X)
+                from scipy.spatial.distance import cdist
+                dist = cdist(X[r], X)
                 idx, zj = np.broadcast_to(np.arange(n), dist.shape), z
             ok = (np.abs(z[r, None] - zj) >= min_sep) & (idx != r[:, None])
             # np.linalg.norm gives the printed bits; recompute near-minima.

@@ -605,6 +605,23 @@ def test_overflowing_curve_is_a_numerical_failure(tmp_path, capsys, command):
     assert not (tmp_path / "scan.csv").exists()
 
 
+@pytest.mark.parametrize("command,line", [
+    ("check-criterion", "curve.kind = example1"),
+    ("injectivity", "curve.kind = example1"),
+    ("reproduce-example", "example.which = 1"),
+])
+def test_infinite_example1_c_is_a_config_error(tmp_path, capsys, command,
+                                               line):
+    # c = inf used to pass the threshold check and exit 5 on a NaN margin
+    # or an infinite image extent.
+    cfg = _write(tmp_path, "inf.cfg", line + "\ncurve.c = inf\n"
+                 "grid.n_r = 20\ngrid.n_theta = 8\ninjectivity.samples = 500\n")
+    assert main([command, cfg, "--output", str(tmp_path)]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and "config error" in err and "c = inf" in err
+    assert [p.name for p in tmp_path.iterdir()] == ["inf.cfg"]
+
+
 def test_all_floats_use_17_significant_digits(tmp_path, capsys):
     cfg = _write(tmp_path, "fmt.cfg",
                  "curve.kind = example1\ngrid.n_r = 30\ngrid.n_theta = 8\n")

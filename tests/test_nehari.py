@@ -86,6 +86,60 @@ def test_import_leaves_the_spline_module_unloaded():
     assert out.strip() == "False"
 
 
+def _scipy_modules_after(code: str, *args: str) -> set[str]:
+    """The scipy modules loaded once `code` has run in a fresh interpreter."""
+    src = str(Path(holocurve.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    code += ("\nprint(' '.join(m for m in sys.modules "
+             "if m.split('.')[0] == 'scipy'))")
+    out = subprocess.run([sys.executable, "-c", code, *args], env=env,
+                         check=True, capture_output=True, text=True).stdout
+    return set(out.splitlines()[-1].split())
+
+
+@pytest.mark.parametrize("module", ["holocurve", "holocurve.cli"])
+def test_import_leaves_scipy_unloaded(module):
+    # Each scipy module is imported at the first call that needs it.
+    assert _scipy_modules_after(f"import sys, {module}") == set()
+
+
+_RUN_MAIN = """
+import contextlib, io, sys
+from pathlib import Path
+from holocurve.cli import main
+out = Path(sys.argv[1])
+for i, (command, text) in enumerate(RUNS):
+    (out / f"{i}.cfg").write_text(text)
+    with contextlib.redirect_stdout(io.StringIO()):
+        code = main([command, str(out / f"{i}.cfg"), "--output", str(out)])
+    assert code == 0, (command, code)
+"""
+
+_GRID = "grid.n_r = 20\ngrid.n_theta = 8\n"
+
+
+def _scipy_modules_after_main(runs, tmp_path) -> set[str]:
+    """The scipy modules loaded once cli.main has run each (command, config
+    text) of `runs` in a fresh interpreter; every run must exit 0."""
+    return _scipy_modules_after(f"RUNS = {runs!r}" + _RUN_MAIN, str(tmp_path))
+
+
+def test_jet_algebra_subcommands_load_no_scipy(tmp_path):
+    runs = [("check-criterion", _GRID),
+            ("reproduce-example", "example.which = 1\n" + _GRID),
+            ("reproduce-example", "example.which = 2\n" + _GRID),
+            ("verify-identities", "")]
+    assert _scipy_modules_after_main(runs, tmp_path) == set()
+
+
+def test_injectivity_loads_neither_integrate_nor_optimize(tmp_path):
+    runs = [("injectivity", "injectivity.samples = 500\n")]
+    loaded = _scipy_modules_after_main(runs, tmp_path)
+    assert "scipy.spatial" in loaded
+    assert not loaded & {"scipy.integrate", "scipy.optimize"}
+
+
 def test_tabulated_input_validation():
     xs = np.linspace(0.0, 0.9, 10)
     ps = np.ones_like(xs)
