@@ -367,7 +367,8 @@ def weight_ratio(curve: HoloCurve, profile: ExtremalProfile, z) -> np.ndarray:
 
 @dataclass(frozen=True)
 class BoundaryDiagnostics:
-    critical_points: tuple            # ((z, |grad w|), ...) refined minima
+    critical_points: tuple            # ((z, |grad w|), ...): roots of
+                                      # grad w, of any kind
     worst_radial_convexity: float     # min of omega'' over all rays
     convexity_argmin: tuple           # (theta, s) where the min occurs
     distortion: dict | None           # {'a','b','r0'} linear minorant or None
@@ -408,50 +409,37 @@ def _log_weight_derivatives(curve: HoloCurve, profile: ExtremalProfile, z):
 
 
 def minimize(*args, **kwargs):
-    """scipy.optimize.minimize, imported at first use."""
+    """scipy.optimize.minimize, imported at first use.  Uncalled, but the
+    bench tracer stops if it is gone; ROADMAP item 1 retires it."""
     from scipy.optimize import minimize
     return minimize(*args, **kwargs)
 
 
 def _critical_points(curve, profile, r_cap):
-    # Coarse 24 x 48 polar sweep for small-gradient cells, then a few
-    # polished starts.  Radii even in s = Phi(r) reach into the boundary layer.
+    # Plain Newton on grad l = 0 (H step = 2 b step + 2 conj(a step)) from 0
+    # and a 24 x 48 polar sweep, radii even in s = Phi(r) to reach the boundary
+    # layer.  A point leaves once its step is below 1e-13 (a root), not finite
+    # or past r_cap.
     rs = profile.phi_inverse(float(profile.Phi(r_cap))
                              * (np.arange(1, 25) - 0.5) / 24)
     ths = 2.0 * np.pi * np.arange(48) / 48
-    grid = (rs[:, None] * np.exp(1j * ths)[None, :]).ravel()
-    w, _, _, g, _, _ = _log_weight_derivatives(curve, profile, grid)
-    gnorm = w * np.abs(g)
-    scale = float(np.median(gnorm)) + 1e-30
-    cand = [0.0 + 0.0j]
-    for i in np.argsort(gnorm):
-        z0 = grid[i]
-        if gnorm[i] >= 0.05 * scale or len(cand) >= 16:
+    z = np.concatenate(([0j], np.outer(rs, np.exp(1j * ths)).ravel()))
+    start, roots = np.arange(len(z)), []     # roots: (start, z, |grad w|)
+    for _ in range(30):
+        w, _, _, g, a, b = _log_weight_derivatives(curve, profile, z)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            step = (np.conj(a * g) - b * g) / (2.0 * (b * b - np.abs(a) ** 2))
+        done = np.abs(step) < 1e-13
+        roots += zip(start[done], z[done], w[done] * np.abs(g[done]))
+        z = z + step
+        keep = ~done & np.isfinite(z) & (np.abs(z) <= r_cap)
+        z, start = z[keep], start[keep]
+        if not len(z):
             break
-        if all(abs(z0 - zc) > 0.08 for zc in cand):
-            cand.append(z0)
-
-    def grad_sq(xy):
-        """|grad l|^2 and its gradient 2 H grad l = 4 (b g + conj(a g))."""
-        z = complex(xy[0], xy[1])
-        if abs(z) > r_cap:
-            return 1e6, np.zeros(2)
-        _, _, _, g, a, b = _log_weight_derivatives(curve, profile, z)
-        d = 4.0 * (b * g + np.conj(a * g))
-        return float(abs(g) ** 2), np.array([d.real, d.imag])
-
     found = []
-    for z0 in cand:
-        # gtol bounds |2 H grad l|: at 1e-12 the point is a root of grad l to
-        # about 1e-12 / |H|^2.  The default 1e-5 stopped 7e-4 from the
-        # critical point 0.3i of example 2 precomposed with a Moebius map.
-        res = minimize(grad_sq, [z0.real, z0.imag], jac=True, method="BFGS",
-                       options={"gtol": 1e-12})
-        zc = complex(res.x[0], res.x[1])
-        w, _, _, g, _, _ = _log_weight_derivatives(curve, profile, zc)
-        gw = float(w * abs(g))
+    for _, zc, gw in sorted(roots):          # the origin's run first
         if gw < 1e-5 and all(abs(zc - zf) > 1e-3 for zf, _ in found):
-            found.append((zc, gw))
+            found.append((complex(zc), float(gw)))
     return tuple(found)
 
 

@@ -125,8 +125,8 @@ class PolynomialComponent:
 
     def __init__(self, coeffs: Sequence[complex]):
         c = np.asarray(coeffs, dtype=complex)
-        if c.ndim != 1 or c.size == 0:
-            raise ValueError("coeffs must be a nonempty 1-d sequence")
+        if c.ndim != 1 or c.size == 0 or not np.all(np.isfinite(c)):
+            raise ValueError("coeffs must be a nonempty finite 1-d sequence")
         self.coeffs = c
         P = np.polynomial.polynomial
         self._dc = [c, P.polyder(c), P.polyder(c, 2), P.polyder(c, 3)]
@@ -266,8 +266,8 @@ class DiskMobius:
     theta: float = 0.0
 
     def __post_init__(self):
-        if not -1.0 < float(self.rho) < 1.0:
-            raise ValueError("rho must lie in (-1, 1)")
+        if not (-1.0 < float(self.rho) < 1.0 and np.isfinite(self.theta)):
+            raise ValueError("rho must lie in (-1, 1) and theta be finite")
 
     def jet(self, z) -> Jet3:
         rho = self.rho
@@ -347,8 +347,8 @@ def precompose_disk_mobius(curve: HoloCurve, mobius: DiskMobius) -> HoloCurve:
 
 def scale_curve(curve: HoloCurve, factor: complex) -> HoloCurve:
     """The curve factor * phi (all components scaled by one constant)."""
-    if factor == 0:
-        raise ValueError("scale factor must be nonzero")
+    if factor == 0 or not np.isfinite(factor):
+        raise ValueError("scale factor must be finite and nonzero")
     comps = tuple(AffineComponent(m, mul=factor) for m in curve.components)
     return HoloCurve(comps, label=f"{abs(factor):.6g}*{curve.label}")
 
@@ -379,6 +379,8 @@ def strip_curve() -> HoloCurve:
 
 def radial_pair_curve(k: float = 0.7) -> HoloCurve:
     """phi(z) = (z, k z^2); simple nonplanar test curve with K < 0 off 0."""
+    if not np.isfinite(k):
+        raise ValueError("k must be finite")
     return HoloCurve(
         (PolynomialComponent([0.0, 1.0]), PolynomialComponent([0.0, 0.0, k])),
         label=f"radial-pair(k={k:g})")
@@ -408,6 +410,8 @@ def tan_truncation_curve(stretch: float = 1.2, degree: int = 41) -> HoloCurve:
     classical bound at the origin while remaining polynomial (pole-free).
     Keep scans inside |z| <~ 0.6/stretch where the truncation is faithful.
     """
+    if not np.isfinite(stretch):
+        raise ValueError("stretch must be finite")
     a = stretch * np.pi / 2.0
     t = tan_series(degree)
     coeffs = t * a ** np.arange(degree + 1)

@@ -202,9 +202,16 @@ def disconjugacy_count(p: NehariFunction) -> int:
     theta' = cos^2 theta + (P - 1) sin^2 theta, theta(-_T_MAX) = 0: zeros of
     v correspond to theta crossing positive multiples of pi (each crossed
     transversally, theta' = 1 there), so the count is floor(theta(_T_MAX)/pi).
-    The solve stops at theta = _MAX_ZEROS pi, so counts saturate there.
+    The solve stops at theta = _MAX_ZEROS pi, so counts saturate there.  It
+    is skipped when Sturm comparison gives that many already: where P is
+    non-increasing in |t|, P >= P(T) on [-T, T], so v has at least
+    floor(2 T sqrt(P(T) - 1) / pi) zeros there.
     """
-    return _phase_zeros(p, _MAX_ZEROS)
+    ts = np.linspace(0.0, _T_MAX, 241)
+    kv = np.asarray(p.kernel(ts), dtype=float)
+    sturm = 2.0 * ts * np.sqrt(np.maximum(kv - 1.0, 0.0)) / np.pi
+    saturated = np.all(np.diff(kv) <= 0.0) and np.max(sturm) >= _MAX_ZEROS
+    return _MAX_ZEROS if saturated else _phase_zeros(p, _MAX_ZEROS)
 
 
 def _phase_zeros(p: NehariFunction, max_zeros: int) -> int:

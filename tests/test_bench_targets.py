@@ -60,8 +60,9 @@ def test_tracer_records_the_scipy_shims(tmp_path):
     finally:
         restore()
     names = {span[0] for span in trace.spans}
-    for name in ["nehari.solve_ivp", "criterion.minimize",
-                 "criterion.dijkstra", "oracle.kdtree"]:
+    # criterion.minimize is wrapped but no longer called: the critical-point
+    # search is a plain Newton iteration.
+    for name in ["nehari.solve_ivp", "criterion.dijkstra", "oracle.kdtree"]:
         assert name in names, f"no {name} span: a call bypassed its binding"
     for (module, attr), original in zip(shims, originals):
         assert getattr(module, attr) is original

@@ -622,6 +622,28 @@ def test_infinite_example1_c_is_a_config_error(tmp_path, capsys, command,
     assert [p.name for p in tmp_path.iterdir()] == ["inf.cfg"]
 
 
+@pytest.mark.parametrize("lines", [
+    "curve.scale = inf", "curve.scale = nan",
+    "curve.kind = tan_truncation\ncurve.stretch = inf",
+    "curve.kind = tan_truncation\ncurve.stretch = nan",
+    "curve.kind = radial_pair\ncurve.k = inf",
+    "curve.kind = radial_pair\ncurve.k = nan",
+    "curve.mobius_theta = inf",
+    "curve.kind = polynomial\ncurve.coeffs = 0,1,nan",
+], ids=["scale-inf", "scale-nan", "stretch-inf", "stretch-nan", "k-inf",
+        "k-nan", "mobius_theta-inf", "coeffs-nan"])
+def test_non_finite_curve_parameter_is_a_config_error(tmp_path, capsys,
+                                                      lines):
+    # Each used to pass its curve builder and exit 5 on a NaN margin.
+    cfg = _write(tmp_path, "bad.cfg", lines + "\ngrid.n_r = 10\n")
+    with np.errstate(all="ignore"):
+        code = main(["check-criterion", cfg, "--output", str(tmp_path)])
+    assert code == 2
+    out, err = capsys.readouterr()
+    assert out == "" and "config error" in err
+    assert [p.name for p in tmp_path.iterdir()] == ["bad.cfg"]
+
+
 def test_all_floats_use_17_significant_digits(tmp_path, capsys):
     cfg = _write(tmp_path, "fmt.cfg",
                  "curve.kind = example1\ngrid.n_r = 30\ngrid.n_theta = 8\n")

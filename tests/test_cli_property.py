@@ -97,8 +97,7 @@ _BOUNDARY = st.fixed_dictionaries({
 })
 
 
-# Boundary runs cost up to 1.4 s each (the per-candidate BFGS of the
-# critical-point search); 70 fixed examples take about 7 s.
+# 70 fixed examples take about 8 s; the boundary runs dominate.
 @hypothesis.settings(max_examples=70, deadline=None, derandomize=True)
 @hypothesis.given(
     command=st.sampled_from(["covering", "boundary"]),

@@ -425,16 +425,34 @@ def test_critical_points_are_exact(profile_constant, profile_inverse_square):
         assert grad < 1e-10
 
 
-def test_critical_point_in_the_boundary_layer(profile_inverse_square):
-    # Moving example 2's critical point to 0.9i puts it where coarse radii
-    # spaced evenly in r leave no node with a small enough gradient.
+@pytest.mark.parametrize("rho,theta", [(0.9, 0.7), (-0.95, 0.0), (-0.6, 2.0),
+                                       (0.5, -1.0), (0.8, 3.0), (0.97, 0.3)])
+def test_critical_point_in_the_boundary_layer(profile_inverse_square, rho,
+                                              theta):
+    # With the inverse-square weight, w of example 2 o T is w of example 2
+    # composed with T, so its one critical point moves from 0 to i rho, into
+    # the boundary layer for |rho| near 1.
     curve = hc.precompose_disk_mobius(hc.example2_curve(0.05),
-                                      DiskMobius(0.9, 0.7))
+                                      DiskMobius(rho, theta))
     found = boundary_diagnostics(curve, profile_inverse_square).critical_points
     assert len(found) == 1
     zc, grad = found[0]
-    assert abs(zc - 0.9j) < 1e-9, zc
+    assert abs(zc - 1j * rho) < 1e-9, zc
     assert grad < 1e-10
+
+
+def test_critical_points_of_every_kind(profile_half_strip):
+    # tan_truncation with the half-strip weight: saddles at the origin and
+    # at +-0.954i, minima at +-0.945 and 20 saddles off the axes.  A search
+    # that polished at most 16 small-gradient candidates reported only 5.
+    curve = hc.tan_truncation_curve(1.2)
+    found = [zc for zc, grad in
+             boundary_diagnostics(curve, profile_half_strip).critical_points]
+    assert found[0] == 0
+    assert len(found) == 25
+    for expected in (0.944616704233901, 0.9544277024216654j):
+        for root in (expected, -expected):
+            assert min(abs(zc - root) for zc in found) < 1e-9, root
 
 
 @pytest.mark.parametrize("make", [
