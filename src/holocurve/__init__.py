@@ -12,8 +12,8 @@ Library layout:
     fixtures    built-in extremal examples and designed fixtures
     cli         config-file driven command line interface
 """
-from .ahlfors import (MobiusRn, PlaneCurve, RealCurveSample, s1_from_speed_curvature,
-                      s1_direct, s1_mobius_invariance_check,
+from .ahlfors import (PlaneCurve, RealCurveSample, s1_direct,
+                      s1_from_speed_curvature, s1_mobius_invariance_check,
                       s1_of_composed_curve, s1_via_curvature)
 from .criterion import (BoundaryDiagnostics, CriterionReport, GridSpec,
                         boundary_diagnostics, boundary_trace, covering_bound,
@@ -31,7 +31,7 @@ from .jets import (CurveJet, DiskMobius, HoloCurve, Jet3, eval_curve,
                    strip_curve, tan_truncation_curve)
 from .nehari import (ExtremalProfile, NehariFunction, NehariValidation,
                      completeness_probe, disconjugacy_count,
-                     extremal_profile, extremality_margin, metric_quantities,
+                     extremal_profile, extremality_margin,
                      mobius_weight_check, validate_nehari, write_profile_csv)
 from .oracle import (IdentityReport, InjectivityReport, identity_suite,
                      injectivity_scan)

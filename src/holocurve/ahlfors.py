@@ -12,7 +12,7 @@ speed/curvature form, and a finite-difference Moebius-invariance check.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
@@ -22,7 +22,7 @@ from .jets import HoloCurve, Jet3, _fd_stencil, fd_derivative
 from .schwarzian import conformal_data
 
 __all__ = [
-    "RealCurveSample", "PlaneCurve", "MobiusRn",
+    "RealCurveSample", "PlaneCurve",
     "compose_real", "s1_direct", "s1_of_composed_curve",
     "s1_via_curvature", "s1_from_speed_curvature", "make_speed_curvature",
     "s1_mobius_invariance_check",
@@ -188,73 +188,14 @@ def s1_from_speed_curvature(speed: Callable[[float], float],
 
 
 # ---------------------------------------------------------------------------
-# Moebius transformations of R^m and the invariance check
+# Invariance under Moebius transformations of R^m
 # ---------------------------------------------------------------------------
 
-@dataclass
-class MobiusRn:
-    """A Moebius transformation of R^m as a chain of elementary steps.
-
-    Steps: ("translate", vec), ("scale", s), ("orthogonal", Q),
-    ("invert", center) where invert is x -> (x-c)/|x-c|^2.
-    """
-
-    dim: int
-    steps: list = field(default_factory=list)
-
-    def translate(self, vec) -> "MobiusRn":
-        v = np.asarray(vec, dtype=float)
-        if v.shape != (self.dim,):
-            raise ValueError("translation vector has wrong dimension")
-        self.steps.append(("translate", v))
-        return self
-
-    def scale(self, s: float) -> "MobiusRn":
-        if s == 0:
-            raise ValueError("scale factor must be nonzero")
-        self.steps.append(("scale", float(s)))
-        return self
-
-    def orthogonal(self, q) -> "MobiusRn":
-        Q = np.asarray(q, dtype=float)
-        if Q.shape != (self.dim, self.dim) or \
-                not np.allclose(Q @ Q.T, np.eye(self.dim), atol=1e-12):
-            raise ValueError("matrix is not orthogonal")
-        self.steps.append(("orthogonal", Q))
-        return self
-
-    def invert(self, center) -> "MobiusRn":
-        c = np.asarray(center, dtype=float)
-        if c.shape != (self.dim,):
-            raise ValueError("inversion center has wrong dimension")
-        self.steps.append(("invert", c))
-        return self
-
-    def apply(self, x: np.ndarray) -> np.ndarray:
-        """Apply to one point (m,) or a batch (N, m)."""
-        y = np.asarray(x, dtype=float)
-        for kind, arg in self.steps:
-            if kind == "translate":
-                y = y + arg
-            elif kind == "scale":
-                y = y * arg
-            elif kind == "orthogonal":
-                y = y @ arg.T
-            elif kind == "invert":
-                d = y - arg
-                n2 = np.sum(d * d, axis=-1, keepdims=True)
-                if np.any(n2 < 1e-20):
-                    raise DomainError("Moebius inversion hit its pole")
-                y = d / n2
-            else:  # pragma: no cover - steps constructed via methods only
-                raise ValueError(f"unknown step {kind!r}")
-        return y
-
-
 def s1_mobius_invariance_check(curve: HoloCurve, path: PlaneCurve,
-                               mobius: MobiusRn, t_values: Sequence[float]
-                               ) -> float:
-    """Worst |S1(M o phi o gamma) - S1(phi o gamma)| over t_values.
+                               mobius: Callable[[np.ndarray], np.ndarray],
+                               t_values: Sequence[float]) -> float:
+    """Worst |S1(M o phi o gamma) - S1(phi o gamma)| over t_values, for a
+    Moebius map M of R^{2n} given as a function of one point.
 
     The transformed side only sees *positions* of M(phi(gamma(t))): its
     derivatives come from 4th-order finite differences at steps 1e-3 and
@@ -263,7 +204,7 @@ def s1_mobius_invariance_check(curve: HoloCurve, path: PlaneCurve,
     S1 is invariant under Moebius transformations of the target).
     """
     def pos(t: float) -> np.ndarray:
-        return mobius.apply(compose_real(curve, path, t).x0)
+        return mobius(compose_real(curve, path, t).x0)
 
     devs = []
     for t in t_values:

@@ -30,8 +30,9 @@ from .criterion import (GridSpec, boundary_diagnostics, boundary_trace,
                         intrinsic_min_distance, normalize, scan,
                         second_derivative_norm, write_scan_csv)
 from .errors import ConfigError, HolocurveError, NumericalError
-from .fixtures import (example1_curve, example2_curve, example2_reduced_slack,
-                       strip_constants_check, z_squared_curve)
+from .fixtures import (EXAMPLE1_C, EXAMPLE2_C, example1_curve, example2_curve,
+                       example2_reduced_slack, strip_constants_check,
+                       z_squared_curve)
 from .jets import (DiskMobius, HoloCurve, identity_curve, polynomial_curve,
                    precompose_disk_mobius, radial_pair_curve, scale_curve,
                    strip_curve, tan_truncation_curve)
@@ -176,9 +177,9 @@ def build_curve(cfg: RunConfig) -> HoloCurve:
                 raise ValueError("curve.kind=polynomial needs curve.coeffs")
             curve = polynomial_curve([_parse_complex_list(g) for g in groups])
         elif kind == "example1":
-            curve = example1_curve(1700.0 if np.isnan(c) else c)
+            curve = example1_curve(EXAMPLE1_C if np.isnan(c) else c)
         elif kind == "example2":
-            curve = example2_curve(0.05 if np.isnan(c) else c)
+            curve = example2_curve(EXAMPLE2_C if np.isnan(c) else c)
         elif kind == "z_squared":
             curve = z_squared_curve()
         elif kind == "tan_truncation":
@@ -210,9 +211,7 @@ def build_weight(cfg: RunConfig) -> NehariFunction:
             xs = [float(v) for v in cfg["nehari.table_x"].split(",") if v.strip()]
             ps = [float(v) for v in cfg["nehari.table_p"].split(",") if v.strip()]
             return NehariFunction.tabulated(xs, ps, factor=cfg["nehari.factor"])
-        if kind in ("constant", "inverse_square", "half_strip"):
-            return NehariFunction(kind, cfg["nehari.factor"])
-        raise ValueError(f"unknown nehari.kind {kind!r}")
+        return NehariFunction(kind, cfg["nehari.factor"])
     except ValueError as exc:
         raise ConfigError(f"invalid weight configuration: {exc}") from exc
 
@@ -251,7 +250,7 @@ def _cmd_check_criterion(cfg: RunConfig) -> int:
     csv_path = _out_dir(cfg) / "scan.csv"
     write_scan_csv(report, csv_path)
     print(f"curve = {report.curve_label}")
-    print(f"weight = {report.weight_label}")
+    print(f"weight = {weight.label}")
     print(f"n_points = {report.n_points}")
     print(f"verdict = {report.verdict}")
     print(f"min_margin = {_fmt(report.min_margin)}")
@@ -276,10 +275,10 @@ def _cmd_extremal_profile(cfg: RunConfig) -> int:
     probe = completeness_probe(weight)
     csv_path = _out_dir(cfg) / "profile.csv"
     write_profile_csv(profile, csv_path)
-    print(f"weight = {weight.kind}(factor={weight.factor:g})")
-    print(f"lambda = {_fmt(profile.boundary_lambda)}")
-    print(f"mu = {_fmt(profile.mu)}")
-    print(f"holder_exponent = {_fmt(profile.holder_exponent)}")
+    print(f"weight = {weight.label}")
+    print(f"lambda = {_fmt(weight.boundary_lambda)}")
+    print(f"mu = {_fmt(weight.mu)}")
+    print(f"holder_exponent = {_fmt(weight.holder_exponent)}")
     print(f"extremality_margin = {_fmt(margin)}")
     for delta, val in probe["phi_values"].items():
         print(f"phi_at_1_minus_{delta:g} = {_fmt(val)}")
@@ -369,7 +368,7 @@ def _cmd_reproduce_example(cfg: RunConfig) -> int:
 
 def _reproduce_example1(cfg: RunConfig) -> int:
     c_cfg = cfg["curve.c"]
-    c = 1700.0 if np.isnan(c_cfg) else c_cfg
+    c = EXAMPLE1_C if np.isnan(c_cfg) else c_cfg
     curve = example1_curve(c)
     weight = NehariFunction.constant()
     report = scan(curve, weight, _grid(cfg))
@@ -397,7 +396,7 @@ def _reproduce_example1(cfg: RunConfig) -> int:
 
 def _reproduce_example2(cfg: RunConfig) -> int:
     c_curve = cfg["curve.c"]
-    c = 0.05 if np.isnan(c_curve) else c_curve
+    c = EXAMPLE2_C if np.isnan(c_curve) else c_curve
     curve = example2_curve(c)
     # The strip fits validate example.c_values before anything is written.
     fits = [strip_constants_check(cv, seed=cfg["run.seed"])
@@ -454,9 +453,9 @@ def _cmd_boundary(cfg: RunConfig) -> int:
     else:
         print(f"distortion_a = {_fmt(diag.distortion['a'])}")
         print(f"distortion_b = {_fmt(diag.distortion['b'])}")
-    print(f"lambda = {_fmt(diag.boundary_lambda)}")
-    print(f"mu = {_fmt(diag.mu)}")
-    print(f"holder_exponent = {_fmt(diag.holder_exponent)}")
+    print(f"lambda = {_fmt(weight.boundary_lambda)}")
+    print(f"mu = {_fmt(weight.mu)}")
+    print(f"holder_exponent = {_fmt(weight.holder_exponent)}")
     print(f"ring_min_gap = {_fmt(trace['min_gap'])}")
     print(f"ring_pair_theta = {_fmt(trace['theta1'])} {_fmt(trace['theta2'])}")
     print(f"ring_real_axis_gap = {_fmt(trace['real_axis_gap'])}")

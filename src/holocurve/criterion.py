@@ -65,7 +65,6 @@ class GridSpec:
 @dataclass(frozen=True)
 class CriterionReport:
     curve_label: str
-    weight_label: str
     verdict: str                     # "holds" | "holds-with-equality" | "fails"
     min_margin: float
     argmin_z: complex
@@ -104,7 +103,7 @@ def _margin_parts(curve: HoloCurve, weight: NehariFunction, z: np.ndarray):
     def parts(block):
         abs_s, curv, lhs = _criterion_terms(
             conformal_data(eval_curve(curve, block)))
-        bound = 2.0 * np.asarray(weight(np.abs(block)), dtype=float)
+        bound = 2.0 * weight(np.abs(block))
         return abs_s, curv, bound, bound - lhs
 
     abs_s, curv, bound, margin = _in_chunks(parts, z)
@@ -167,7 +166,6 @@ def scan(curve: HoloCurve, weight: NehariFunction,
         verdict = "holds"
     return CriterionReport(
         curve_label=curve.label,
-        weight_label=f"{weight.kind}(factor={weight.factor:g})",
         verdict=verdict, min_margin=min_margin, argmin_z=complex(z[i_min]),
         tol_eq=float(tol_eq),
         equality_count=int(np.sum(np.abs(margin) <= tol_eq)),
@@ -229,7 +227,7 @@ def covering_bound(profile: ExtremalProfile, phi2_norm: float, r) -> np.ndarray:
         raise ConfigError(f"covering radius {r} lies beyond the profile's "
                           f"end 1 - eps = {profile.xs[-1]:g}")
     rs = np.linspace(0.0, profile.xs[-1], 512)
-    pv = np.asarray(profile.p(rs), dtype=float)
+    pv = profile.p(rs)
     if np.any(np.diff(pv) < -1e-12 * max(pv[0], 1.0)):
         raise ConfigError("covering bound requires a nondecreasing weight")
     psi = profile.Psi(np.asarray(r, dtype=float))
@@ -340,16 +338,15 @@ def radial_comparison_margin(curve: HoloCurve, profile: ExtremalProfile,
     scalar = z.ndim == 0
     z = np.atleast_1d(z)
     data = conformal_data(eval_curve(curve, z))
-    e2s_absk = 2.0 * data.wronskian_sq / data.q ** 2
     r = np.abs(z)
     a = profile.A(r)
-    pv = np.asarray(profile.p(r), dtype=float)
+    pv = profile.p(r)
     with np.errstate(invalid="ignore", divide="ignore"):
         zeta_sq = np.where(r > 0, z * z / np.where(r > 0, r * r, 1.0), 1.0)
     cross = np.where(r > 0,
                      np.abs(zeta_sq * data.schwarzian + (a - pv)),
                      np.abs(data.schwarzian))
-    out = (a + pv) - cross - 0.75 * e2s_absk
+    out = (a + pv) - cross - 0.75 * data.laplacian_sigma
     return out[0] if scalar else out
 
 
@@ -372,9 +369,6 @@ class BoundaryDiagnostics:
     worst_radial_convexity: float     # min of omega'' over all rays
     convexity_argmin: tuple           # (theta, s) where the min occurs
     distortion: dict | None           # {'a','b','r0'} linear minorant or None
-    boundary_lambda: float
-    mu: float
-    holder_exponent: float
 
 
 def _log_weight_derivatives(curve: HoloCurve, profile: ExtremalProfile, z):
@@ -398,7 +392,7 @@ def _log_weight_derivatives(curve: HoloCurve, profile: ExtremalProfile, z):
     m = -2.0 * u0p / u0
     a_r = profile.A(r)
     rho = 2.0 * a_r - 0.5 * m * m
-    rho_r = 2.0 * np.asarray(profile.p(r), dtype=float) + m * m - 2.0 * a_r
+    rho_r = 2.0 * profile.p(r) + m * m - 2.0 * a_r
     zeta = np.where(r > 0, z / np.where(r > 0, r, 1.0), 1.0)
     ratio = data.p_sum / data.q
     g = 0.5 * np.conj(rho * np.conj(z) - ratio)
@@ -447,8 +441,8 @@ def boundary_diagnostics(curve: HoloCurve, profile: ExtremalProfile,
                          n_rays: int = 32, n_s: int = 100,
                          r_cap: float = 0.99) -> BoundaryDiagnostics:
     """Convexity of omega_theta(s) = w(r e^{i theta}), s = Phi(r), along rays,
-    plus refined critical points of w, a linear distortion minorant fit on
-    0.5 <= |z| < min(0.99, r_cap), and the weight's boundary exponents.
+    plus the critical points of w and a linear distortion minorant fit on
+    0.5 <= |z| < min(0.99, r_cap).
 
     omega'' = w (l_rr + l_r^2 - m l_r) u0^4, l = log w, is taken in closed
     form at all n_s points of each of the n_rays rays; a critical point
@@ -477,7 +471,7 @@ def boundary_diagnostics(curve: HoloCurve, profile: ExtremalProfile,
 
     # Linear minorant w >= a s + b on the annulus (heuristic fit).
     zs = disk_samples(400, r_min=0.5, r_max=min(0.99, r_cap), seed=0)
-    w_ann = np.asarray(weight_ratio(curve, profile, zs), dtype=float)
+    w_ann = weight_ratio(curve, profile, zs)
     if not np.all(np.isfinite(w_ann)):
         k = int(np.argmax(~np.isfinite(w_ann)))
         raise NumericalError(f"weight ratio is {w_ann[k]} at z = "
@@ -492,12 +486,11 @@ def boundary_diagnostics(curve: HoloCurve, profile: ExtremalProfile,
     return BoundaryDiagnostics(
         critical_points=_critical_points(curve, profile, r_cap),
         worst_radial_convexity=worst, convexity_argmin=argmin,
-        distortion=distortion, boundary_lambda=profile.boundary_lambda,
-        mu=profile.mu, holder_exponent=profile.holder_exponent)
+        distortion=distortion)
 
 
 def boundary_trace(curve: HoloCurve, ring_offset: float = 1e-3,
-                   n_samples: int = 4096) -> dict:
+                   n_samples: int = 2048) -> dict:
     """Near-collision search on the ring |z| = 1 - ring_offset.
 
     Finds the minimal image distance over sample pairs with angular

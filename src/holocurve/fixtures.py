@@ -30,12 +30,18 @@ from .jets import (ComposedComponent, ExponentialComponent, HoloCurve,
 from .sampling import strip_samples
 
 __all__ = [
+    "EXAMPLE1_C", "EXAMPLE2_C",
     "example1_min_c", "example1_curve", "example1_e2sigma",
     "example1_schwarzian", "example1_wronskian_sq", "example1_margin",
     "example2_curve", "example2_zeta", "example2_reduced_slack",
     "example2_equality_defect", "z_squared_curve",
     "StripConstants", "strip_constants_check",
 ]
+
+
+# Default c of each example: the CLI's curve.c when unset.
+EXAMPLE1_C = 1700.0
+EXAMPLE2_C = 0.05
 
 
 # ---------------------------------------------------------------------------
@@ -47,7 +53,7 @@ def example1_min_c() -> float:
     return float(np.exp(2.0 * np.pi) * np.sqrt(5.0 + 2.0 * np.sqrt(6.0)))
 
 
-def example1_curve(c: float = 1700.0) -> HoloCurve:
+def example1_curve(c: float = EXAMPLE1_C) -> HoloCurve:
     """phi(z) = (c e^{pi z}, e^{-pi z}); needs example1_min_c() <= c < inf."""
     if not example1_min_c() <= c < np.inf:
         raise ConfigError(
@@ -97,7 +103,7 @@ def example1_margin(z, c: float) -> np.ndarray:
 # Example 2
 # ---------------------------------------------------------------------------
 
-def example2_curve(c: float = 0.05) -> HoloCurve:
+def example2_curve(c: float = EXAMPLE2_C) -> HoloCurve:
     """phi = (f, 1/f), f = (c artanh z + i)/(c artanh z - i), 0 < c < 4/pi.
 
     The bound keeps the pole preimage artanh(i/c) outside the closed strip

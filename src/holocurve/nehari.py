@@ -35,7 +35,7 @@ from .jets import DiskMobius, fd_derivative
 __all__ = [
     "NehariFunction", "NehariValidation", "validate_nehari",
     "disconjugacy_count", "extremality_margin",
-    "ExtremalProfile", "extremal_profile", "metric_quantities",
+    "ExtremalProfile", "extremal_profile",
     "mobius_weight_check", "completeness_probe", "write_profile_csv",
     "richardson_lambda",
 ]
@@ -140,6 +140,21 @@ class NehariFunction:
         c, m = _CLOSED[self.kind]
         return self.factor * c if m == 0 else 0.0
 
+    @property
+    def holder_exponent(self) -> float:
+        """sqrt(1 - lambda), lambda clamped to [0, 1]."""
+        lam = min(max(self.boundary_lambda, 0.0), 1.0)
+        return float(np.sqrt(1.0 - lam))
+
+    @property
+    def mu(self) -> float:
+        """Boundary growth exponent 1 + sqrt(1 - lambda)."""
+        return 1.0 + self.holder_exponent
+
+    @property
+    def label(self) -> str:
+        return f"{self.kind}(factor={self.factor:g})"
+
 
 # ---------------------------------------------------------------------------
 # Validation
@@ -168,13 +183,13 @@ def validate_nehari(p: NehariFunction) -> NehariValidation:
     """
     msgs = []
     xs = np.tanh(np.linspace(-16.0, 16.0, 2001))
-    vals = np.asarray(p(xs), dtype=float)
+    vals = p(xs)
     positive = bool(np.all(vals > 0.0))
     if not positive:
         msgs.append("weight is not strictly positive on the sample grid")
 
     ts = np.linspace(0.0, 40.0, 2001)
-    kv = np.asarray(p.kernel(ts), dtype=float)
+    kv = p.kernel(ts)
     tol = 1e-10 * max(float(kv[0]), 1e-300)
     kernel_noninc = bool(np.all(np.diff(kv) <= tol))
     if not kernel_noninc:
@@ -208,7 +223,7 @@ def disconjugacy_count(p: NehariFunction) -> int:
     floor(2 T sqrt(P(T) - 1) / pi) zeros there.
     """
     ts = np.linspace(0.0, _T_MAX, 241)
-    kv = np.asarray(p.kernel(ts), dtype=float)
+    kv = p.kernel(ts)
     sturm = 2.0 * ts * np.sqrt(np.maximum(kv - 1.0, 0.0)) / np.pi
     saturated = np.all(np.diff(kv) <= 0.0) and np.max(sturm) >= _MAX_ZEROS
     return _MAX_ZEROS if saturated else _phase_zeros(p, _MAX_ZEROS)
@@ -234,22 +249,25 @@ def _phase_zeros(p: NehariFunction, max_zeros: int) -> int:
     return int(np.floor(sol.y[0, -1] / np.pi + 1e-9))
 
 
-def extremality_margin(p: NehariFunction, k_hi: float = 4.0) -> float:
+def extremality_margin(p: NehariFunction) -> float:
     """sup{k >= 1 : u'' + k p u = 0 is disconjugate}, by bisection to 1e-4.
 
-    Requires p itself to be disconjugate and the margin to lie below k_hi.
-    A margin of ~1 means p is extremal: any upward scaling destroys
-    disconjugacy.  Each phase solve stops at the first zero: one zero
-    already decides a bisection step.
+    Requires p itself to be disconjugate.  The bracket [1, 4] doubles into
+    [4, 8], [8, 16], ... while its upper end is still disconjugate; a margin
+    above 2^20 raises NumericalError.  A margin of ~1 means p is extremal:
+    any upward scaling destroys disconjugacy.  Each phase solve stops at the
+    first zero: one zero already decides a bisection step.
     """
     def count(k: float) -> int:
         return _phase_zeros(p.scaled(k), 1)
 
     if count(1.0) != 0:
         raise ValueError("weight is not disconjugate; margin undefined")
-    if count(k_hi) == 0:
-        raise NumericalError(f"extremality margin exceeds the bracket {k_hi}")
-    lo, hi = 1.0, k_hi
+    lo, hi = 1.0, 4.0
+    while count(hi) == 0:
+        if hi >= 2.0 ** 20:
+            raise NumericalError(f"extremality margin exceeds {hi:.0f}")
+        lo, hi = hi, 2.0 * hi
     while hi - lo > 1e-4:
         mid = 0.5 * (lo + hi)
         if count(mid) == 0:
@@ -331,8 +349,7 @@ class ExtremalProfile:
 
     def metric_curvature(self, r):
         """Gaussian curvature of the radial metric Phi'(|z|)^2 |dz|^2."""
-        return -2.0 * (self.A(r) + np.asarray(self.p(r), float)) \
-            / self.PhiP(r) ** 2
+        return -2.0 * (self.A(r) + self.p(r)) / self.PhiP(r) ** 2
 
     def phi_inverse(self, s):
         """r with Phi(r) = s (vectorized), for 0 <= s <= Phi(xs[-1]).
@@ -356,21 +373,6 @@ class ExtremalProfile:
                                          self.xs[-1]), r)
             last = np.where(moving, np.abs(res), 0.0)
         return r
-
-    @property
-    def boundary_lambda(self) -> float:
-        return float(self.p.boundary_lambda)
-
-    @property
-    def mu(self) -> float:
-        """Boundary growth exponent 1 + sqrt(1 - lambda)."""
-        lam = min(max(self.boundary_lambda, 0.0), 1.0)
-        return 1.0 + np.sqrt(1.0 - lam)
-
-    @property
-    def holder_exponent(self) -> float:
-        lam = min(max(self.boundary_lambda, 0.0), 1.0)
-        return float(np.sqrt(1.0 - lam))
 
 
 def extremal_profile(p: NehariFunction, eps: float = 1e-6,
@@ -409,18 +411,6 @@ def extremal_profile(p: NehariFunction, eps: float = 1e-6,
     return ExtremalProfile(p=p, eps=eps, xs=xs, _sol=sol, _p2_at_0=p2)
 
 
-def metric_quantities(profile: ExtremalProfile, r) -> dict:
-    """Point data of the weight metric at radius r (vectorized)."""
-    return {
-        "r": r,
-        "Phi": profile.Phi(r),
-        "PhiP": profile.PhiP(r),
-        "A": profile.A(r),
-        "p": np.asarray(profile.p(r), dtype=float),
-        "curvature": profile.metric_curvature(r),
-    }
-
-
 def completeness_probe(p: NehariFunction) -> dict:
     """Phi(1 - delta) for delta = 1e-4, 1e-6, 1e-8, plus a divergence verdict.
 
@@ -447,7 +437,7 @@ def mobius_weight_check(p: NehariFunction, mobius: DiskMobius) -> dict:
     the kernel is constant, i.e. for the inverse-square weight.
     """
     xs = np.tanh(np.linspace(-14.0, 14.0, 2001))
-    base = np.asarray(p(np.abs(xs)), float)
+    base = p(np.abs(xs))
     # 1 - |T(x)|^2 = (1-x^2)(1-rho^2)/(1+rho^2 x^2) exactly; direct
     # subtraction loses ~12 digits once |x| > 1 - 1e-6, so evaluate the
     # kernel difference instead of the weight difference.
@@ -457,8 +447,8 @@ def mobius_weight_check(p: NehariFunction, mobius: DiskMobius) -> dict:
     one_minus_sq = _one_minus_sq(xs)
     one_minus_img = one_minus_sq * (1.0 - rho2) / denom
     t_img = 0.5 * np.log((1.0 + img) ** 2 / one_minus_img)
-    slack = ((np.asarray(p.kernel(np.arctanh(np.abs(xs))), float)
-              - np.asarray(p.kernel(t_img), float)) / one_minus_sq ** 2)
+    slack = ((p.kernel(np.arctanh(np.abs(xs))) - p.kernel(t_img))
+             / one_minus_sq ** 2)
     rel = slack / base
     i = int(np.argmin(rel))
     return {"min_slack": float(np.min(slack)),
@@ -477,7 +467,7 @@ def richardson_lambda(p: NehariFunction) -> float:
     """
     js = np.arange(10, 21)
     x = 1.0 - 2.0 ** (-js.astype(float))
-    m = _one_minus_sq(x) ** 2 * np.asarray(p(x), dtype=float)
+    m = _one_minus_sq(x) ** 2 * p(x)
     for level in range(1, 4):
         fac = 2.0 ** level
         m = (fac * m[1:] - m[:-1]) / (fac - 1.0)
@@ -489,5 +479,4 @@ def write_profile_csv(profile: ExtremalProfile, path_or_buf) -> None:
     xs = profile.xs
     write_csv(path_or_buf, ("x", "u0", "Phi", "PhiP", "U", "Psi", "A", "p"),
               (xs, profile.u0(xs), profile.Phi(xs), profile.PhiP(xs),
-               profile.U(xs), profile.Psi(xs), profile.A(xs),
-               np.asarray(profile.p(xs), dtype=float)))
+               profile.U(xs), profile.Psi(xs), profile.A(xs), profile.p(xs)))

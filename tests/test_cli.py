@@ -10,6 +10,7 @@ import pytest
 from holocurve._table import write_csv
 from holocurve.cli import main, parse_config
 from holocurve.errors import ConfigError
+from holocurve.nehari import NehariFunction
 
 
 def _write(tmp_path, name, text):
@@ -138,12 +139,45 @@ def test_extremal_profile_rejects_oscillating_weight(tmp_path, capsys):
 
 
 def test_extremal_profile_numerical_failure(tmp_path, capsys):
-    # 0.25 * inverse-square has margin just above the default bracket, so the
-    # guarded search reports a numerical failure rather than a wrong number
+    # The margin 1e150 lies past the largest bracket 2^20, so the guarded
+    # search reports a numerical failure rather than a wrong number.
     cfg = _write(tmp_path, "weak.cfg",
-                 "nehari.kind = inverse_square\nnehari.factor = 0.25\n")
+                 "nehari.kind = inverse_square\nnehari.factor = 1e-150\n")
     assert main(["extremal-profile", cfg, "--output", str(tmp_path)]) == 5
     assert "numerical failure" in capsys.readouterr().err
+
+
+def test_extremal_profile_margin_above_four(tmp_path, capsys):
+    cfg = _write(tmp_path, "weak.cfg",
+                 "nehari.kind = constant\nnehari.factor = 0.05\n")
+    assert main(["extremal-profile", cfg, "--output", str(tmp_path)]) == 0
+    out = capsys.readouterr().out
+    assert _stdout_value(out, "extremality_margin") == "20.000030517578125"
+
+
+@pytest.mark.parametrize("config,weight", [
+    ("nehari.kind = constant\n", NehariFunction.constant()),
+    ("nehari.kind = inverse_square\nnehari.factor = 0.5\n",
+     NehariFunction.inverse_square(0.5)),
+    ("nehari.kind = half_strip\n", NehariFunction.half_strip()),
+    ("nehari.kind = tabulated\nnehari.table_x = 0,0.3,0.6,0.9\n"
+     "nehari.table_p = 1,1.09,1.36,1.81\n",   # p = 1 + x^2
+     NehariFunction.tabulated([0, 0.3, 0.6, 0.9], [1, 1.09, 1.36, 1.81])),
+], ids=["constant", "inverse_square", "half_strip", "tabulated"])
+def test_boundary_data_lines_are_the_weights_own(tmp_path, capsys, config,
+                                                 weight):
+    # extremal-profile and boundary print the same lambda, mu and Hoelder
+    # exponent lines, read from the weight itself.
+    expected = {"lambda": "%.17g" % weight.boundary_lambda,
+                "mu": "%.17g" % weight.mu,
+                "holder_exponent": "%.17g" % weight.holder_exponent}
+    cfg = _write(tmp_path, "w.cfg", config + "profile.samples = 17\n"
+                 "boundary.rays = 4\nboundary.s_points = 8\n"
+                 "boundary.ring_samples = 64\n")
+    for command in ("extremal-profile", "boundary"):
+        assert main([command, cfg, "--output", str(tmp_path)]) == 0
+        out = capsys.readouterr().out
+        assert {key: _stdout_value(out, key) for key in expected} == expected
 
 
 # ---------------------------------------------------------------------------

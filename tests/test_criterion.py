@@ -320,7 +320,6 @@ def test_boundary_diagnostics_examples(ex1, ex2, profile_constant,
     assert d1.worst_radial_convexity >= -1e-6
     assert d1.distortion is not None
     assert d1.distortion["b"] > 0
-    assert d1.boundary_lambda == 0.0 and d1.mu == 2.0
     # the weight-ratio surface of the sharp product curve has a genuine
     # interior critical point on the positive real axis
     assert len(d1.critical_points) >= 1
@@ -331,8 +330,6 @@ def test_boundary_diagnostics_examples(ex1, ex2, profile_constant,
     d2 = boundary_diagnostics(ex2, profile_inverse_square)
     assert d2.worst_radial_convexity >= -1e-6
     assert d2.distortion is not None
-    assert abs(d2.boundary_lambda - 1.0) < 1e-9
-    assert abs(d2.holder_exponent) < 1e-6
 
 
 def test_distortion_fit_is_scale_invariant(profile_constant):

@@ -1,0 +1,20 @@
+"""Every name a module exports through __all__ exists in it."""
+
+import importlib
+import pkgutil
+
+import pytest
+
+import holocurve
+
+MODULES = ["holocurve"] + [
+    f"holocurve.{m.name}" for m in pkgutil.iter_modules(holocurve.__path__)
+    if m.name != "__main__"]
+
+
+@pytest.mark.parametrize("name", MODULES)
+def test_all_names_resolve(name):
+    module = importlib.import_module(name)
+    missing = [n for n in getattr(module, "__all__", ())
+               if not hasattr(module, n)]
+    assert not missing, f"{name}.__all__ names missing attributes: {missing}"

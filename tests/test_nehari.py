@@ -27,7 +27,7 @@ from holocurve.errors import NumericalError
 from holocurve.jets import DiskMobius
 from holocurve.nehari import (NehariFunction, completeness_probe,
                               disconjugacy_count, extremal_profile,
-                              extremality_margin, metric_quantities,
+                              extremality_margin,
                               mobius_weight_check, richardson_lambda,
                               validate_nehari, write_profile_csv)
 
@@ -235,10 +235,13 @@ def test_oscillating_margin_solve_stops_at_its_first_zero(monkeypatch):
 def test_extremality_margin_guards():
     with pytest.raises(ValueError):
         extremality_margin(NehariFunction.constant(1.2))   # already oscillates
-    with pytest.raises(NumericalError):
-        extremality_margin(NehariFunction.inverse_square(0.25))  # crit ~ 4 > bracket
-    m = extremality_margin(NehariFunction.inverse_square(0.25), k_hi=4.5)
+    # margins above the first bracket [1, 4]: the bracket doubles
+    m = extremality_margin(NehariFunction.inverse_square(0.25))
     assert abs(m - 4.0) < 2e-3
+    assert extremality_margin(NehariFunction.constant(0.05)) \
+        == 20.000030517578125
+    with pytest.raises(NumericalError):   # margin 1e7 > 2^20
+        extremality_margin(NehariFunction.constant(1e-7))
 
 
 # ---------------------------------------------------------------------------
@@ -344,17 +347,10 @@ def test_boundary_exponents():
         (NehariFunction.inverse_square(0.5), 0.5, 1.0 + np.sqrt(0.5), None),
     ]
     for p, lam, mu, holder in cases:
-        prof = extremal_profile(p)
         assert abs(richardson_lambda(p) - lam) < 1e-6
-        assert abs(prof.mu - mu) < 1e-6
+        assert abs(p.mu - mu) < 1e-6
         if holder is not None:
-            assert abs(prof.holder_exponent - holder) < 1e-6
-
-
-def test_metric_quantities_keys(profile_constant):
-    mq = metric_quantities(profile_constant, 0.5)
-    assert set(mq) == {"r", "Phi", "PhiP", "A", "p", "curvature"}
-    assert mq["curvature"] < 0
+            assert abs(p.holder_exponent - holder) < 1e-6
 
 
 # ---------------------------------------------------------------------------

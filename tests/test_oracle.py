@@ -7,6 +7,7 @@ import pytest
 
 import holocurve as hc
 from holocurve import oracle
+from holocurve.errors import DomainError
 from holocurve.oracle import (_admissible_min_brute, default_suite_curves,
                               identity_suite, injectivity_scan)
 from holocurve.sampling import disk_samples
@@ -33,6 +34,16 @@ def test_identity_suite_custom_curve_pool():
     rep = identity_suite(curves=[hc.radial_pair_curve(0.4)], n_points=10)
     assert rep.ok
     assert {r.name for r in rep.records} == EXPECTED_RECORDS
+
+
+def test_target_mobius_pole_raises_domain_error():
+    # The suite's map inverts about 2.5 span e_1 after shifting by +-0.3.
+    mob = oracle._target_mobius(4, 1.0)
+    assert np.all(np.isfinite(mob(np.zeros(4))))
+    with pytest.raises(DomainError):
+        mob(np.array([2.2, 0.3, -0.3, 0.3]))
+    with pytest.raises(DomainError):   # one pole row in a batch
+        mob(np.array([[0.0, 0.0, 0.0, 0.0], [2.2, 0.3, -0.3, 0.3]]))
 
 
 def test_default_suite_curves_cover_flat_and_curved():
