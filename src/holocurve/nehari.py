@@ -52,8 +52,9 @@ _MAX_ZEROS = 64
 
 
 def solve_ivp(*args, **kwargs):
-    """scipy.integrate.solve_ivp, imported at first use."""
-    from scipy.integrate import solve_ivp
+    """holocurve._ode.solve_ivp, the order-8 Runge-Kutta solver, imported
+    at first use."""
+    from ._ode import solve_ivp
     return solve_ivp(*args, **kwargs)
 
 
@@ -237,13 +238,8 @@ def _phase_zeros(p: NehariFunction, max_zeros: int) -> int:
         s, c = np.sin(y[0]), np.cos(y[0])
         return [c * c + g * s * s]
 
-    def reaches_cap(t, y):
-        return y[0] - max_zeros * np.pi
-    reaches_cap.terminal = True
-    reaches_cap.direction = 1
-
-    sol = solve_ivp(rhs, (-_T_MAX, _T_MAX), [0.0], method="DOP853",
-                    rtol=1e-10, atol=1e-12, events=reaches_cap)
+    sol = solve_ivp(rhs, (-_T_MAX, _T_MAX), [0.0], rtol=1e-10, atol=1e-12,
+                    event=lambda t, y: y[0] - max_zeros * np.pi, direction=1)
     if not sol.success:  # e.g. a weight so large no step resolves it
         raise NumericalError(f"phase integration failed: {sol.message}")
     return int(np.floor(sol.y[0, -1] / np.pi + 1e-9))
@@ -304,7 +300,7 @@ class ExtremalProfile:
         if np.any(x < 0.0) or np.any(x > 1.0 - self.eps + 1e-15):
             raise ValueError(
                 f"profile evaluated outside [0, {1.0 - self.eps!r}]")
-        return self._sol.sol(x)
+        return self._sol(x)
 
     def u0(self, x):
         return self._y(x)[0]
@@ -389,15 +385,10 @@ def extremal_profile(p: NehariFunction, eps: float = 1e-6,
         u, up, _, U, Up, _ = y
         return [up, -pv * u, 1.0 / (u * u), Up, pv * U, 1.0 / (U * U)]
 
-    def u_hits_zero(x, y):
-        return y[0]
-    u_hits_zero.terminal = True
-    u_hits_zero.direction = -1
-
     x_end = 1.0 - eps
     sol = solve_ivp(rhs, (0.0, x_end), [1.0, 0.0, 0.0, 1.0, 0.0, 0.0],
-                    method="DOP853", rtol=1e-12, atol=1e-14,
-                    dense_output=True, events=u_hits_zero)
+                    rtol=1e-12, atol=1e-14, dense_output=True,
+                    event=lambda x, y: y[0], direction=-1)
     if sol.status == 1:
         raise NumericalError(
             f"u0 vanished at x = {sol.t_events[0][0]:.6g} < {x_end:.6g}: "
@@ -408,7 +399,7 @@ def extremal_profile(p: NehariFunction, eps: float = 1e-6,
     # p''(0), for the small-r series of A.
     p2 = fd_derivative(lambda x: float(p(x)), 0.0, 2, h=1e-3)
     xs = np.linspace(0.0, x_end, n_samples)
-    return ExtremalProfile(p=p, eps=eps, xs=xs, _sol=sol, _p2_at_0=p2)
+    return ExtremalProfile(p=p, eps=eps, xs=xs, _sol=sol.sol, _p2_at_0=p2)
 
 
 def completeness_probe(p: NehariFunction) -> dict:

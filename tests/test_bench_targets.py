@@ -36,7 +36,8 @@ def test_every_trace_target_resolves(where):
     assert callable(value)
 
 
-# The scipy bindings are first-use shims; each of these tiny runs calls one.
+# The scipy bindings and nehari.solve_ivp are first-use shims; each of these
+# tiny runs calls one.
 _SHIM_RUNS = [
     ("boundary", "curve.kind = example2\nnehari.kind = inverse_square\n"
      "boundary.rays = 2\nboundary.s_points = 3\nboundary.ring_samples = 64\n"),

@@ -140,6 +140,19 @@ def test_injectivity_loads_neither_integrate_nor_optimize(tmp_path):
     assert not loaded & {"scipy.integrate", "scipy.optimize"}
 
 
+def test_ode_subcommands_load_neither_integrate_nor_optimize(tmp_path):
+    # The profile and phase ODEs run on holocurve's own Runge-Kutta solver.
+    runs = [("extremal-profile", "profile.samples = 17\n"),
+            ("boundary", "curve.kind = example2\n"
+             "nehari.kind = inverse_square\nboundary.rays = 2\n"
+             "boundary.s_points = 3\nboundary.ring_samples = 64\n")]
+    assert _scipy_modules_after_main(runs, tmp_path) == set()
+    runs = [("covering", "covering.radii = 0.3\ncovering.resolution = 20\n")]
+    loaded = _scipy_modules_after_main(runs, tmp_path)
+    assert "scipy.sparse.csgraph" in loaded
+    assert not loaded & {"scipy.integrate", "scipy.optimize"}
+
+
 def test_tabulated_input_validation():
     xs = np.linspace(0.0, 0.9, 10)
     ps = np.ones_like(xs)
@@ -286,6 +299,36 @@ def test_half_strip_profile_closed_forms(profile_half_strip):
     gap = pr.A(XS) - 2.0 / (1 - XS ** 2)
     want = 4 * XS ** 2 / (1 - XS ** 2) ** 2
     assert np.max(np.abs(gap - want) / (1 + want)) < 1e-9
+
+
+# Closed forms near x = 1 built from 1 - x, so the references themselves
+# keep full relative precision up to the profile's end 1 - 1e-6.
+def _closed_u0_phi(kind, x):
+    y = 1.0 - x
+    if kind == "constant":
+        s = 0.5 * np.pi * y
+        return np.sin(s), 2.0 / (np.pi * np.tan(s))
+    artanh = 0.5 * (np.log1p(x) - np.log(y))
+    if kind == "inverse_square":
+        return np.sqrt(y * (1.0 + x)), artanh
+    q = y * (1.0 + x)
+    return q, x / (2.0 * q) + 0.5 * artanh
+
+
+@pytest.mark.parametrize("kind,u0_err,phi_err", [
+    ("constant", 7.3e-11, 7.2e-11),
+    ("inverse_square", 1.3e-11, 7.2e-13),
+    ("half_strip", 2.0e-10, 2.0e-10),
+])
+def test_profile_relative_error_up_to_the_end(kind, u0_err, phi_err,
+                                              request):
+    # On the whole sample grid, up to x = 1 - 1e-6 where u0 ~ 1e-6, within
+    # 1.5 times the errors of the DOP853 solve.
+    prof = request.getfixturevalue(f"profile_{kind}")
+    u0, phi = _closed_u0_phi(kind, prof.xs)
+    assert np.max(np.abs(prof.u0(prof.xs) / u0 - 1.0)) < 1.5 * u0_err
+    assert np.max(np.abs(prof.Phi(prof.xs[1:]) / phi[1:] - 1.0)) \
+        < 1.5 * phi_err
 
 
 def test_profile_A_small_radius_series(profile_constant):
