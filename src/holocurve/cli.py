@@ -29,7 +29,7 @@ from .criterion import (GridSpec, boundary_diagnostics, boundary_trace,
                         check_covering_lattice, covering_bound,
                         intrinsic_min_distance, normalize, scan,
                         second_derivative_norm, write_scan_csv)
-from .errors import ConfigError, HolocurveError, NumericalError
+from .errors import ConfigError, NumericalError
 from .fixtures import (EXAMPLE1_C, EXAMPLE2_C, example1_curve, example2_curve,
                        example2_reduced_slack, strip_constants_check,
                        z_squared_curve)
@@ -52,7 +52,7 @@ _SCHEMA = {
     "run.output": ("str", "."),
     "curve.kind": ("str", "identity"),
     "curve.coeffs": ("str", ""),
-    "curve.c": ("float", float("nan")),       # per-kind default when NaN
+    "curve.c": ("float", None),               # unset: the kind's default
     "curve.k": ("float", 0.7),
     "curve.stretch": ("float", 1.2),
     "curve.degree": ("int", 41),
@@ -68,7 +68,7 @@ _SCHEMA = {
     "grid.n_theta": ("int", 64),
     "grid.r_max": ("float", 0.999),
     "grid.refine": ("int", 0),
-    "tol.equality": ("float", float("nan")),  # NaN -> automatic
+    "tol.equality": ("float", None),          # unset: automatic
     "profile.eps": ("float", 1e-6),
     "profile.samples": ("int", 1025),
     "covering.radii": ("str", "0.3,0.6,0.9"),
@@ -157,71 +157,11 @@ def parse_config(text: str, command: str = "check-criterion") -> RunConfig:
 # ---------------------------------------------------------------------------
 
 def _parse_complex_list(text: str) -> list[complex]:
-    out = []
-    for tok in text.split(","):
-        tok = tok.strip().replace("i", "j")
-        if tok:
-            out.append(complex(tok))
-    return out
-
-
-def build_curve(cfg: RunConfig) -> HoloCurve:
-    kind = cfg["curve.kind"]
-    c = cfg["curve.c"]
     try:
-        if kind == "identity":
-            curve = identity_curve()
-        elif kind == "polynomial":
-            groups = [g for g in cfg["curve.coeffs"].split(";") if g.strip()]
-            if not groups:
-                raise ValueError("curve.kind=polynomial needs curve.coeffs")
-            curve = polynomial_curve([_parse_complex_list(g) for g in groups])
-        elif kind == "example1":
-            curve = example1_curve(EXAMPLE1_C if np.isnan(c) else c)
-        elif kind == "example2":
-            curve = example2_curve(EXAMPLE2_C if np.isnan(c) else c)
-        elif kind == "z_squared":
-            curve = z_squared_curve()
-        elif kind == "tan_truncation":
-            curve = tan_truncation_curve(cfg["curve.stretch"],
-                                         cfg["curve.degree"])
-        elif kind == "radial_pair":
-            curve = radial_pair_curve(cfg["curve.k"])
-        elif kind == "strip":
-            curve = strip_curve()
-        else:
-            raise ValueError(f"unknown curve.kind {kind!r} "
-                             f"(choose from {', '.join(_CURVE_KINDS)})")
-        if cfg["curve.mobius_rho"] != 0.0 or cfg["curve.mobius_theta"] != 0.0:
-            curve = precompose_disk_mobius(
-                curve, DiskMobius(cfg["curve.mobius_rho"],
-                                  cfg["curve.mobius_theta"]))
-        if cfg["curve.scale"] != 1.0:
-            curve = scale_curve(curve, cfg["curve.scale"])
-    except (ValueError, ZeroDivisionError) as exc:
-        raise ConfigError(f"invalid curve configuration: {exc}") from exc
-    # Outside the wrapper: a vanished tangent is a numerical failure here too.
-    return normalize(curve) if cfg["curve.normalize"] else curve
-
-
-def build_weight(cfg: RunConfig) -> NehariFunction:
-    kind = cfg["nehari.kind"]
-    try:
-        if kind == "tabulated":
-            xs = [float(v) for v in cfg["nehari.table_x"].split(",") if v.strip()]
-            ps = [float(v) for v in cfg["nehari.table_p"].split(",") if v.strip()]
-            return NehariFunction.tabulated(xs, ps, factor=cfg["nehari.factor"])
-        return NehariFunction(kind, cfg["nehari.factor"])
+        return [complex(tok.strip().replace("i", "j"))
+                for tok in text.split(",") if tok.strip()]
     except ValueError as exc:
-        raise ConfigError(f"invalid weight configuration: {exc}") from exc
-
-
-def _grid(cfg: RunConfig) -> GridSpec:
-    try:
-        return GridSpec(n_r=cfg["grid.n_r"], n_theta=cfg["grid.n_theta"],
-                        r_max=cfg["grid.r_max"], refine=cfg["grid.refine"])
-    except ValueError as exc:
-        raise ConfigError(f"invalid grid: {exc}") from exc
+        raise ConfigError(f"invalid curve.coeffs: {exc}") from exc
 
 
 def _float_list(cfg: RunConfig, key: str) -> list[float]:
@@ -229,6 +169,53 @@ def _float_list(cfg: RunConfig, key: str) -> list[float]:
         return [float(v) for v in cfg[key].split(",") if v.strip()]
     except ValueError as exc:
         raise ConfigError(f"invalid {key}: {exc}") from exc
+
+
+def build_curve(cfg: RunConfig) -> HoloCurve:
+    kind = cfg["curve.kind"]
+    c = cfg["curve.c"]
+    if kind == "identity":
+        curve = identity_curve()
+    elif kind == "polynomial":
+        groups = [g for g in cfg["curve.coeffs"].split(";") if g.strip()]
+        if not groups:
+            raise ConfigError("curve.kind=polynomial needs curve.coeffs")
+        curve = polynomial_curve([_parse_complex_list(g) for g in groups])
+    elif kind == "example1":
+        curve = example1_curve(EXAMPLE1_C if c is None else c)
+    elif kind == "example2":
+        curve = example2_curve(EXAMPLE2_C if c is None else c)
+    elif kind == "z_squared":
+        curve = z_squared_curve()
+    elif kind == "tan_truncation":
+        curve = tan_truncation_curve(cfg["curve.stretch"], cfg["curve.degree"])
+    elif kind == "radial_pair":
+        curve = radial_pair_curve(cfg["curve.k"])
+    elif kind == "strip":
+        curve = strip_curve()
+    else:
+        raise ConfigError(f"unknown curve.kind {kind!r} "
+                          f"(choose from {', '.join(_CURVE_KINDS)})")
+    if cfg["curve.mobius_rho"] != 0.0 or cfg["curve.mobius_theta"] != 0.0:
+        curve = precompose_disk_mobius(
+            curve, DiskMobius(cfg["curve.mobius_rho"],
+                              cfg["curve.mobius_theta"]))
+    if cfg["curve.scale"] != 1.0:
+        curve = scale_curve(curve, cfg["curve.scale"])
+    return normalize(curve) if cfg["curve.normalize"] else curve
+
+
+def build_weight(cfg: RunConfig) -> NehariFunction:
+    if cfg["nehari.kind"] == "tabulated":
+        return NehariFunction.tabulated(_float_list(cfg, "nehari.table_x"),
+                                        _float_list(cfg, "nehari.table_p"),
+                                        factor=cfg["nehari.factor"])
+    return NehariFunction(cfg["nehari.kind"], cfg["nehari.factor"])
+
+
+def _grid(cfg: RunConfig) -> GridSpec:
+    return GridSpec(n_r=cfg["grid.n_r"], n_theta=cfg["grid.n_theta"],
+                    r_max=cfg["grid.r_max"], refine=cfg["grid.refine"])
 
 
 def _out_dir(cfg: RunConfig) -> Path:
@@ -244,9 +231,7 @@ def _out_dir(cfg: RunConfig) -> Path:
 def _cmd_check_criterion(cfg: RunConfig) -> int:
     curve = build_curve(cfg)
     weight = build_weight(cfg)
-    tol = cfg["tol.equality"]
-    report = scan(curve, weight, _grid(cfg),
-                  tol_eq=None if np.isnan(tol) else tol)
+    report = scan(curve, weight, _grid(cfg), tol_eq=cfg["tol.equality"])
     csv_path = _out_dir(cfg) / "scan.csv"
     write_scan_csv(report, csv_path)
     print(f"curve = {report.curve_label}")
@@ -266,9 +251,7 @@ def _cmd_extremal_profile(cfg: RunConfig) -> int:
     weight = build_weight(cfg)
     validation = validate_nehari(weight)
     if not validation.ok:
-        for msg in validation.messages:
-            print(f"error: {msg}", file=sys.stderr)
-        return 2
+        raise ConfigError("; ".join(validation.messages))
     profile = extremal_profile(weight, eps=cfg["profile.eps"],
                                n_samples=cfg["profile.samples"])
     margin = extremality_margin(weight)
@@ -367,8 +350,7 @@ def _cmd_reproduce_example(cfg: RunConfig) -> int:
 
 
 def _reproduce_example1(cfg: RunConfig) -> int:
-    c_cfg = cfg["curve.c"]
-    c = EXAMPLE1_C if np.isnan(c_cfg) else c_cfg
+    c = EXAMPLE1_C if cfg["curve.c"] is None else cfg["curve.c"]
     curve = example1_curve(c)
     weight = NehariFunction.constant()
     report = scan(curve, weight, _grid(cfg))
@@ -395,8 +377,7 @@ def _reproduce_example1(cfg: RunConfig) -> int:
 
 
 def _reproduce_example2(cfg: RunConfig) -> int:
-    c_curve = cfg["curve.c"]
-    c = EXAMPLE2_C if np.isnan(c_curve) else c_curve
+    c = EXAMPLE2_C if cfg["curve.c"] is None else cfg["curve.c"]
     curve = example2_curve(c)
     # The strip fits validate example.c_values before anything is written.
     fits = [strip_constants_check(cv, seed=cfg["run.seed"])
@@ -506,18 +487,10 @@ def main(argv: list[str] | None = None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    except NumericalError as exc:
-        print(f"numerical failure: {exc}", file=sys.stderr)
-        return 5
-    except HolocurveError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 5
-    except (ValueError, ArithmeticError) as exc:
-        # Anything numpy or scipy raises past the checks above: never exit 1.
-        print(f"numerical failure: {exc}", file=sys.stderr)
-        return 5
-    except MemoryError:  # pragma: no cover
-        print("out of memory", file=sys.stderr)
+    except Exception as exc:
+        # Exit 1 belongs to a computed verdict; any other failure exits 5.
+        print(f"numerical failure: {str(exc) or type(exc).__name__}",
+              file=sys.stderr)
         return 5
 
 

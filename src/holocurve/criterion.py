@@ -51,9 +51,9 @@ class GridSpec:
 
     def __post_init__(self):
         if self.n_r < 1 or self.n_theta < 4:
-            raise ValueError("grid needs n_r >= 1 and n_theta >= 4")
+            raise ConfigError("grid needs n_r >= 1 and n_theta >= 4")
         if not 0.0 < self.r_max < 1.0:
-            raise ValueError("r_max must lie in (0, 1)")
+            raise ConfigError("r_max must lie in (0, 1)")
 
     def points(self) -> np.ndarray:
         r = self.r_max * np.arange(1, self.n_r + 1) / self.n_r
@@ -123,8 +123,11 @@ def scan(curve: HoloCurve, weight: NehariFunction,
     verdict is "fails" iff the minimum margin drops below -tol_eq,
     "holds-with-equality" iff the minimum sits within tol_eq of zero, and
     "holds" otherwise.  tol_eq defaults to 1e-6 * max(1, 2 p(0)).
-    Raises NumericalError if the margin is not finite at some grid point.
+    Raises ConfigError unless tol_eq is None or finite and >= 0, and
+    NumericalError if the margin is not finite at some grid point.
     """
+    if tol_eq is not None and not 0.0 <= tol_eq < np.inf:
+        raise ConfigError(f"tol_eq = {tol_eq:g} must be finite and >= 0")
     grid = grid or GridSpec()
     z = grid.points()
     abs_s, curv, bound, margin = _margin_parts(curve, weight, z)

@@ -1,8 +1,7 @@
 """Exception types shared across the package.
 
-The CLI maps these onto its exit codes, so library code should raise the
-most specific one that applies rather than bare ValueError where the
-distinction matters (configuration vs. numerics).
+The CLI's exit code follows the type alone: ConfigError exits 2, and any
+other exception that escapes a subcommand exits 5.
 """
 from __future__ import annotations
 
@@ -12,7 +11,8 @@ class HolocurveError(Exception):
 
 
 class ConfigError(HolocurveError, ValueError):
-    """Bad run configuration (unknown key, unparsable value, ...).
+    """A malformed or unknown config key, or a value that the subcommand or
+    library function taking it rejects; raised where the check is made.
 
     `line` is the 1-based line number in the config file when known.
     """

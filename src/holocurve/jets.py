@@ -26,7 +26,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import DomainError, VanishingTangentError
+from .errors import ConfigError, DomainError, VanishingTangentError
 
 __all__ = [
     "Jet3", "CurveJet", "HoloCurve", "DiskMobius",
@@ -126,7 +126,7 @@ class PolynomialComponent:
     def __init__(self, coeffs: Sequence[complex]):
         c = np.asarray(coeffs, dtype=complex)
         if c.ndim != 1 or c.size == 0 or not np.all(np.isfinite(c)):
-            raise ValueError("coeffs must be a nonempty finite 1-d sequence")
+            raise ConfigError("coeffs must be a nonempty finite 1-d sequence")
         self.coeffs = c
         P = np.polynomial.polynomial
         self._dc = [c, P.polyder(c), P.polyder(c, 2), P.polyder(c, 3)]
@@ -141,7 +141,7 @@ class ExponentialComponent:
 
     def __init__(self, amplitude: complex, rate: complex):
         if amplitude == 0:
-            raise ValueError("amplitude must be nonzero")
+            raise ConfigError("amplitude must be nonzero")
         self.amplitude = complex(amplitude)
         self.rate = complex(rate)
 
@@ -159,7 +159,7 @@ class MoebiusComponent:
                                           complex(c), complex(d))
         self.det = self.a * self.d - self.b * self.c
         if self.det == 0:
-            raise ValueError("degenerate Moebius map (zero determinant)")
+            raise ConfigError("degenerate Moebius map (zero determinant)")
 
     def jet(self, z) -> Jet3:
         w = self.c * z + self.d
@@ -267,7 +267,7 @@ class DiskMobius:
 
     def __post_init__(self):
         if not (-1.0 < float(self.rho) < 1.0 and np.isfinite(self.theta)):
-            raise ValueError("rho must lie in (-1, 1) and theta be finite")
+            raise ConfigError("rho must lie in (-1, 1) and theta be finite")
 
     def jet(self, z) -> Jet3:
         rho = self.rho
@@ -312,7 +312,7 @@ class HoloCurve:
 
     def __post_init__(self):
         if not self.components:
-            raise ValueError("a curve needs at least one component")
+            raise ConfigError("a curve needs at least one component")
 
     @property
     def n(self) -> int:
@@ -348,7 +348,7 @@ def precompose_disk_mobius(curve: HoloCurve, mobius: DiskMobius) -> HoloCurve:
 def scale_curve(curve: HoloCurve, factor: complex) -> HoloCurve:
     """The curve factor * phi (all components scaled by one constant)."""
     if factor == 0 or not np.isfinite(factor):
-        raise ValueError("scale factor must be finite and nonzero")
+        raise ConfigError("scale factor must be finite and nonzero")
     comps = tuple(AffineComponent(m, mul=factor) for m in curve.components)
     return HoloCurve(comps, label=f"{abs(factor):.6g}*{curve.label}")
 
@@ -380,7 +380,7 @@ def strip_curve() -> HoloCurve:
 def radial_pair_curve(k: float = 0.7) -> HoloCurve:
     """phi(z) = (z, k z^2); simple nonplanar test curve with K < 0 off 0."""
     if not np.isfinite(k):
-        raise ValueError("k must be finite")
+        raise ConfigError("k must be finite")
     return HoloCurve(
         (PolynomialComponent([0.0, 1.0]), PolynomialComponent([0.0, 0.0, k])),
         label=f"radial-pair(k={k:g})")
@@ -411,7 +411,9 @@ def tan_truncation_curve(stretch: float = 1.2, degree: int = 41) -> HoloCurve:
     Keep scans inside |z| <~ 0.6/stretch where the truncation is faithful.
     """
     if not np.isfinite(stretch):
-        raise ValueError("stretch must be finite")
+        raise ConfigError("stretch must be finite")
+    if degree < 1:
+        raise ConfigError(f"degree = {degree} must be at least 1")
     a = stretch * np.pi / 2.0
     t = tan_series(degree)
     coeffs = t * a ** np.arange(degree + 1)

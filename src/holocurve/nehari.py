@@ -75,19 +75,21 @@ class NehariFunction:
 
     def __post_init__(self):
         if self.kind not in _CLOSED and self.kind != "tabulated":
-            raise ValueError(f"unknown weight kind {self.kind!r}")
+            raise ConfigError(f"unknown weight kind {self.kind!r}")
         if not 0.0 < self.factor < np.inf:
-            raise ValueError("weight factor must be positive and finite")
+            raise ConfigError("weight factor must be positive and finite")
         if self.kind == "tabulated":
             from scipy.interpolate import CubicSpline
             x = np.asarray(self.table_x, dtype=float)
             p = np.asarray(self.table_p, dtype=float)
             if x.ndim != 1 or x.shape != p.shape or x.size < 4:
-                raise ValueError("tabulated weight needs matching 1-d tables "
-                                 "with at least 4 nodes")
-            if x[0] != 0.0 or np.any(np.diff(x) <= 0) or x[-1] >= 1.0:
-                raise ValueError("table abscissae must increase from 0 "
-                                 "strictly inside [0, 1)")
+                raise ConfigError("tabulated weight needs matching 1-d "
+                                  "tables with at least 4 nodes")
+            if not (x[0] == 0.0 and np.all(np.diff(x) > 0) and x[-1] < 1.0):
+                raise ConfigError("table abscissae must increase from 0 "
+                                  "strictly inside [0, 1)")
+            if not np.all(np.isfinite(p)):
+                raise ConfigError("table values must be finite")
             object.__setattr__(self, "table_x", x)
             object.__setattr__(self, "table_p", p)
             object.__setattr__(self, "_spline", CubicSpline(x, p))

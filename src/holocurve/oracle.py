@@ -233,12 +233,14 @@ def injectivity_scan(curve: HoloCurve, n_samples: int = 10000,
     (Bentley, CACM 18(9), 1975), or its whole row once k passes n/16.
     `pair` is deliberately the lowest-index sample attaining it with its
     lowest-index partner; None when no two samples are min_sep apart.
-    Raises ConfigError if n_samples < 2 or unless 0 <= r_min < r_max < 1,
-    and NumericalError if the image extent is not finite or too large for
-    squared distances.
+    Raises ConfigError if n_samples < 2, unless min_sep is finite and >= 0
+    or unless 0 <= r_min < r_max < 1, and NumericalError if the image
+    extent is not finite or too large for squared distances.
     """
     if n_samples < 2:
         raise ConfigError(f"need at least 2 samples, got {n_samples}")
+    if not 0.0 <= min_sep < np.inf:
+        raise ConfigError(f"min_sep = {min_sep:g} must be finite and >= 0")
     if not 0.0 <= r_min < r_max < 1.0:
         raise ConfigError(f"sample annulus needs 0 <= r_min < r_max < 1, "
                           f"got r_min = {r_min:g}, r_max = {r_max:g}")

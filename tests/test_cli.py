@@ -84,7 +84,7 @@ def test_main_missing_config_file(tmp_path, capsys):
 def test_main_curve_builder_error(tmp_path, capsys):
     cfg = _write(tmp_path, "poly.cfg", "curve.kind = polynomial\n")
     assert main(["check-criterion", cfg]) == 2
-    assert "invalid curve configuration" in capsys.readouterr().err
+    assert "needs curve.coeffs" in capsys.readouterr().err
 
 
 # ---------------------------------------------------------------------------
@@ -560,20 +560,24 @@ def test_vanishing_tangent_exit_code_ignores_normalize(tmp_path, capsys,
     assert out == "" and "vanished" in err
 
 
-@pytest.mark.parametrize("exc", [ValueError, FloatingPointError,
-                                 ZeroDivisionError, OverflowError])
+@pytest.mark.parametrize("exc,message", [
+    *(pytest.param(cls("boom"), "boom", id=cls.__name__)
+      for cls in (ValueError, FloatingPointError, ZeroDivisionError,
+                  OverflowError, IndexError, TypeError)),
+    pytest.param(MemoryError(), "MemoryError", id="MemoryError"),
+])
 def test_escaping_errors_are_numerical_failures(tmp_path, capsys, exc,
-                                                monkeypatch):
+                                                message, monkeypatch):
     import holocurve.cli as cli
 
     def fail(cfg):
-        raise exc("boom")
+        raise exc
 
     monkeypatch.setitem(cli._DISPATCH, "boundary", fail)
     cfg = _write(tmp_path, "bd.cfg", "")
     assert main(["boundary", cfg]) == 5
     out, err = capsys.readouterr()
-    assert out == "" and err == "numerical failure: boom\n"
+    assert out == "" and err == f"numerical failure: {message}\n"
 
 
 # ---------------------------------------------------------------------------
@@ -675,6 +679,32 @@ def test_non_finite_curve_parameter_is_a_config_error(tmp_path, capsys,
     assert code == 2
     out, err = capsys.readouterr()
     assert out == "" and "config error" in err
+    assert [p.name for p in tmp_path.iterdir()] == ["bad.cfg"]
+
+
+@pytest.mark.parametrize("command,lines", [
+    ("check-criterion", "curve.kind = example2\nnehari.kind = inverse_square"
+     "\ntol.equality = -1"),
+    ("check-criterion", "curve.kind = tan_truncation\ntol.equality = inf"),
+    ("check-criterion", "curve.kind = example1\ncurve.c = nan"),
+    ("check-criterion", "curve.kind = example2\ncurve.c = nan"),
+    ("reproduce-example", "example.which = 1\ncurve.c = nan"),
+    ("check-criterion", "curve.kind = tan_truncation\ncurve.degree = 0"),
+    ("injectivity", "injectivity.min_sep = nan"),
+    ("injectivity", "injectivity.min_sep = inf"),
+    ("extremal-profile", "nehari.kind = tabulated\n"
+     "nehari.table_x = 0,0.3,0.6,0.9\nnehari.table_p = 2,nan,2,2"),
+], ids=["tol-negative", "tol-inf", "example1-c-nan", "example2-c-nan",
+        "reproduce1-c-nan", "degree-0", "min_sep-nan", "min_sep-inf",
+        "table-p-nan"])
+def test_rejected_value_is_a_config_error(tmp_path, capsys, command, lines):
+    # All but the table used to print a verdict on unsupported inputs
+    # (exit 0 or 1) or die with a traceback (exit 1).
+    cfg = _write(tmp_path, "bad.cfg", lines + "\ngrid.n_r = 20\n"
+                 "grid.n_theta = 8\ninjectivity.samples = 500\n")
+    assert main([command, cfg, "--output", str(tmp_path)]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("config error: ")
     assert [p.name for p in tmp_path.iterdir()] == ["bad.cfg"]
 
 

@@ -32,7 +32,13 @@ _CURVES = st.fixed_dictionaries({
     "curve.mobius_rho": st.sampled_from([0.0, 0.5, -0.95]),
     "curve.normalize": st.booleans(),
 })
+_SHAPE = st.fixed_dictionaries({
+    "curve.degree": st.sampled_from([-1, 0, 1, 41]),
+    "curve.stretch": _OPTIONAL,
+    "curve.k": _OPTIONAL,
+})
 _CHECK = st.fixed_dictionaries({
+    "tol.equality": _OPTIONAL,
     "grid.n_r": st.integers(1, 4),
     "grid.n_theta": st.integers(4, 8),
     "grid.r_max": st.sampled_from([0.3, 0.9, 0.999]),
@@ -42,7 +48,9 @@ _CHECK = st.fixed_dictionaries({
 })
 _INJECTIVITY = st.fixed_dictionaries({
     "injectivity.samples": st.integers(2, 80),
-    "injectivity.min_sep": st.sampled_from([0.0, 0.05, 0.5, 3.0]),
+    "injectivity.min_sep": st.sampled_from([0.0, 0.05, 0.5, 3.0,
+                                            float("nan"), float("inf"),
+                                            -1.0]),
     "injectivity.r_min": st.sampled_from([0.0, 0.3]),
     "injectivity.r_max": st.sampled_from([0.5, 0.9999]),
     "injectivity.symmetrize": st.booleans(),
@@ -62,10 +70,11 @@ def _run(command, cfg_path, out_dir):
 @hypothesis.settings(max_examples=150, deadline=None, derandomize=True)
 @hypothesis.given(
     command=st.sampled_from(["check-criterion", "injectivity"]),
-    curve=_CURVES, check=_CHECK, injectivity=_INJECTIVITY)
-def test_cli_contract_on_random_configs(command, curve, check, injectivity):
-    options = dict(curve, **(check if command == "check-criterion"
-                             else injectivity))
+    curve=_CURVES, shape=_SHAPE, check=_CHECK, injectivity=_INJECTIVITY)
+def test_cli_contract_on_random_configs(command, curve, shape, check,
+                                        injectivity):
+    options = dict(curve, **shape, **(check if command == "check-criterion"
+                                      else injectivity))
     text = "".join(f"{key} = {value}\n" for key, value in options.items()
                    if value is not None)
     with tempfile.TemporaryDirectory() as tmp:
@@ -79,6 +88,12 @@ def test_cli_contract_on_random_configs(command, curve, check, injectivity):
     if "verdict = holds" in out:
         margin = out.split("min_margin = ", 1)[1].split("\n", 1)[0]
         assert math.isfinite(float(margin)), text
+    printed = dict(line.split(" = ", 1) for line in out.splitlines()
+                   if " = " in line)
+    if "verdict" in printed or "collision" in printed:
+        # A verdict stands only on a finite, nonnegative tolerance.
+        tol = float(printed.get("tol_eq", printed.get("min_sep")))
+        assert 0.0 <= tol < math.inf, text
     assert again == first, text
 
 
