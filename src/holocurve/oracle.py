@@ -210,7 +210,8 @@ class InjectivityReport:
 
 
 def cKDTree(*args, **kwargs):
-    """scipy.spatial.cKDTree, imported at first use."""
+    """scipy.spatial.cKDTree, imported at first use.  Uncalled, but the
+    bench tracer stops if it is gone; ROADMAP item 1 retires it."""
     from scipy.spatial import cKDTree
     return cKDTree(*args, **kwargs)
 
@@ -229,13 +230,16 @@ def injectivity_scan(curve: HoloCurve, n_samples: int = 10000,
     generic cloud would never hit.
 
     Also reports the exact minimal image distance over admissible pairs of
-    distinct samples, from each sample's k nearest images in a KD-tree
-    (Bentley, CACM 18(9), 1975), or its whole row once k passes n/16.
-    `pair` is deliberately the lowest-index sample attaining it with its
-    lowest-index partner; None when no two samples are min_sep apart.
-    Raises ConfigError if n_samples < 2, unless min_sep is finite and >= 0
-    or unless 0 <= r_min < r_max < 1, and NumericalError if the image
-    extent is not finite or too large for squared distances.
+    distinct samples, from a sort-and-sweep over the image coordinate of
+    widest extent (Shamos & Hoey, FOCS 1975): each sample meets the samples
+    after it in that order until their gap on the coordinate exceeds the
+    best distance so far.  `pair` is deliberately the lowest-index sample
+    attaining it with its lowest-index partner; None when no two samples
+    are min_sep apart.
+
+    Raises ConfigError if n_samples < 2, if min_sep is negative or not
+    finite, or if 0 <= r_min < r_max < 1 fails; raises NumericalError if
+    the image extent is not finite or too large for squared distances.
     """
     if n_samples < 2:
         raise ConfigError(f"need at least 2 samples, got {n_samples}")
@@ -248,38 +252,34 @@ def injectivity_scan(curve: HoloCurve, n_samples: int = 10000,
     if symmetrize:
         z = np.concatenate([z[:n_samples // 2], -z[:n_samples // 2]])
     X = _image_points(curve.label, eval_curve(curve, z).val)
-    tree, n = cKDTree(X), len(z)
+    n = len(z)
+    # A coordinate gap g is one term of np.linalg.norm's sum, so sqrt(g * g)
+    # never exceeds the printed distance, even where the squares underflow.
+    widest = int(np.argmax(np.ptp(X, axis=0)))
+    order = np.argsort(X[:, widest], kind="stable")
+    Xs, zs = X[order], z[order]
+    cols = Xs.T.copy()
+    xc, others = cols[widest], np.delete(cols, widest, axis=0)
     best = (np.inf, 0, 0)  # (image distance, i, j); the smallest tuple wins
-    rows, k = np.arange(n), 16
+    rows, s = np.arange(n - 1), 1
     while rows.size:
-        # Past n/16 neighbours whole rows from cdist cost less than the tree.
-        k = k if 16 * k < n else n
-        step = max(1, 8192 * 16 // k)  # rows per query: 8192 at k = 16
-        again = []
-        for s in range(0, rows.size, step):
-            r = rows[s:s + step]
-            if k < n:
-                dist, idx = tree.query(X[r], k)
-                zj = z[idx]
-            else:
-                from scipy.spatial.distance import cdist
-                dist = cdist(X[r], X)
-                idx, zj = np.broadcast_to(np.arange(n), dist.shape), z
-            ok = (np.abs(z[r, None] - zj) >= min_sep) & (idx != r[:, None])
-            # np.linalg.norm gives the printed bits; recompute near-minima.
-            cand = np.where(ok, dist, np.inf)
-            a, b = (ok & (cand <= cand.min(1)[:, None] * (1 + 1e-9))).nonzero()
-            d = np.full(idx.shape, np.inf)
-            d[a, b] = np.linalg.norm(X[r[a]] - X[idx[a, b]], axis=1)
-            row_min = d.min(axis=1)
-            first = int(np.argmin(row_min))
-            partner = int(np.min(idx[first][d[first] == row_min[first]]))
-            best = min(best, (float(row_min[first]), int(r[first]), partner))
-            # Rows that may still find a closer or tied partner go again.
-            limit = np.minimum(row_min, best[0]) * (1 + 1e-9)
-            again.append(r[(dist[:, -1] <= limit) & (k < n)])
-        rows = np.concatenate(again)
-        k *= 2
+        # Row a meets row a + s; it retires once that gap exceeds best.
+        g = xc[rows + s] - xc[rows]
+        rows = rows[np.sqrt(g * g) <= best[0]]
+        a = rows
+        for x in others:
+            g = x[a + s] - x[a]
+            a = a[np.sqrt(g * g) <= best[0]]
+        a = a[np.abs(zs[a + s] - zs[a]) >= min_sep]
+        if a.size:
+            d = np.linalg.norm(Xs[a + s] - Xs[a], axis=1)
+            i, j = order[a], order[a + s]
+            lo, hi = np.minimum(i, j), np.maximum(i, j)
+            tie = np.flatnonzero(d == d.min())
+            k = tie[np.lexsort((hi[tie], lo[tie]))[0]]
+            best = min(best, (float(d[k]), int(lo[k]), int(hi[k])))
+        s += 1
+        rows = rows[rows < n - s]
 
     min_dist, i, j = best
     return InjectivityReport(

@@ -37,7 +37,7 @@ def test_every_trace_target_resolves(where):
 
 
 # The scipy bindings and nehari.solve_ivp are first-use shims; each of these
-# tiny runs calls one.
+# tiny runs calls one, apart from the injectivity run, which calls none.
 _SHIM_RUNS = [
     ("boundary", "curve.kind = example2\nnehari.kind = inverse_square\n"
      "boundary.rays = 2\nboundary.s_points = 3\nboundary.ring_samples = 64\n"),
@@ -61,9 +61,11 @@ def test_tracer_records_the_scipy_shims(tmp_path):
     finally:
         restore()
     names = {span[0] for span in trace.spans}
-    # criterion.minimize is wrapped but no longer called: the critical-point
-    # search is a plain Newton iteration.
-    for name in ["nehari.solve_ivp", "criterion.dijkstra", "oracle.kdtree"]:
+    for name in ["nehari.solve_ivp", "criterion.dijkstra"]:
         assert name in names, f"no {name} span: a call bypassed its binding"
+    # criterion.minimize and oracle.cKDTree are wrapped but no longer
+    # called: the critical-point search is a plain Newton iteration and
+    # the injectivity pair search a numpy sweep.
+    assert "oracle.kdtree" not in names
     for (module, attr), original in zip(shims, originals):
         assert getattr(module, attr) is original

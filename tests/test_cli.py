@@ -631,7 +631,7 @@ def test_csv_writer_pins_special_values_and_counts():
 @pytest.mark.parametrize("command", ["check-criterion", "injectivity"])
 def test_overflowing_curve_is_a_numerical_failure(tmp_path, capsys, command):
     # c = 1e300 overflows Q = |f'|^2, so the margin is NaN, and the image
-    # spans ~1e301, so squared image distances overflow in the KD-tree.
+    # spans ~1e301, so squared image distances overflow in the pair search.
     cfg = _write(tmp_path, "huge.cfg",
                  "curve.kind = example1\ncurve.c = 1e300\ngrid.n_r = 20\n"
                  "grid.n_theta = 8\ninjectivity.samples = 2000\n")

@@ -181,10 +181,10 @@ def test_injectivity_follows_the_printed_distance_on_near_ties(monkeypatch,
                                                                n_far):
     # The cyclic shifts of v, of v reversed and of v with neighbouring
     # coordinates swapped are 24 points of C^4 equally far from the origin,
-    # but np.linalg.norm, cdist and the KD-tree round those distances to
-    # different last bits; the witness must follow np.linalg.norm.  n_far
-    # distant samples move the origin's row from the full-row scan to the
-    # tree query, whose first 16 neighbours then cut through the tie.
+    # but summation order rounds those distances to different last bits;
+    # the witness must follow np.linalg.norm.  n_far distant samples
+    # stretch the sort coordinate, which the sweep's pruning must then
+    # keep from cutting through the tie.
     v = np.array([-0.387, 0.923, -0.068, 0.256, 0.27, -0.632, -0.876, -0.177])
     copies = [np.roll(w, s) for w in (v, v[::-1], v[[1, 0, 3, 2, 5, 4, 7, 6]])
               for s in range(8)]
@@ -199,6 +199,27 @@ def test_injectivity_follows_the_printed_distance_on_near_ties(monkeypatch,
     rep = injectivity_scan(hc.identity_curve(), n_samples=len(z), min_sep=0.5)
     assert (rep.min_image_distance, rep.pair) \
         == _brute_reference(z, vals, 0.5)
+
+
+@pytest.mark.parametrize("scale", [1e-160, 1e-232])
+def test_injectivity_follows_the_printed_distance_where_squares_underflow(
+        monkeypatch, scale):
+    # Scaled down, the squared image distances are subnormal (1e-160) or
+    # underflow to 0 (1e-232): printed distances round coarsely or all read
+    # 0 while the coordinate gaps stay positive, and the witness must still
+    # follow np.linalg.norm and the tie rule.
+    seen = []
+
+    def evaluate(curve, z):
+        vals = hc.eval_curve(curve, z).val * scale
+        seen.append((z, vals))
+        return SimpleNamespace(val=vals)
+
+    monkeypatch.setattr(oracle, "eval_curve", evaluate)
+    rep = injectivity_scan(hc.identity_curve(), n_samples=1600)
+    (z, vals), = seen
+    assert (rep.min_image_distance, rep.pair) \
+        == _brute_reference(z, vals, rep.min_sep)
 
 
 def test_injectivity_min_sep_zero_skips_self_pairs():
