@@ -26,6 +26,7 @@ import numpy as np
 
 from ._table import write_csv
 from .criterion import (GridSpec, boundary_diagnostics, boundary_trace,
+                        check_boundary_rays, check_boundary_ring,
                         check_covering_lattice, covering_bound,
                         intrinsic_min_distance, normalize, scan,
                         second_derivative_norm, write_scan_csv)
@@ -404,17 +405,10 @@ def _reproduce_example2(cfg: RunConfig) -> int:
 
 
 def _cmd_boundary(cfg: RunConfig) -> int:
-    for key, ok, rule in (
-            ("boundary.rays", cfg["boundary.rays"] >= 1, ">= 1"),
-            ("boundary.s_points", cfg["boundary.s_points"] >= 1, ">= 1"),
-            ("boundary.r_cap", 0.0 < cfg["boundary.r_cap"] < 1.0,
-             "in (0, 1)"),
-            ("boundary.ring_offset", 0.0 < cfg["boundary.ring_offset"] < 1.0,
-             "in (0, 1)"),
-            ("boundary.ring_samples", cfg["boundary.ring_samples"] >= 2,
-             ">= 2")):
-        if not ok:
-            raise ConfigError(f"{key} = {cfg[key]} must be {rule}")
+    check_boundary_rays(cfg["boundary.rays"], cfg["boundary.s_points"],
+                        cfg["boundary.r_cap"])
+    check_boundary_ring(cfg["boundary.ring_offset"],
+                        cfg["boundary.ring_samples"])
     curve = build_curve(cfg)
     weight = build_weight(cfg)
     profile = extremal_profile(weight, eps=cfg["profile.eps"],

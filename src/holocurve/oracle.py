@@ -229,13 +229,9 @@ def injectivity_scan(curve: HoloCurve, n_samples: int = 10000,
     even curves like z^2, whose collisions are exactly antipodal and which a
     generic cloud would never hit.
 
-    Also reports the exact minimal image distance over admissible pairs of
-    distinct samples, from a sort-and-sweep over the image coordinate of
-    widest extent (Shamos & Hoey, FOCS 1975): each sample meets the samples
-    after it in that order until their gap on the coordinate exceeds the
-    best distance so far.  `pair` is deliberately the lowest-index sample
-    attaining it with its lowest-index partner; None when no two samples
-    are min_sep apart.
+    Also reports the exact least image distance of admissible pairs, from
+    `_closest_pair`; `pair` is deliberately its lowest-index pair, None
+    when no two samples are min_sep apart.
 
     Raises ConfigError if n_samples < 2, if min_sep is negative or not
     finite, or if 0 <= r_min < r_max < 1 fails; raises NumericalError if
@@ -252,6 +248,20 @@ def injectivity_scan(curve: HoloCurve, n_samples: int = 10000,
     if symmetrize:
         z = np.concatenate([z[:n_samples // 2], -z[:n_samples // 2]])
     X = _image_points(curve.label, eval_curve(curve, z).val)
+    min_dist, i, j = _closest_pair(z, X, min_sep)
+    return InjectivityReport(
+        curve_label=curve.label, n_samples=len(z), min_sep=min_sep,
+        collision_threshold=1e-9, collision_found=min_dist < 1e-9,
+        min_image_distance=min_dist,
+        pair=(complex(z[i]), complex(z[j])) if min_dist < np.inf else None)
+
+
+def _closest_pair(z: np.ndarray, X: np.ndarray,
+                  min_sep: float) -> tuple[float, int, int]:
+    """(d, i, j): the exact least |X[i] - X[j]| over pairs i < j with
+    |z[i] - z[j]| >= min_sep, the lowest (i, j) among ties, else (inf, 0,
+    0); by a sort-and-sweep on the image coordinate of widest extent
+    (Shamos & Hoey, FOCS 1975)."""
     n = len(z)
     # A coordinate gap g is one term of np.linalg.norm's sum, so sqrt(g * g)
     # never exceeds the printed distance, even where the squares underflow.
@@ -281,12 +291,7 @@ def injectivity_scan(curve: HoloCurve, n_samples: int = 10000,
         s += 1
         rows = rows[rows < n - s]
 
-    min_dist, i, j = best
-    return InjectivityReport(
-        curve_label=curve.label, n_samples=n, min_sep=min_sep,
-        collision_threshold=1e-9, collision_found=min_dist < 1e-9,
-        min_image_distance=min_dist,
-        pair=(complex(z[i]), complex(z[j])) if min_dist < np.inf else None)
+    return best
 
 
 def _image_points(label: str, vals: np.ndarray) -> np.ndarray:

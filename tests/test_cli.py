@@ -694,9 +694,10 @@ def test_non_finite_curve_parameter_is_a_config_error(tmp_path, capsys,
     ("injectivity", "injectivity.min_sep = inf"),
     ("extremal-profile", "nehari.kind = tabulated\n"
      "nehari.table_x = 0,0.3,0.6,0.9\nnehari.table_p = 2,nan,2,2"),
+    ("check-criterion", "grid.refine = -1"),
 ], ids=["tol-negative", "tol-inf", "example1-c-nan", "example2-c-nan",
         "reproduce1-c-nan", "degree-0", "min_sep-nan", "min_sep-inf",
-        "table-p-nan"])
+        "table-p-nan", "refine-negative"])
 def test_rejected_value_is_a_config_error(tmp_path, capsys, command, lines):
     # All but the table used to print a verdict on unsupported inputs
     # (exit 0 or 1) or die with a traceback (exit 1).

@@ -20,8 +20,9 @@ from holocurve.criterion import (BoundaryDiagnostics, GridSpec, boundary_diagnos
                                  second_derivative_norm, tangent_norm_at_zero,
                                  weight_ratio, write_scan_csv)
 from holocurve.errors import ConfigError, NumericalError
-from holocurve.jets import DiskMobius
+from holocurve.jets import DiskMobius, eval_curve
 from holocurve.nehari import NehariFunction, extremal_profile
+from holocurve.oracle import _admissible_min_brute, _image_points
 from holocurve.sampling import disk_samples
 
 SMALL = GridSpec(n_r=40, n_theta=16)
@@ -529,3 +530,71 @@ def test_boundary_trace_deterministic(ex2):
     a = boundary_trace(ex2, n_samples=1024)
     b = boundary_trace(ex2, n_samples=1024)
     assert a == b
+
+
+def _shift_loop_trace(curve, ring_offset, n_samples):
+    """The ring search that ran every shift k of the ring against itself;
+    returns (min_gap, theta1, theta2, z, X, r)."""
+    r = 1.0 - ring_offset
+    th = 2.0 * np.pi * np.arange(n_samples) / n_samples
+    z = r * np.exp(1j * th)
+    X = _image_points(curve.label, eval_curve(curve, z).val)
+
+    k_min = max(1, int(np.ceil(np.pi / 8 * n_samples / (2 * np.pi))))
+    best = np.inf
+    best_pair = (0, 0)
+    for k in range(k_min, n_samples // 2 + 1):
+        d = np.linalg.norm(X - np.roll(X, -k, axis=0), axis=1)
+        i = int(np.argmin(d))
+        if d[i] < best:
+            best = float(d[i])
+            best_pair = (i, (i + k) % n_samples)
+    i1, i2 = best_pair
+    return best, float(th[i1]), float(th[i2]), z, X, r
+
+
+_RING_CURVES = {
+    "example1": lambda: hc.example1_curve(1700.0),
+    "example2": lambda: hc.example2_curve(0.05),
+    "identity": hc.identity_curve,
+    "radial_pair": hc.radial_pair_curve,
+    "strip": hc.strip_curve,
+    # The best pair of the last one straddles theta = 0.
+    "example2-mobius": lambda: hc.precompose_disk_mobius(
+        hc.example2_curve(0.05), DiskMobius(0.5, 0.7)),
+    "example2-rotated": lambda: hc.precompose_disk_mobius(
+        hc.example2_curve(0.05), DiskMobius(0.0, np.pi / 2)),
+}
+
+
+@pytest.mark.parametrize("n", [64, 257, 2048])
+@pytest.mark.parametrize("name", list(_RING_CURVES))
+def test_boundary_trace_matches_the_shift_loop_and_brute(name, n):
+    curve = _RING_CURVES[name]()
+    tr = boundary_trace(curve, n_samples=n)
+    gap, th1, th2, z, X, r = _shift_loop_trace(curve, 1e-3, n)
+    assert (tr["min_gap"], tr["theta1"], tr["theta2"]) == (gap, th1, th2)
+    k_min = max(1, int(np.ceil(n / 16)))
+    brute, pair = _admissible_min_brute(
+        z, X, 2.0 * r * np.sin(np.pi * (k_min - 0.5) / n))
+    assert brute == tr["min_gap"]
+    assert set(pair) == {tr["z1"], tr["z2"]}
+
+
+@pytest.mark.parametrize("call,kwargs", [
+    ("trace", {"ring_offset": 1.0}), ("trace", {"ring_offset": 1.5}),
+    ("trace", {"ring_offset": 0.0}), ("trace", {"ring_offset": -0.5}),
+    ("trace", {"ring_offset": np.nan}), ("trace", {"n_samples": 1}),
+    ("diagnostics", {"n_rays": 0}), ("diagnostics", {"n_s": 0}),
+    ("diagnostics", {"n_s": -3}), ("diagnostics", {"r_cap": 0.0}),
+    ("diagnostics", {"r_cap": 1.0}), ("diagnostics", {"r_cap": np.nan}),
+])
+def test_boundary_sampling_outside_its_range_is_a_config_error(
+        ex2, profile_inverse_square, call, kwargs):
+    # Each used to return a fake collision on the radius-0 ring, trace a
+    # negative radius, report inf or a NaN argmin, or divide by zero.
+    with pytest.raises(ConfigError):
+        if call == "trace":
+            boundary_trace(ex2, **kwargs)
+        else:
+            boundary_diagnostics(ex2, profile_inverse_square, **kwargs)
