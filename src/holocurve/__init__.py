@@ -24,7 +24,8 @@ from .errors import (ConfigError, DomainError, HolocurveError, NumericalError,
                      VanishingTangentError)
 from .fixtures import (StripConstants, example1_curve, example2_curve,
                        example2_equality_defect, example2_reduced_slack,
-                       example2_zeta, strip_constants_check, z_squared_curve)
+                       example2_zeta, hille_curve, strip_constants_check,
+                       z_squared_curve)
 from .jets import (CurveJet, DiskMobius, HoloCurve, Jet3, eval_curve,
                    exponential_curve, identity_curve, polynomial_curve,
                    precompose_disk_mobius, radial_pair_curve, scale_curve,

@@ -208,10 +208,15 @@ def build_curve(cfg: RunConfig) -> HoloCurve:
 
 def build_weight(cfg: RunConfig) -> NehariFunction:
     if cfg["nehari.kind"] == "tabulated":
-        return NehariFunction.tabulated(_float_list(cfg, "nehari.table_x"),
-                                        _float_list(cfg, "nehari.table_p"),
-                                        factor=cfg["nehari.factor"])
-    return NehariFunction(cfg["nehari.kind"], cfg["nehari.factor"])
+        weight = NehariFunction.tabulated(_float_list(cfg, "nehari.table_x"),
+                                          _float_list(cfg, "nehari.table_p"),
+                                          factor=cfg["nehari.factor"])
+    else:
+        weight = NehariFunction(cfg["nehari.kind"], cfg["nehari.factor"])
+    validation = validate_nehari(weight)
+    if not validation.ok:
+        raise ConfigError("; ".join(validation.messages))
+    return weight
 
 
 def _grid(cfg: RunConfig) -> GridSpec:
@@ -230,8 +235,8 @@ def _out_dir(cfg: RunConfig) -> Path:
 # ---------------------------------------------------------------------------
 
 def _cmd_check_criterion(cfg: RunConfig) -> int:
-    curve = build_curve(cfg)
     weight = build_weight(cfg)
+    curve = build_curve(cfg)
     report = scan(curve, weight, _grid(cfg), tol_eq=cfg["tol.equality"])
     csv_path = _out_dir(cfg) / "scan.csv"
     write_scan_csv(report, csv_path)
@@ -250,9 +255,6 @@ def _cmd_check_criterion(cfg: RunConfig) -> int:
 
 def _cmd_extremal_profile(cfg: RunConfig) -> int:
     weight = build_weight(cfg)
-    validation = validate_nehari(weight)
-    if not validation.ok:
-        raise ConfigError("; ".join(validation.messages))
     profile = extremal_profile(weight, eps=cfg["profile.eps"],
                                n_samples=cfg["profile.samples"])
     margin = extremality_margin(weight)
@@ -284,8 +286,8 @@ def _cmd_covering(cfg: RunConfig) -> int:
         raise ConfigError(f"covering.tol = {tol:g} must be finite and >= 0")
     for r in radii:
         check_covering_lattice(r, resolution)
-    curve = normalize(build_curve(cfg))
     weight = build_weight(cfg)
+    curve = normalize(build_curve(cfg))
     profile = extremal_profile(weight, eps=cfg["profile.eps"],
                                n_samples=cfg["profile.samples"])
     phi2 = second_derivative_norm(curve)
@@ -333,10 +335,9 @@ def _cmd_injectivity(cfg: RunConfig) -> int:
     print(f"n_samples = {report.n_samples}")
     print(f"min_sep = {_fmt(report.min_sep)}")
     print(f"min_image_distance = {_fmt(report.min_image_distance)}")
-    if report.pair is not None:
-        z1, z2 = report.pair
-        print(f"pair_z1 = {_fmt(z1.real)} {_fmt(z1.imag)}")
-        print(f"pair_z2 = {_fmt(z2.real)} {_fmt(z2.imag)}")
+    z1, z2 = report.pair
+    print(f"pair_z1 = {_fmt(z1.real)} {_fmt(z1.imag)}")
+    print(f"pair_z2 = {_fmt(z2.real)} {_fmt(z2.imag)}")
     print(f"collision = {str(report.collision_found).lower()}")
     return 4 if report.collision_found else 0
 
@@ -409,8 +410,8 @@ def _cmd_boundary(cfg: RunConfig) -> int:
                         cfg["boundary.r_cap"])
     check_boundary_ring(cfg["boundary.ring_offset"],
                         cfg["boundary.ring_samples"])
-    curve = build_curve(cfg)
     weight = build_weight(cfg)
+    curve = build_curve(cfg)
     profile = extremal_profile(weight, eps=cfg["profile.eps"],
                                n_samples=cfg["profile.samples"])
     diag = boundary_diagnostics(curve, profile, n_rays=cfg["boundary.rays"],

@@ -458,7 +458,8 @@ def boundary_diagnostics(curve: HoloCurve, profile: ExtremalProfile,
                          r_cap: float = 0.99) -> BoundaryDiagnostics:
     """Convexity of omega_theta(s) = w(r e^{i theta}), s = Phi(r), along rays,
     plus the critical points of w and a linear distortion minorant fit on
-    0.5 <= |z| < min(0.99, r_cap).
+    0.5 <= |z| < min(0.99, r_cap), r_cap clamped to the profile's end; the
+    fit is infeasible (None) when that annulus is empty.
 
     omega'' = w (l_rr + l_r^2 - m l_r) u0^4, l = log w, is taken in closed
     form at all n_s points of each of the n_rays rays; a critical point
@@ -487,8 +488,18 @@ def boundary_diagnostics(curve: HoloCurve, profile: ExtremalProfile,
     worst = float(om2[k])
     argmin = (float(theta[i]), float(s[j]))
 
-    # Linear minorant w >= a s + b on the annulus (heuristic fit).
-    zs = disk_samples(400, r_min=0.5, r_max=min(0.99, r_cap), seed=0)
+    r_out = min(0.99, r_cap)
+    return BoundaryDiagnostics(
+        critical_points=_critical_points(curve, profile, r_cap),
+        worst_radial_convexity=worst, convexity_argmin=argmin,
+        distortion=(_distortion_fit(curve, profile, r_out)
+                    if r_out > 0.5 else None))
+
+
+def _distortion_fit(curve, profile, r_out):
+    """Linear minorant w >= a s + b on 0.5 <= |z| < r_out (heuristic fit),
+    or None when its offset b is too small."""
+    zs = disk_samples(400, r_min=0.5, r_max=r_out, seed=0)
     w_ann = weight_ratio(curve, profile, zs)
     if not np.all(np.isfinite(w_ann)):
         k = int(np.argmax(~np.isfinite(w_ann)))
@@ -498,13 +509,8 @@ def boundary_diagnostics(curve: HoloCurve, profile: ExtremalProfile,
     a = 0.95 * float(np.min(w_ann / np.maximum(s_ann, 1e-300)))
     b = float(np.min(w_ann - a * s_ann))
     # Relative threshold: w scales as |phi'|^(-1/2), and so do a and b.
-    distortion = ({"a": a, "b": b, "r0": 0.5}
-                  if b >= 1e-8 * float(np.max(w_ann)) else None)
-
-    return BoundaryDiagnostics(
-        critical_points=_critical_points(curve, profile, r_cap),
-        worst_radial_convexity=worst, convexity_argmin=argmin,
-        distortion=distortion)
+    return ({"a": a, "b": b, "r0": 0.5}
+            if b >= 1e-8 * float(np.max(w_ann)) else None)
 
 
 def check_boundary_ring(ring_offset: float, n_samples: int) -> None:
@@ -521,7 +527,7 @@ def boundary_trace(curve: HoloCurve, ring_offset: float = 1e-3,
 
     The minimal image distance over ring points at least pi/8 apart, from
     `_closest_pair` with pair (i, i + k mod n_samples), k <= n_samples / 2,
-    and the image gap of the two real-axis ring points (useful when a
+    and the image gap of the ring's real-axis points r and -r (useful when a
     claimed boundary identification should be checked rather than
     assumed).  Raises ConfigError for a ring check_boundary_ring rejects,
     and NumericalError if the image extent of the ring is not finite or
@@ -538,7 +544,8 @@ def boundary_trace(curve: HoloCurve, ring_offset: float = 1e-3,
     best, i1, i2 = _closest_pair(z, X, min_sep)
     if i2 - i1 > n_samples // 2:
         i1, i2 = i2, i1
-    gap_real = float(np.linalg.norm(X[0] - X[n_samples // 2]))
+    ends = _image_points(curve.label, eval_curve(curve, np.array([r, -r])).val)
+    gap_real = float(np.linalg.norm(ends[0] - ends[1]))
     return {
         "min_gap": best, "z1": complex(z[i1]), "z2": complex(z[i2]),
         "theta1": float(th[i1]), "theta2": float(th[i2]),

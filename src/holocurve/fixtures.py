@@ -34,7 +34,7 @@ __all__ = [
     "example1_min_c", "example1_curve", "example1_e2sigma",
     "example1_schwarzian", "example1_wronskian_sq", "example1_margin",
     "example2_curve", "example2_zeta", "example2_reduced_slack",
-    "example2_equality_defect", "z_squared_curve",
+    "example2_equality_defect", "z_squared_curve", "hille_curve",
     "StripConstants", "strip_constants_check",
 ]
 
@@ -175,6 +175,17 @@ def z_squared_curve() -> HoloCurve:
     no antipodal pairs and would certify nothing."""
     return HoloCurve((PolynomialComponent([0.0, 0.0, 1.0]),),
                      label="z-squared")
+
+
+def hille_curve(eps: float = 1.0) -> HoloCurve:
+    """f(z) = ((1+z)/(1-z))^{i eps} = exp(2 i eps artanh z) (Hille, Bull. AMS
+    55 (1949) 552-553): S f = 2 (1 + eps^2)/(1 - z^2)^2, so at eps = 1 it
+    meets the criterion of the inverse-square weight at factor 2 with
+    equality on the real diameter, yet f winds the diameter around the unit
+    circle infinitely often.  That weight is not disconjugate."""
+    return HoloCurve((ComposedComponent(ExponentialComponent(1.0, 2j * eps),
+                                        StripMapComponent()),),
+                     label=f"hille(eps={eps:g})")
 
 
 # ---------------------------------------------------------------------------

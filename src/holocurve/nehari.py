@@ -11,7 +11,7 @@ kinds:
 
 each times an optional positive factor, plus cubic-spline tabulated weights.
 
-Disconjugacy is certified through the compactified equation
+A closed kind is disconjugate iff factor <= 1.  A table is certified through
 v'' + (P(t) - 1) v = 0 on |t| <= _T_MAX (v = u cosh t shares its zeros with
 u), integrated in Pruefer phase form so no exponentially large magnitudes
 ever appear; with _T_MAX = 120 the untested endpoint gap is ~4e-105, far
@@ -180,9 +180,9 @@ class NehariValidation:
 def validate_nehari(p: NehariFunction) -> NehariValidation:
     """Check the defining properties of a Nehari weight on a sample grid.
 
-    Positivity is sampled on (-1, 1); the monotonicity of the compactified
-    kernel is sampled in the t variable (uniform there = heavily refined
-    near |x| = 1, which is where violations hide).
+    Positivity is sampled on (-1, 1), the monotonicity of the compactified
+    kernel in t (heavily refined near |x| = 1, where violations hide).  A
+    closed kind is disconjugate iff factor <= 1, a table iff its count is 0.
     """
     msgs = []
     xs = np.tanh(np.linspace(-16.0, 16.0, 2001))
@@ -198,7 +198,10 @@ def validate_nehari(p: NehariFunction) -> NehariValidation:
     if not kernel_noninc:
         msgs.append("(1-x^2)^2 p(x) increases somewhere in |x|")
 
-    count = disconjugacy_count(p) if positive else -1
+    if p.kind == "tabulated":
+        count = disconjugacy_count(p) if positive else -1
+    else:   # the window can miss the first zero of a factor just above 1
+        count = 0 if _exact_margin(p) >= 1.0 else max(disconjugacy_count(p), 1)
     disconj = count == 0
     if positive and not disconj:
         msgs.append(f"u'' + p u = 0 oscillates ({count}"
@@ -247,19 +250,29 @@ def _phase_zeros(p: NehariFunction, max_zeros: int) -> int:
     return int(np.floor(sol.y[0, -1] / np.pi + 1e-9))
 
 
-def extremality_margin(p: NehariFunction) -> float:
-    """sup{k >= 1 : u'' + k p u = 0 is disconjugate}, by bisection to 1e-4.
+def _exact_margin(p: NehariFunction) -> float | None:
+    """1/factor for a closed kind, whose u0 at factor 1 vanishes at +-1 (so
+    Sturm comparison rules out any larger factor); None for a table."""
+    return None if p.kind == "tabulated" else 1.0 / p.factor
 
-    Requires p itself to be disconjugate.  The bracket [1, 4] doubles into
-    [4, 8], [8, 16], ... while its upper end is still disconjugate; a margin
-    above 2^20 raises NumericalError.  A margin of ~1 means p is extremal:
-    any upward scaling destroys disconjugacy.  Each phase solve stops at the
-    first zero: one zero already decides a bisection step.
+
+def extremality_margin(p: NehariFunction) -> float:
+    """sup{k >= 1 : u'' + k p u = 0 is disconjugate}: 1/factor for a closed
+    kind, else by bisection to 1e-4.  Requires p to be disconjugate.
+
+    A table's bracket [1, 4] doubles into [4, 8], [8, 16], ... while its
+    upper end is still disconjugate.  A margin above 2^20, or a 1/factor that
+    overflows, raises NumericalError; a margin of ~1 means p is extremal.
     """
     def count(k: float) -> int:
         return _phase_zeros(p.scaled(k), 1)
 
-    if count(1.0) != 0:
+    margin = _exact_margin(p)
+    if margin is not None and margin >= 1.0:
+        if margin == np.inf:
+            raise NumericalError(f"margin 1/{p.factor:g} overflows")
+        return margin
+    if margin is not None or count(1.0) != 0:
         raise ValueError("weight is not disconjugate; margin undefined")
     lo, hi = 1.0, 4.0
     while count(hi) == 0:

@@ -206,7 +206,7 @@ class InjectivityReport:
     collision_threshold: float
     collision_found: bool
     min_image_distance: float
-    pair: tuple[complex, complex] | None
+    pair: tuple[complex, complex]
 
 
 def cKDTree(*args, **kwargs):
@@ -230,12 +230,12 @@ def injectivity_scan(curve: HoloCurve, n_samples: int = 10000,
     generic cloud would never hit.
 
     Also reports the exact least image distance of admissible pairs, from
-    `_closest_pair`; `pair` is deliberately its lowest-index pair, None
-    when no two samples are min_sep apart.
+    `_closest_pair`; `pair` is deliberately its lowest-index pair.
 
     Raises ConfigError if n_samples < 2, if min_sep is negative or not
-    finite, or if 0 <= r_min < r_max < 1 fails; raises NumericalError if
-    the image extent is not finite or too large for squared distances.
+    finite, if 0 <= r_min < r_max < 1 fails, or if no two samples are
+    min_sep apart; raises NumericalError if the image extent is not finite
+    or too large for squared distances.
     """
     if n_samples < 2:
         raise ConfigError(f"need at least 2 samples, got {n_samples}")
@@ -249,11 +249,13 @@ def injectivity_scan(curve: HoloCurve, n_samples: int = 10000,
         z = np.concatenate([z[:n_samples // 2], -z[:n_samples // 2]])
     X = _image_points(curve.label, eval_curve(curve, z).val)
     min_dist, i, j = _closest_pair(z, X, min_sep)
+    if min_dist == np.inf:
+        raise ConfigError(f"no two of the n_samples = {len(z)} samples are "
+                          f"min_sep = {min_sep:g} apart")
     return InjectivityReport(
         curve_label=curve.label, n_samples=len(z), min_sep=min_sep,
         collision_threshold=1e-9, collision_found=min_dist < 1e-9,
-        min_image_distance=min_dist,
-        pair=(complex(z[i]), complex(z[j])) if min_dist < np.inf else None)
+        min_image_distance=min_dist, pair=(complex(z[i]), complex(z[j])))
 
 
 def _closest_pair(z: np.ndarray, X: np.ndarray,

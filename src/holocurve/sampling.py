@@ -33,7 +33,11 @@ def r2_sequence(n: int, dim: int = 2, seed: int = 0) -> np.ndarray:
 
 def disk_samples(n: int, r_min: float = 0.0, r_max: float = 1.0,
                  seed: int = 0) -> np.ndarray:
-    """Complex points equidistributed (area measure) in the annulus r_min<=|z|<r_max."""
+    """Complex points equidistributed (area measure) in the annulus
+    r_min <= |z| < r_max; raises ValueError unless 0 <= r_min < r_max <= 1."""
+    if not 0.0 <= r_min < r_max <= 1.0:
+        raise ValueError(f"sample annulus needs 0 <= r_min < r_max <= 1, "
+                         f"got r_min = {r_min:g}, r_max = {r_max:g}")
     u = r2_sequence(n, 2, seed)
     # Area-uniform radius: r = sqrt(lerp in r^2).
     r = np.sqrt(r_min ** 2 + (r_max ** 2 - r_min ** 2) * u[:, 0])

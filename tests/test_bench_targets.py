@@ -2,10 +2,12 @@
 drops one would otherwise only show when a traced benchmark run stops, and
 one that routes a call around its binding would read as 0 calls.
 
-bench/tracer.py is loaded by path; only the last test installs it.
+bench/tracer.py is loaded by path; only the shim test installs it.  The
+weight gate test reads bench/workloads.json and changes nothing there.
 """
 
 import importlib.util
+import json
 from pathlib import Path
 
 import pytest
@@ -69,3 +71,23 @@ def test_tracer_records_the_scipy_shims(tmp_path):
     assert "oracle.kdtree" not in names
     for (module, attr), original in zip(shims, originals):
         assert getattr(module, attr) is original
+
+
+def _bench_ops():
+    path = Path(__file__).resolve().parents[1] / "bench" / "workloads.json"
+    workloads = json.loads(path.read_text())["workloads"]
+    return [op for spec in workloads.values()
+            for op in spec["ops"] + spec["edge_ops"]]
+
+
+@pytest.mark.parametrize("op", _bench_ops(), ids=lambda op: op["id"])
+def test_bench_weights_are_admitted_without_a_phase_solve(op, monkeypatch):
+    # build_weight gates every weight-taking subcommand: on a bench op it
+    # must neither turn the run into exit 2 nor add a phase solve to it.
+    solves = []
+    monkeypatch.setattr(nehari, "solve_ivp",
+                        lambda *args, **kwargs: solves.append(args))
+    text = "".join(f"{key} = {value}\n"
+                   for key, value in op["config"].items())
+    cli.build_weight(cli.parse_config(text, command=op["command"]))
+    assert solves == []

@@ -2,6 +2,7 @@
 parser's error reporting and the determinism guarantees."""
 
 import io
+import math
 import re
 
 import numpy as np
@@ -139,20 +140,59 @@ def test_extremal_profile_rejects_oscillating_weight(tmp_path, capsys):
 
 
 def test_extremal_profile_numerical_failure(tmp_path, capsys):
-    # The margin 1e150 lies past the largest bracket 2^20, so the guarded
-    # search reports a numerical failure rather than a wrong number.
+    # A table's margin is bisected: 1e150 lies past the largest bracket
+    # 2^20, so the guarded search reports a numerical failure rather than a
+    # wrong number.
     cfg = _write(tmp_path, "weak.cfg",
-                 "nehari.kind = inverse_square\nnehari.factor = 1e-150\n")
+                 "nehari.kind = tabulated\nnehari.table_x = 0,0.3,0.6,0.9\n"
+                 "nehari.table_p = 2,2,2,2\nnehari.factor = 1e-150\n")
     assert main(["extremal-profile", cfg, "--output", str(tmp_path)]) == 5
     assert "numerical failure" in capsys.readouterr().err
 
 
 def test_extremal_profile_margin_above_four(tmp_path, capsys):
+    # A closed kind's margin is exactly 1/factor; the bisection printed
+    # 20.000030517578125 here.
     cfg = _write(tmp_path, "weak.cfg",
                  "nehari.kind = constant\nnehari.factor = 0.05\n")
     assert main(["extremal-profile", cfg, "--output", str(tmp_path)]) == 0
     out = capsys.readouterr().out
-    assert _stdout_value(out, "extremality_margin") == "20.000030517578125"
+    assert _stdout_value(out, "extremality_margin") == "20"
+
+
+def test_extremal_profile_margin_has_no_bracket_cap(tmp_path, capsys):
+    # A closed kind's margin is not searched, so 1e150 is no longer a
+    # numerical failure; it prints the correctly rounded 1/factor.
+    cfg = _write(tmp_path, "weak.cfg",
+                 "nehari.kind = inverse_square\nnehari.factor = 1e-150\n"
+                 "profile.samples = 17\n")
+    assert main(["extremal-profile", cfg, "--output", str(tmp_path)]) == 0
+    out = capsys.readouterr().out
+    assert _stdout_value(out, "extremality_margin") == "%.17g" % (1 / 1e-150)
+
+
+# e^{4z} truncated at degree 39 meets the criterion of the constant weight
+# at factor 2 (|S| ~ 8 <= pi^2), but e^{4z} takes one value at +-i pi/4.
+_EXP4_CONFIG = ("curve.kind = polynomial\ncurve.coeffs = "
+                + ",".join(repr(4.0 ** k / math.factorial(k))
+                           for k in range(40))
+                + "\nnehari.kind = constant\nnehari.factor = 2\n")
+
+
+@pytest.mark.parametrize("command", ["check-criterion", "extremal-profile",
+                                     "covering", "boundary"])
+def test_oscillating_weight_is_a_config_error_everywhere(tmp_path, capsys,
+                                                         command):
+    # check-criterion used to print verdict = holds here, and covering and
+    # boundary exited 5: the profile ODE broke down at u0's zero 1/sqrt(2).
+    cfg = _write(tmp_path, "exp4.cfg", _EXP4_CONFIG)
+    out_dir = tmp_path / "out"
+    assert main([command, cfg, "--output", str(out_dir)]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "config error: u'' + p u = 0 oscillates (1 interior " \
+        "zero(s))\n"
+    assert not out_dir.exists()
 
 
 @pytest.mark.parametrize("config,weight", [
@@ -359,13 +399,15 @@ def test_injectivity_bad_annulus_is_a_config_error(tmp_path, capsys,
 
 def test_injectivity_without_admissible_pair_prints_no_witness(tmp_path,
                                                                capsys):
+    # No pair was compared, so there is no verdict: this used to print
+    # min_image_distance = inf and collision = false with exit 0.
     cfg = _write(tmp_path, "tiny.cfg",
                  "injectivity.samples = 3\ninjectivity.r_max = 0.001\n")
-    assert main(["injectivity", cfg]) == 0
-    out = capsys.readouterr().out
-    assert _stdout_value(out, "min_image_distance") == "inf"
-    assert "pair_z1" not in out and "pair_z2" not in out
-    assert _stdout_value(out, "collision") == "false"
+    assert main(["injectivity", cfg]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "config error: no two of the n_samples = 3 samples are " \
+        "min_sep = 0.05 apart\n"
 
 
 # ---------------------------------------------------------------------------
@@ -512,6 +554,35 @@ def test_boundary_few_s_points(tmp_path, capsys):
     assert main(["boundary", cfg]) == 0
     out = capsys.readouterr().out
     assert float(_stdout_value(out, "worst_radial_convexity")) > 0.0
+
+
+@pytest.mark.parametrize("command", ["check-criterion", "covering",
+                                     "boundary"])
+def test_weight_gate_runs_before_the_curve(tmp_path, capsys, command):
+    # The curve's vanished tangent (exit 5) used to hide the weight's
+    # config error, which needs no computation.
+    cfg = _write(tmp_path, "both.cfg",
+                 "curve.scale = 1e-300\ncurve.normalize = true\n"
+                 "nehari.kind = constant\nnehari.factor = 1700\n")
+    assert main([command, cfg, "--output", str(tmp_path / "out")]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and "oscillates" in err
+
+
+@pytest.mark.parametrize("line", ["profile.eps = 0.6",
+                                  "boundary.r_cap = 0.3"])
+def test_boundary_empty_distortion_annulus_is_infeasible(tmp_path, capsys,
+                                                         line):
+    # The first used to exit 5 ("profile evaluated outside [0, 0.4]"), the
+    # second to fit the minorant on the inverted annulus (0.3, 0.5].
+    cfg = _write(tmp_path, "bd.cfg",
+                 "curve.kind = example2\nnehari.kind = inverse_square\n"
+                 f"{line}\nboundary.rays = 4\nboundary.s_points = 8\n"
+                 "boundary.ring_samples = 64\n")
+    assert main(["boundary", cfg]) == 0
+    out = capsys.readouterr().out
+    assert "distortion_fit = infeasible" in out.splitlines()
+    assert "distortion_a" not in out
 
 
 def test_covering_decreasing_weight_is_a_config_error(tmp_path, capsys):
@@ -692,11 +763,13 @@ def test_non_finite_curve_parameter_is_a_config_error(tmp_path, capsys,
     ("check-criterion", "curve.kind = tan_truncation\ncurve.degree = 0"),
     ("injectivity", "injectivity.min_sep = nan"),
     ("injectivity", "injectivity.min_sep = inf"),
+    ("injectivity", "injectivity.min_sep = 5"),
     ("extremal-profile", "nehari.kind = tabulated\n"
      "nehari.table_x = 0,0.3,0.6,0.9\nnehari.table_p = 2,nan,2,2"),
     ("check-criterion", "grid.refine = -1"),
 ], ids=["tol-negative", "tol-inf", "example1-c-nan", "example2-c-nan",
         "reproduce1-c-nan", "degree-0", "min_sep-nan", "min_sep-inf",
+        "min_sep-5",
         "table-p-nan", "refine-negative"])
 def test_rejected_value_is_a_config_error(tmp_path, capsys, command, lines):
     # All but the table used to print a verdict on unsupported inputs

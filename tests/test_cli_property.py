@@ -45,6 +45,7 @@ _CHECK = st.fixed_dictionaries({
     "grid.refine": st.integers(0, 2),
     "nehari.kind": st.sampled_from(["constant", "inverse_square",
                                     "half_strip"]),
+    "nehari.factor": _OPTIONAL,
 })
 _INJECTIVITY = st.fixed_dictionaries({
     "injectivity.samples": st.integers(2, 80),
@@ -94,6 +95,10 @@ def test_cli_contract_on_random_configs(command, curve, shape, check,
         # A verdict stands only on a finite, nonnegative tolerance.
         tol = float(printed.get("tol_eq", printed.get("min_sep")))
         assert 0.0 <= tol < math.inf, text
+    factor = options.get("nehari.factor")
+    if command == "check-criterion" and factor is not None and factor > 1.0:
+        # ... and on a disconjugate weight: no closed kind past factor 1.
+        assert "verdict" not in printed and code == 2, text
     assert again == first, text
 
 

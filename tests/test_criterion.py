@@ -526,6 +526,25 @@ def test_boundary_trace_finds_cut_pair(ex1):
     assert tr["real_axis_gap"] > 1e3 * tr["min_gap"]
 
 
+def test_ring_real_axis_gap_on_an_odd_ring():
+    # An odd ring has no point at -r: the gap used to be read at ring
+    # point n // 2 and came out 1.9979626803429937 here.
+    tr = boundary_trace(hc.identity_curve(), n_samples=257)
+    assert tr["real_axis_gap"] == 1.998 == 2.0 * tr["ring_radius"]
+
+
+@pytest.mark.parametrize("eps,r_cap", [(0.6, 0.99), (1e-6, 0.3)])
+def test_empty_distortion_annulus_is_infeasible(ex2, eps, r_cap):
+    # min(0.99, r_cap) <= 0.5 after the clamp to the profile's end leaves no
+    # annulus 0.5 <= |z| < r_out: the first case evaluated the profile past
+    # its end, the second fitted on the inverted annulus (0.3, 0.5].
+    profile = extremal_profile(NehariFunction.inverse_square(), eps=eps,
+                               n_samples=65)
+    d = boundary_diagnostics(ex2, profile, n_rays=4, n_s=8, r_cap=r_cap)
+    assert d.distortion is None
+    assert np.isfinite(d.worst_radial_convexity)
+
+
 def test_boundary_trace_deterministic(ex2):
     a = boundary_trace(ex2, n_samples=1024)
     b = boundary_trace(ex2, n_samples=1024)

@@ -210,22 +210,15 @@ def test_extremality_margins():
     assert abs(extremality_margin(NehariFunction.inverse_square(0.5)) - 2.0) < 1e-3
 
 
-@pytest.mark.parametrize("kind,factor,bits", [
-    ("constant", 1.0, "0x1.0003000000000p+0"),
-    ("constant", 0.5, "0x1.ffff000000000p+0"),
-    ("inverse_square", 1.0, "0x1.0009000000000p+0"),
-    ("inverse_square", 0.5, "0x1.000b800000000p+1"),
-    ("half_strip", 1.0, "0x1.0003000000000p+0"),
-    ("half_strip", 0.5, "0x1.ffff000000000p+0"),
-])
-def test_extremality_margin_bits(kind, factor, bits):
-    # Stopping each phase solve at its first zero leaves every bisection
-    # step, and so every bit of the margin, as the full-window count had it.
-    assert extremality_margin(NehariFunction(kind, factor)) \
-        == float.fromhex(bits)
+# A table of the constant weight: the spline of constant data is constant and
+# clamped beyond its last node, so it is pi^2/4 on all of (-1, 1), but a
+# table's margin is bisected, never read off its factor.
+def _constant_table(factor=1.0):
+    return NehariFunction.tabulated(np.linspace(0.0, 0.9, 10),
+                                    np.full(10, np.pi ** 2 / 4), factor)
 
 
-def test_oscillating_margin_solve_stops_at_its_first_zero(monkeypatch):
+def _count_solves(monkeypatch):
     import holocurve.nehari as nehari
 
     ends, original = [], nehari.solve_ivp
@@ -236,7 +229,65 @@ def test_oscillating_margin_solve_stops_at_its_first_zero(monkeypatch):
         return sol
 
     monkeypatch.setattr(nehari, "solve_ivp", solve)
-    extremality_margin(NehariFunction.constant())
+    return ends
+
+
+def _bisected_margin(p):
+    """The largest k with disconjugacy_count(k p) == 0, bisected to 1e-4 in
+    a doubling bracket from [1, 4]: the search extremality_margin ran on
+    every kind before closed kinds had their exact margin."""
+    def disconjugate(k):
+        return disconjugacy_count(p.scaled(k)) == 0
+
+    lo, hi = 1.0, 4.0
+    while disconjugate(hi):
+        lo, hi = hi, 2.0 * hi
+    while hi - lo > 1e-4:
+        mid = 0.5 * (lo + hi)
+        lo, hi = (mid, hi) if disconjugate(mid) else (lo, mid)
+    return 0.5 * (lo + hi)
+
+
+@pytest.mark.parametrize("kind,factor,bits", [
+    ("constant", 1.0, "0x1.0003000000000p+0"),
+    ("constant", 0.5, "0x1.ffff000000000p+0"),
+    ("inverse_square", 1.0, "0x1.0009000000000p+0"),
+    ("inverse_square", 0.5, "0x1.000b800000000p+1"),
+    ("half_strip", 1.0, "0x1.0003000000000p+0"),
+    ("half_strip", 0.5, "0x1.ffff000000000p+0"),
+])
+def test_extremality_margin_bits(kind, factor, bits):
+    # The margin is exactly 1/factor.  The zero count, bisected, still
+    # gives the bits the margin had: a midpoint within the step 1e-4, plus
+    # the window's resolution (pi/240)^2 of the critical scale, of 1/factor.
+    p = NehariFunction(kind, factor)
+    assert extremality_margin(p) == 1.0 / factor
+    assert _bisected_margin(p) == float.fromhex(bits)
+    assert abs(float.fromhex(bits) - 1.0 / factor) \
+        <= (np.pi / 240.0) ** 2 / factor + 1e-4
+
+
+@pytest.mark.parametrize("kind", ["constant", "inverse_square",
+                                  "half_strip"])
+@pytest.mark.parametrize("factor", [1.0, 0.9, 0.5, 0.05, 1e-7, 1e-300])
+def test_closed_margin_is_exact_without_a_solve(kind, factor, monkeypatch):
+    # At factor 1 each closed kind's u0 vanishes at +-1, so its margin is
+    # 1/factor.  Admitting the weight and reading its margin solve nothing.
+    solves = _count_solves(monkeypatch)
+    p = NehariFunction(kind, factor)
+    assert validate_nehari(p).ok
+    assert extremality_margin(p) == 1.0 / factor
+    assert solves == []
+
+
+def test_tabulated_margin_bits():
+    assert extremality_margin(_constant_table()) \
+        == float.fromhex("0x1.0003000000000p+0")
+
+
+def test_oscillating_margin_solve_stops_at_its_first_zero(monkeypatch):
+    ends = _count_solves(monkeypatch)
+    extremality_margin(_constant_table())
     # k = 1 is disconjugate and runs to the window's end; the bracket end
     # k = 4 and every midpoint above the margin 1.00005 oscillate, and each
     # of their solves ends at the first zero, far inside |t| <= 120.
@@ -245,15 +296,62 @@ def test_oscillating_margin_solve_stops_at_its_first_zero(monkeypatch):
 
 
 def test_extremality_margin_guards():
-    with pytest.raises(ValueError):
-        extremality_margin(NehariFunction.constant(1.2))   # already oscillates
+    for p in (NehariFunction.constant(1.2), _constant_table(1.2)):
+        with pytest.raises(ValueError):   # already oscillates
+            extremality_margin(p)
     # margins above the first bracket [1, 4]: the bracket doubles
-    m = extremality_margin(NehariFunction.inverse_square(0.25))
+    m = extremality_margin(_constant_table(0.25))
     assert abs(m - 4.0) < 2e-3
-    assert extremality_margin(NehariFunction.constant(0.05)) \
-        == 20.000030517578125
+    assert extremality_margin(_constant_table(0.05)) == 20.000030517578125
     with pytest.raises(NumericalError):   # margin 1e7 > 2^20
-        extremality_margin(NehariFunction.constant(1e-7))
+        extremality_margin(_constant_table(1e-7))
+    with pytest.raises(NumericalError):   # 1/factor overflows
+        extremality_margin(NehariFunction.constant(1e-310))
+
+
+@pytest.mark.parametrize("kind", ["constant", "inverse_square",
+                                  "half_strip"])
+@pytest.mark.parametrize("factor", [0.25, 0.5, 0.9, 1.1, 2.0, 4.0])
+def test_exact_rule_agrees_with_the_zero_count(kind, factor):
+    # The phase count is the independent oracle of the rule factor <= 1.
+    p = NehariFunction(kind, factor)
+    assert (disconjugacy_count(p) == 0) == (factor <= 1.0)
+    assert validate_nehari(p).disconjugate == (factor <= 1.0)
+
+
+def test_factor_just_above_one_is_rejected_with_a_zero():
+    # The window |t| <= 120 holds no zero of inverse_square at 1.00016, and
+    # validate_nehari used to admit it; the count it reports is at least 1.
+    p = NehariFunction.inverse_square(1.00016)
+    assert disconjugacy_count(p) == 0
+    v = validate_nehari(p)
+    assert not v.ok and v.zero_count == 1
+    assert v.messages == ("u'' + p u = 0 oscillates (1 interior zero(s))",)
+
+
+def test_hille_weight_is_rejected():
+    # Hille's exp(2i artanh z) meets the criterion of inverse_square at
+    # factor 2 with equality, yet is not injective: it takes the same value
+    # at x = 0 and x = tanh(pi).  Its weight is not disconjugate.
+    curve, p = holocurve.hille_curve(1.0), NehariFunction.inverse_square(2.0)
+    report = holocurve.scan(curve, p, holocurve.GridSpec(n_r=20, n_theta=8))
+    assert report.verdict == "holds-with-equality"
+    ends = holocurve.eval_curve(curve, np.tanh([0.0, np.pi])).val[0]
+    assert abs(ends[0] - ends[1]) < 1e-12
+    assert not validate_nehari(p).ok
+
+
+def test_exponential_weight_is_rejected():
+    # e^{az}, a = 1.05 pi, has |S| = a^2/2 = 2 p for the constant weight at
+    # factor 1.05^2, and takes the same value at +-i pi/a in the disk.
+    a = 1.05 * np.pi
+    curve = holocurve.exponential_curve([(1.0, a)])
+    p = NehariFunction.constant(1.1025)
+    report = holocurve.scan(curve, p, holocurve.GridSpec(n_r=20, n_theta=8))
+    assert report.verdict != "fails"
+    vals = holocurve.eval_curve(curve, np.array([1j, -1j]) * np.pi / a).val
+    assert abs(vals[0, 0] - vals[0, 1]) < 1e-12
+    assert not validate_nehari(p).ok
 
 
 # ---------------------------------------------------------------------------

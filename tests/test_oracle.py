@@ -7,7 +7,7 @@ import pytest
 
 import holocurve as hc
 from holocurve import oracle
-from holocurve.errors import DomainError
+from holocurve.errors import ConfigError, DomainError
 from holocurve.oracle import (_admissible_min_brute, default_suite_curves,
                               identity_suite, injectivity_scan)
 from holocurve.sampling import disk_samples
@@ -60,7 +60,6 @@ def test_injectivity_identity_curve_min_distance_is_min_sep():
     # for the identity the image distance equals the domain distance, so
     # the admissible minimum hugs the min_sep cutoff from above
     assert 0.05 <= rep.min_image_distance < 0.054
-    assert rep.pair is not None
     z1, z2 = rep.pair
     assert abs(z1 - z2) >= 0.05
 
@@ -118,10 +117,17 @@ def test_injectivity_rejects_fewer_than_two_samples():
 
 
 def test_injectivity_without_admissible_pair_has_no_witness():
-    rep = injectivity_scan(hc.identity_curve(), n_samples=3, r_max=0.001)
-    assert rep.min_image_distance == np.inf
-    assert rep.pair is None
-    assert not rep.collision_found
+    # No pair is compared, so there is neither a distance nor a verdict.
+    with pytest.raises(ConfigError, match="n_samples = 3 .* min_sep = 0.05"):
+        injectivity_scan(hc.identity_curve(), n_samples=3, r_max=0.001)
+
+
+@pytest.mark.parametrize("r_min,r_max", [
+    (0.5, 0.3), (0.5, 0.5), (-0.1, 0.5), (0.0, 1.5), (np.nan, 0.5)])
+def test_disk_samples_rejects_an_empty_or_outside_annulus(r_min, r_max):
+    # An inverted annulus used to be sampled silently.
+    with pytest.raises(ValueError, match="0 <= r_min < r_max <= 1"):
+        disk_samples(10, r_min=r_min, r_max=r_max)
 
 
 _REFERENCE_SCANS = [

@@ -9,6 +9,7 @@ import pytest
 
 import holocurve as hc
 from holocurve import oracle
+from holocurve.errors import ConfigError
 from holocurve.oracle import _admissible_min_brute, injectivity_scan
 
 hypothesis = pytest.importorskip("hypothesis")
@@ -39,13 +40,17 @@ def test_injectivity_matches_brute_reference_on_random_clouds(
     else:
         z = rng.uniform(-1, 1, n) + 1j * rng.uniform(-1, 1, n)
     vals = np.array([np.polynomial.polynomial.polyval(z, p) for p in polys])
+    X = np.concatenate([np.real(vals), np.imag(vals)], axis=0).T.copy()
+    dist, pair = _admissible_min_brute(z, X, min_sep)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(oracle, "disk_samples", lambda *args, **kwargs: z)
         mp.setattr(oracle, "eval_curve",
                    lambda curve, points: SimpleNamespace(val=vals))
+        if dist == np.inf:   # no admissible pair: no verdict either
+            with pytest.raises(ConfigError):
+                injectivity_scan(hc.identity_curve(), n_samples=n,
+                                 min_sep=min_sep)
+            return
         rep = injectivity_scan(hc.identity_curve(), n_samples=n,
                                min_sep=min_sep)
-    X = np.concatenate([np.real(vals), np.imag(vals)], axis=0).T.copy()
-    dist, pair = _admissible_min_brute(z, X, min_sep)
-    assert (rep.min_image_distance, rep.pair) \
-        == (dist, pair if dist < np.inf else None)
+    assert (rep.min_image_distance, rep.pair) == (dist, pair)
