@@ -27,7 +27,7 @@ import numpy as np
 from ._table import write_csv
 from .criterion import (GridSpec, boundary_diagnostics, boundary_trace,
                         check_boundary_rays, check_boundary_ring,
-                        check_covering_lattice, covering_bound,
+                        check_covering, covering_bound,
                         intrinsic_min_distance, normalize, scan,
                         second_derivative_norm, write_scan_csv)
 from .errors import ConfigError, NumericalError
@@ -74,7 +74,6 @@ _SCHEMA = {
     "profile.samples": ("int", 1025),
     "covering.radii": ("str", "0.3,0.6,0.9"),
     "covering.resolution": ("int", 200),
-    "covering.tol": ("float", 2e-3),
     "injectivity.samples": ("int", 10000),
     "injectivity.min_sep": ("float", 0.05),
     "injectivity.r_min": ("float", 0.0),
@@ -277,38 +276,39 @@ def _cmd_extremal_profile(cfg: RunConfig) -> int:
 def _cmd_covering(cfg: RunConfig) -> int:
     radii = _float_list(cfg, "covering.radii")
     resolution = cfg["covering.resolution"]
-    # Mesh quadrature error on the measured distance is far above float
-    # noise, so the verdict allows a small absolute shortfall.
-    tol = cfg["covering.tol"]
     if not radii:
         raise ConfigError("covering.radii lists no radius")
-    if not 0.0 <= tol < np.inf:
-        raise ConfigError(f"covering.tol = {tol:g} must be finite and >= 0")
     for r in radii:
-        check_covering_lattice(r, resolution)
+        check_covering(r, resolution)
     weight = build_weight(cfg)
     curve = normalize(build_curve(cfg))
     profile = extremal_profile(weight, eps=cfg["profile.eps"],
                                n_samples=cfg["profile.samples"])
     phi2 = second_derivative_norm(curve)
     rows = []
-    violated = False
     for r in radii:
         h = float(covering_bound(profile, phi2, r))
-        measured = intrinsic_min_distance(curve, r, resolution=resolution)
-        slack = measured - h
-        if not np.isfinite(slack):
-            raise NumericalError(f"covering slack at r = {r:g} is {slack} "
-                                 f"(measured = {measured}, bound = {h})")
-        violated = violated or (slack < -tol)
-        rows.append((r, h, measured, slack))
+        lower, upper = intrinsic_min_distance(curve, r, resolution=resolution)
+        if not np.isfinite(lower - h) or not np.isfinite(upper):
+            raise NumericalError(f"covering bracket at r = {r:g} is "
+                                 f"[{lower}, {upper}] (bound = {h})")
+        rows.append((r, h, lower, upper, lower - h))
+    # The distance lies in [lower, upper]: upper < bound is a violation,
+    # lower >= bound confirms the bound, anything between decides nothing.
+    violated = any(upper < h for _, h, _, upper, _ in rows)
+    for r, h, lower, upper, _ in rows:
+        if not violated and lower < h:
+            raise NumericalError(
+                f"covering bracket inconclusive at r = {_fmt(r)}: lower = "
+                f"{_fmt(lower)}, upper = {_fmt(upper)}, bound = {_fmt(h)}")
     csv_path = _out_dir(cfg) / "covering.csv"
-    write_csv(csv_path, ("r", "bound", "measured", "slack"), list(zip(*rows)))
+    write_csv(csv_path, ("r", "bound", "lower", "upper", "slack"),
+              list(zip(*rows)))
     print(f"curve = {curve.label}")
     print(f"normalized_second_deriv = {_fmt(phi2)}")
-    for r, h, measured, slack in rows:
-        print(f"r = {_fmt(r)}: bound = {_fmt(h)}, measured = {_fmt(measured)},"
-              f" slack = {_fmt(slack)}")
+    for r, h, lower, upper, slack in rows:
+        print(f"r = {_fmt(r)}: bound = {_fmt(h)}, lower = {_fmt(lower)}, "
+              f"upper = {_fmt(upper)}, slack = {_fmt(slack)}")
     print(f"covering_csv = {csv_path}")
     print(f"verdict = {'violated' if violated else 'consistent'}")
     return 1 if violated else 0

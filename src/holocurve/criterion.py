@@ -7,9 +7,9 @@ injective on the disk when
 
 for an admissible weight p.  `scan` evaluates margin = bound - lhs over a
 polar grid and classifies the verdict; `covering_bound` turns the profile of
-the weight into the guaranteed intrinsic covering radius, which
-`intrinsic_min_distance` can check against a Dijkstra shortest path in the
-pulled-back metric; `radial_comparison_margin` evaluates the pointwise
+the weight into the guaranteed intrinsic covering radius, and
+`intrinsic_min_distance` brackets the intrinsic distance to a circle by
+quadrature along rays; `radial_comparison_margin` evaluates the pointwise
 metric-domination inequality; the boundary diagnostics quantify convexity of
 the weight ratio w = sqrt(Phi'(|z|)/|phi'(z)|) along rays.
 """
@@ -30,7 +30,7 @@ from .schwarzian import _criterion_terms, conformal_data
 __all__ = [
     "GridSpec", "CriterionReport", "scan", "write_scan_csv",
     "normalize", "second_derivative_norm", "covering_bound",
-    "check_covering_lattice", "intrinsic_min_distance",
+    "check_covering", "intrinsic_min_distance",
     "radial_comparison_margin", "weight_ratio", "BoundaryDiagnostics",
     "check_boundary_rays", "boundary_diagnostics", "check_boundary_ring",
     "boundary_trace",
@@ -239,16 +239,10 @@ def covering_bound(profile: ExtremalProfile, phi2_norm: float, r) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# Intrinsic distance on a lattice mesh
+# Intrinsic distance to a circle, bracketed along rays
 # ---------------------------------------------------------------------------
 
-# 16-neighbourhood: knight moves on top of the 8 axial/diagonal ones keep
-# the lattice-metric anisotropy under ~3%.
-_MOVES = [(1, 0), (0, 1), (1, 1), (1, -1),
-          (2, 1), (2, -1), (1, 2), (1, -2)]
-
-
-def check_covering_lattice(r: float, resolution: int) -> None:
+def check_covering(r: float, resolution: int) -> None:
     """Raise ConfigError unless 0 < r < 0.99 and resolution >= 2."""
     if not 0.0 < r < 0.99:
         raise ConfigError(f"covering radius {r:g} must lie in (0, 0.99)")
@@ -257,74 +251,65 @@ def check_covering_lattice(r: float, resolution: int) -> None:
 
 
 def dijkstra(*args, **kwargs):
-    """scipy.sparse.csgraph.dijkstra, imported at first use."""
+    """scipy.sparse.csgraph.dijkstra, imported at first use.  Uncalled, but
+    the bench tracer stops if it is gone; ROADMAP item 1 retires it."""
     from scipy.sparse.csgraph import dijkstra
     return dijkstra(*args, **kwargs)
 
 
-def intrinsic_min_distance(curve: HoloCurve, r: float,
-                           resolution: int = 200) -> float:
-    """min over |z| = r of the intrinsic distance d_phi(0, z).
+def _sigma_derivatives(curve: HoloCurve, z):
+    """q = e^{2 sigma}, sigma_z = P/(2Q), sigma_zz = (R/Q - (P/Q)^2)/2 and
+    sigma_zzbar = W^2/(2Q^2) over z."""
+    data = conformal_data(eval_curve(curve, z))
+    ratio = data.p_sum / data.q
+    return (data.q, 0.5 * ratio, 0.5 * (data.r_sum / data.q - ratio * ratio),
+            0.5 * data.wronskian_sq / data.q ** 2)
 
-    Dijkstra on a square lattice covering |z| <= r + 0.02, edge weights
-    |dz| * e^{sigma(midpoint)}, with a final radial continuation from the
-    lattice nodes just inside the circle.  Approximates the true distance
-    and bounds it in neither direction: the lattice anisotropy (<~ 3%)
-    lengthens paths, yet it has read below an exact lower bound (by 5.2e-6
-    on example 1 at r = 0.9).  Raises ConfigError for a radius or
-    resolution that check_covering_lattice rejects.
+
+def _ray_sums(curve, r, n, thetas):
+    """intrinsic_min_distance's (lower, upper) by n Gauss-Legendre nodes.
+
+    A node's minimum is over its sampled angles and the Newton polish of the
+    best one on sigma_theta = 0.  Both sums add in one order, so lower <=
+    upper holds in floating point too.
     """
-    check_covering_lattice(r, resolution)
-    R = min(r + 0.02, 0.999)
-    h = 2.0 * R / resolution
-    k = int(np.floor(R / h))
-    ii, jj = np.meshgrid(np.arange(-k, k + 1), np.arange(-k, k + 1),
-                         indexing="ij")
-    zz = (ii * h) + 1j * (jj * h)
-    inside = np.abs(zz) <= R
-    # int32, the sparse graph's own index type: no converted copies.
-    ids = -np.ones(zz.shape, dtype=np.int32)
-    ids[inside] = np.arange(int(np.sum(inside)))
-    n_nodes = int(np.sum(inside))
+    x, w = np.polynomial.legendre.leggauss(n)
+    t, w = 0.5 * r * (x + 1.0), 0.5 * r * w
+    f = _metric_factor(curve, np.outer(t, np.exp(1j * thetas)).ravel())
+    f = f.reshape(n, len(thetas))
+    best, theta = np.min(f, axis=1), thetas[np.argmin(f, axis=1)]
+    half = np.pi / len(thetas)
+    for _ in range(6):
+        z = t * np.exp(1j * theta)
+        q, s_z, s_zz, s_zzbar = _sigma_derivatives(curve, z)
+        best = np.minimum(best, np.sqrt(q))
+        s_t = -2.0 * np.imag(z * s_z)
+        s_tt = 2.0 * s_zzbar * t * t - 2.0 * np.real(z * z * s_zz + z * s_z)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            theta = theta + np.where(s_tt > 0.0,
+                                     np.clip(-s_t / s_tt, -half, half), 0.0)
+    sums = np.zeros(len(thetas) + 1)
+    for wi, row in zip(w, np.column_stack([f, best])):
+        sums += wi * row
+    return sums[-1], np.min(sums[:-1])
 
-    # The midpoint of move (di, dj) from node (a, b) is node (2a+di, 2b+dj)
-    # of the half-step lattice, which edges of several moves share: mark the
-    # ones in use, evaluate e^{sigma} there once, then gather per move.
-    H, W = zz.shape
-    used = np.zeros((2 * H - 1, 2 * W - 1), dtype=bool)
-    rows, cols, moves = [], [], []
-    for di, dj in _MOVES:
-        s_sl = (slice(max(0, -di), H - max(0, di)),
-                slice(max(0, -dj), W - max(0, dj)))
-        d_sl = (slice(max(0, di), H - max(0, -di)),
-                slice(max(0, dj), W - max(0, -dj)))
-        m_sl = tuple(slice(2 * s.start + d, 2 * s.stop + d - 1, 2)
-                     for s, d in zip(s_sl, (di, dj)))
-        both = inside[s_sl] & inside[d_sl]
-        used[m_sl] |= both
-        rows.append(ids[s_sl][both])
-        cols.append(ids[d_sl][both])
-        moves.append((np.abs((di + 1j * dj) * h), m_sl, both))
-    half = np.arange(-2 * k, 2 * k + 1) * (h / 2)
-    factor = np.zeros(used.shape)
-    factor[used] = _metric_factor(
-        curve, (half[:, None] + 1j * half[None, :])[used])
-    ws = [length * factor[m_sl][both] for length, m_sl, both in moves]
-    from scipy import sparse
-    graph = sparse.coo_matrix(
-        (np.concatenate(ws), (np.concatenate(rows), np.concatenate(cols))),
-        shape=(n_nodes, n_nodes)).tocsr()
-    source = int(ids[k, k])  # lattice point (0, 0)
-    dist = dijkstra(graph, directed=False, indices=source)
 
-    node_z = zz[inside]
-    node_r = np.abs(node_z)
-    band = (node_r <= r) & (node_r >= r - 2.5 * h)
-    if not np.any(band):
-        raise NumericalError("no lattice nodes in the circle band; "
-                             "increase the resolution")
-    tail = _metric_factor(curve, node_z[band]) * (r - node_r[band])
-    return float(np.min(dist[band] + tail))
+def intrinsic_min_distance(curve: HoloCurve, r: float,
+                           resolution: int = 200) -> tuple[float, float]:
+    """(lower, upper), a bracket of min over |z| = r of d_phi(0, z).
+
+    Every path from 0 to the circle crosses each circle |z| = t, so
+    lower = int_0^r min_{|z|=t} e^{sigma} dt is at most the distance; each
+    ray is such a path, so upper = min_theta int_0^r e^{sigma(t e^{i theta})}
+    dt is at least it.  Both take 128 Gauss-Legendre nodes, less and plus
+    their difference from 64 nodes, and `resolution` angles per node circle.
+    Raises ConfigError for a radius or resolution check_covering rejects.
+    """
+    check_covering(r, resolution)
+    thetas = 2.0 * np.pi * np.arange(resolution) / resolution
+    lo64, up64 = _ray_sums(curve, r, 64, thetas)
+    lo, up = _ray_sums(curve, r, 128, thetas)
+    return float(lo - abs(lo - lo64)), float(up + abs(up - up64))
 
 
 # ---------------------------------------------------------------------------
@@ -383,16 +368,18 @@ def _log_weight_derivatives(curve: HoloCurve, profile: ExtremalProfile, z):
     With m = Phi''/Phi' = -2 u0'/u0, rho = m/r = 2A - m^2/2 (A carries the
     small-r series) and rho_r = r rho' = 2p + m^2 - 2A:
 
-        l_z      = (rho zbar - P/Q) / 4
-        l_zz     = (rho_r zetabar^2 / 2 - (R/Q - (P/Q)^2)) / 4
-        l_zzbar  = (rho_r / 2 + rho - W^2/Q^2) / 4,      zeta = z/|z|.
+        l_z      = (rho zbar - 2 sigma_z) / 4
+        l_zz     = (rho_r zetabar^2 / 2 - 2 sigma_zz) / 4
+        l_zzbar  = (rho_r / 2 + rho - 2 sigma_zzbar) / 4,    zeta = z/|z|,
+
+    with sigma's derivatives from _sigma_derivatives.
 
     Returns (w, m, u0, g, a, b) with g = l_x + i l_y = 2 conj(l_z),
     a = l_zz and b = l_zzbar; the second derivative of l along a unit
     vector v is 2b + 2 Re(a v^2).
     """
     z = np.asarray(z, dtype=complex)
-    data = conformal_data(eval_curve(curve, z))
+    q, s_z, s_zz, s_zzbar = _sigma_derivatives(curve, z)
     r = np.abs(z)
     u0, u0p = profile.u0(r), profile.u0_prime(r)
     m = -2.0 * u0p / u0
@@ -400,12 +387,10 @@ def _log_weight_derivatives(curve: HoloCurve, profile: ExtremalProfile, z):
     rho = 2.0 * a_r - 0.5 * m * m
     rho_r = 2.0 * profile.p(r) + m * m - 2.0 * a_r
     zeta = np.where(r > 0, z / np.where(r > 0, r, 1.0), 1.0)
-    ratio = data.p_sum / data.q
-    g = 0.5 * np.conj(rho * np.conj(z) - ratio)
-    a = 0.25 * (0.5 * rho_r * np.conj(zeta) ** 2
-                - (data.r_sum / data.q - ratio * ratio))
-    b = 0.25 * (0.5 * rho_r + rho - data.wronskian_sq / data.q ** 2)
-    return 1.0 / (u0 * data.q ** 0.25), m, u0, g, a, b
+    g = 0.5 * np.conj(rho * np.conj(z) - 2.0 * s_z)
+    a = 0.25 * (0.5 * rho_r * np.conj(zeta) ** 2 - 2.0 * s_zz)
+    b = 0.25 * (0.5 * rho_r + rho - 2.0 * s_zzbar)
+    return 1.0 / (u0 * q ** 0.25), m, u0, g, a, b
 
 
 def minimize(*args, **kwargs):

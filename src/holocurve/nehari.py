@@ -183,6 +183,7 @@ def validate_nehari(p: NehariFunction) -> NehariValidation:
     Positivity is sampled on (-1, 1), the monotonicity of the compactified
     kernel in t (heavily refined near |x| = 1, where violations hide).  A
     closed kind is disconjugate iff factor <= 1, a table iff its count is 0.
+    NumericalError if a table's count differs at rtol 1e-10 and 1e-12.
     """
     msgs = []
     xs = np.tanh(np.linspace(-16.0, 16.0, 2001))
@@ -198,10 +199,16 @@ def validate_nehari(p: NehariFunction) -> NehariValidation:
     if not kernel_noninc:
         msgs.append("(1-x^2)^2 p(x) increases somewhere in |x|")
 
-    if p.kind == "tabulated":
-        count = disconjugacy_count(p) if positive else -1
-    else:   # the window can miss the first zero of a factor just above 1
+    if p.kind != "tabulated":
+        # The window can miss the first zero of a factor just above 1.
         count = 0 if _exact_margin(p) >= 1.0 else max(disconjugacy_count(p), 1)
+    elif positive:   # a count that moves with the tolerance is undecided
+        count, fine = (disconjugacy_count(p, rtol) for rtol in (1e-10, 1e-12))
+        if count != fine:
+            raise NumericalError(f"zero count of {p.label} is undecided: "
+                                 f"{count} at rtol 1e-10, {fine} at 1e-12")
+    else:
+        count = -1
     disconj = count == 0
     if positive and not disconj:
         msgs.append(f"u'' + p u = 0 oscillates ({count}"
@@ -214,7 +221,7 @@ def validate_nehari(p: NehariFunction) -> NehariValidation:
 # Disconjugacy and the extremality margin
 # ---------------------------------------------------------------------------
 
-def disconjugacy_count(p: NehariFunction) -> int:
+def disconjugacy_count(p: NehariFunction, rtol: float = 1e-10) -> int:
     """Number of zeros in (-_T_MAX, _T_MAX] of the solution of
     v'' + (P(t) - 1) v = 0 started as v(-_T_MAX) = 0, v'(-_T_MAX) = 1.
 
@@ -232,10 +239,11 @@ def disconjugacy_count(p: NehariFunction) -> int:
     kv = p.kernel(ts)
     sturm = 2.0 * ts * np.sqrt(np.maximum(kv - 1.0, 0.0)) / np.pi
     saturated = np.all(np.diff(kv) <= 0.0) and np.max(sturm) >= _MAX_ZEROS
-    return _MAX_ZEROS if saturated else _phase_zeros(p, _MAX_ZEROS)
+    return _MAX_ZEROS if saturated else _phase_zeros(p, _MAX_ZEROS, rtol)
 
 
-def _phase_zeros(p: NehariFunction, max_zeros: int) -> int:
+def _phase_zeros(p: NehariFunction, max_zeros: int,
+                 rtol: float = 1e-10) -> int:
     """The phase solve of disconjugacy_count; it ends where theta first
     reaches max_zeros pi, and the count then reads max_zeros."""
     def rhs(t, y):
@@ -243,7 +251,7 @@ def _phase_zeros(p: NehariFunction, max_zeros: int) -> int:
         s, c = np.sin(y[0]), np.cos(y[0])
         return [c * c + g * s * s]
 
-    sol = solve_ivp(rhs, (-_T_MAX, _T_MAX), [0.0], rtol=1e-10, atol=1e-12,
+    sol = solve_ivp(rhs, (-_T_MAX, _T_MAX), [0.0], rtol=rtol, atol=1e-12,
                     event=lambda t, y: y[0] - max_zeros * np.pi, direction=1)
     if not sol.success:  # e.g. a weight so large no step resolves it
         raise NumericalError(f"phase integration failed: {sol.message}")
@@ -258,7 +266,8 @@ def _exact_margin(p: NehariFunction) -> float | None:
 
 def extremality_margin(p: NehariFunction) -> float:
     """sup{k >= 1 : u'' + k p u = 0 is disconjugate}: 1/factor for a closed
-    kind, else by bisection to 1e-4.  Requires p to be disconjugate.
+    kind, for a table the largest k its bisection to 1e-4 found
+    disconjugate.  Requires p to be disconjugate.
 
     A table's bracket [1, 4] doubles into [4, 8], [8, 16], ... while its
     upper end is still disconjugate.  A margin above 2^20, or a 1/factor that
@@ -285,7 +294,7 @@ def extremality_margin(p: NehariFunction) -> float:
             lo = mid
         else:
             hi = mid
-    return 0.5 * (lo + hi)
+    return lo
 
 
 # ---------------------------------------------------------------------------

@@ -170,11 +170,11 @@ def test_07_covering_bound_consistency(ex1, profile_constant):
         phi2 = second_derivative_norm(curve)
         for r in radii:
             bound = float(hc.covering_bound(profile_constant, phi2, r))
-            measured = hc.intrinsic_min_distance(curve, r, resolution=200)
-            worst_slack = min(worst_slack, measured - bound)
+            lower, _ = hc.intrinsic_min_distance(curve, r, resolution=200)
+            worst_slack = min(worst_slack, lower - bound)
         times.append(time.perf_counter() - t0)
     ok = worst_slack >= -2e-3 and max(times) < 30.0
-    _verdict(7, ok, f"covering bound: worst (measured - bound) = "
+    _verdict(7, ok, f"covering bound: worst (lower - bound) = "
              f"{worst_slack:.2e} >= -2e-3; per-curve time "
              f"{max(times):.2f}s")
 

@@ -3,7 +3,8 @@ drops one would otherwise only show when a traced benchmark run stops, and
 one that routes a call around its binding would read as 0 calls.
 
 bench/tracer.py is loaded by path; only the shim test installs it.  The
-weight gate test reads bench/workloads.json and changes nothing there.
+weight gate and covering tests read bench/workloads.json and change nothing
+there.
 """
 
 import importlib.util
@@ -38,8 +39,8 @@ def test_every_trace_target_resolves(where):
     assert callable(value)
 
 
-# The scipy bindings and nehari.solve_ivp are first-use shims; each of these
-# tiny runs calls one, apart from the injectivity run, which calls none.
+# The scipy bindings and nehari.solve_ivp are first-use shims.  Only the
+# boundary run calls one, nehari.solve_ivp for its profile.
 _SHIM_RUNS = [
     ("boundary", "curve.kind = example2\nnehari.kind = inverse_square\n"
      "boundary.rays = 2\nboundary.s_points = 3\nboundary.ring_samples = 64\n"),
@@ -63,12 +64,14 @@ def test_tracer_records_the_scipy_shims(tmp_path):
     finally:
         restore()
     names = {span[0] for span in trace.spans}
-    for name in ["nehari.solve_ivp", "criterion.dijkstra"]:
-        assert name in names, f"no {name} span: a call bypassed its binding"
-    # criterion.minimize and oracle.cKDTree are wrapped but no longer
-    # called: the critical-point search is a plain Newton iteration and
-    # the injectivity pair search a numpy sweep.
-    assert "oracle.kdtree" not in names
+    assert "nehari.solve_ivp" in names, "a call bypassed its binding"
+    assert "criterion.intrinsic_min_distance" in names
+    # criterion.minimize, criterion.dijkstra and oracle.cKDTree are wrapped
+    # but no longer called: the critical-point search is a plain Newton
+    # iteration, the covering distance a quadrature bracket and the
+    # injectivity pair search a numpy sweep.
+    assert not names & {"criterion.minimize", "criterion.dijkstra",
+                        "oracle.kdtree"}
     for (module, attr), original in zip(shims, originals):
         assert getattr(module, attr) is original
 
@@ -87,7 +90,25 @@ def test_bench_weights_are_admitted_without_a_phase_solve(op, monkeypatch):
     solves = []
     monkeypatch.setattr(nehari, "solve_ivp",
                         lambda *args, **kwargs: solves.append(args))
-    text = "".join(f"{key} = {value}\n"
-                   for key, value in op["config"].items())
-    cli.build_weight(cli.parse_config(text, command=op["command"]))
+    cli.build_weight(cli.parse_config(_config_text(op),
+                                      command=op["command"]))
     assert solves == []
+
+
+def _config_text(op):
+    return "".join(f"{key} = {value}\n" for key, value in op["config"].items())
+
+
+@pytest.mark.parametrize("op", [op for op in _bench_ops()
+                                if op["command"] == "covering"],
+                         ids=lambda op: op["id"])
+def test_bench_covering_ops_meet_their_expectations(op, tmp_path, capsys):
+    # The bench checks each op's exit code and expected stdout lines; the
+    # covering bracket must keep them.
+    cfg = tmp_path / "op.cfg"
+    cfg.write_text(_config_text(op))
+    code = cli.main([op["command"], str(cfg), "--output", str(tmp_path)])
+    out = capsys.readouterr().out
+    assert code == op["expect"]["exit"]
+    for key, value in op["expect"]["lines"].items():
+        assert f"{key} = {value}" in out.splitlines()

@@ -10,6 +10,7 @@ import pytest
 
 from holocurve._table import write_csv
 from holocurve.cli import main, parse_config
+from holocurve.criterion import normalize
 from holocurve.errors import ConfigError
 from holocurve.nehari import NehariFunction
 
@@ -35,10 +36,10 @@ def test_parse_config_defaults():
     cfg = parse_config("")
     assert cfg["grid.n_r"] == 200
     assert cfg["grid.n_theta"] == 64
-    assert cfg["covering.tol"] == 2e-3
     assert cfg["curve.kind"] == "identity"
-    with pytest.raises(KeyError):
-        cfg["no.such_key"]
+    for key in ("no.such_key", "covering.tol"):
+        with pytest.raises(KeyError):
+            cfg[key]
 
 
 def test_parse_config_comments_and_values():
@@ -232,16 +233,18 @@ def test_covering_example1_consistent(tmp_path, capsys):
     out = capsys.readouterr().out
     assert _stdout_value(out, "verdict") == "consistent"
     lines = (tmp_path / "covering.csv").read_text().splitlines()
-    assert lines[0] == "r,bound,measured,slack"
+    assert lines[0] == "r,bound,lower,upper,slack"
     assert len(lines) == 3
     for line in lines[1:]:
-        assert float(line.split(",")[3]) > -2e-3
+        r, bound, lower, upper, slack = map(float, line.split(","))
+        assert bound <= lower <= upper and slack == lower - bound
 
 
 @pytest.mark.parametrize("line", [
     "covering.radii = 0.3,1.2", "covering.radii = 0", "covering.radii = nan",
     "covering.radii = 0.99", "covering.radii = abc", "covering.radii =",
     "covering.resolution = 0", "covering.resolution = 1",
+    # covering.tol is no longer a key: a bracket needs no allowance.
     "covering.tol = nan", "covering.tol = -1e-3", "covering.tol = inf",
 ])
 def test_covering_bad_config_is_a_config_error(tmp_path, capsys, line,
@@ -277,16 +280,59 @@ def test_covering_overflow_is_a_numerical_failure(tmp_path, capsys, curve):
 
 def test_covering_nan_distance_is_a_numerical_failure(tmp_path, capsys,
                                                       monkeypatch):
-    # NaN compares false with -tol, which used to read as "consistent".
+    # NaN compares false with the bound, which must not read as "consistent".
     import holocurve.cli as cli
 
     monkeypatch.setattr(cli, "intrinsic_min_distance",
-                        lambda *args, **kwargs: float("nan"))
+                        lambda *args, **kwargs: (float("nan"), float("nan")))
     cfg = _write(tmp_path, "cov.cfg", "covering.radii = 0.3\n")
     assert main(["covering", cfg, "--output", str(tmp_path)]) == 5
     out, err = capsys.readouterr()
-    assert out == "" and "slack" in err
+    assert out == "" and "covering bracket at r = 0.3" in err
     assert not (tmp_path / "covering.csv").exists()
+
+
+_GAPPED = ("curve.kind = example2\nnehari.kind = inverse_square\n"
+           "curve.mobius_rho = 0.5\ncurve.mobius_theta = 0.7\n"
+           "covering.radii = 0.3\n")
+
+
+def _bound_at(monkeypatch, where):
+    """Make the covering bound at r = 0.3 of _GAPPED the point `where` of
+    [0, 1] across the bracket [lower, upper]; returns the bracket."""
+    import holocurve.cli as cli
+
+    curve = normalize(cli.build_curve(parse_config(_GAPPED)))
+    lower, upper = cli.intrinsic_min_distance(curve, 0.3)
+    assert upper - lower > 1e-8
+    monkeypatch.setattr(cli, "covering_bound", lambda *args: np.float64(
+        lower + where * (upper - lower)))
+    return lower, upper
+
+
+def test_covering_inconclusive_bracket_is_a_numerical_failure(
+        tmp_path, capsys, monkeypatch):
+    # A bound inside [lower, upper] neither holds nor fails: exit 5.
+    _bound_at(monkeypatch, 0.5)
+    cfg = _write(tmp_path, "cov.cfg", _GAPPED)
+    assert main(["covering", cfg, "--output", str(tmp_path)]) == 5
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("numerical failure: covering bracket inconclusive "
+                          "at r = 0.29999999999999999: lower = ")
+    assert not (tmp_path / "covering.csv").exists()
+
+
+@pytest.mark.parametrize("where,code,verdict", [
+    (1.5, 1, "violated"), (0.0, 0, "consistent")])
+def test_covering_verdict_follows_the_bracket(tmp_path, capsys, monkeypatch,
+                                              where, code, verdict):
+    lower, upper = _bound_at(monkeypatch, where)
+    cfg = _write(tmp_path, "cov.cfg", _GAPPED)
+    assert main(["covering", cfg, "--output", str(tmp_path)]) == code
+    out = capsys.readouterr().out
+    assert _stdout_value(out, "verdict") == verdict
+    assert f"lower = {lower:.17g}, upper = {upper:.17g}" in out
 
 
 def test_covering_overflowing_second_derivative_is_a_numerical_failure(

@@ -140,16 +140,14 @@ def test_injectivity_loads_neither_integrate_nor_optimize(tmp_path):
 
 
 def test_ode_subcommands_load_neither_integrate_nor_optimize(tmp_path):
-    # The profile and phase ODEs run on holocurve's own Runge-Kutta solver.
+    # The profile and phase ODEs run on holocurve's own Runge-Kutta solver,
+    # and the covering bracket is numpy quadrature: no scipy module loads.
     runs = [("extremal-profile", "profile.samples = 17\n"),
             ("boundary", "curve.kind = example2\n"
              "nehari.kind = inverse_square\nboundary.rays = 2\n"
-             "boundary.s_points = 3\nboundary.ring_samples = 64\n")]
+             "boundary.s_points = 3\nboundary.ring_samples = 64\n"),
+            ("covering", "covering.radii = 0.3\ncovering.resolution = 20\n")]
     assert _scipy_modules_after_main(runs, tmp_path) == set()
-    runs = [("covering", "covering.radii = 0.3\ncovering.resolution = 20\n")]
-    loaded = _scipy_modules_after_main(runs, tmp_path)
-    assert "scipy.sparse.csgraph" in loaded
-    assert not loaded & {"scipy.integrate", "scipy.optimize"}
 
 
 def test_tabulated_input_validation():
@@ -281,8 +279,10 @@ def test_closed_margin_is_exact_without_a_solve(kind, factor, monkeypatch):
 
 
 def test_tabulated_margin_bits():
+    # The bisection's lower end, the largest k known to be disconjugate:
+    # every midpoint tried, down to 1 + 3/2^15, oscillates, so it stays 1.
     assert extremality_margin(_constant_table()) \
-        == float.fromhex("0x1.0003000000000p+0")
+        == float.fromhex("0x1.0000000000000p+0")
 
 
 def test_oscillating_margin_solve_stops_at_its_first_zero(monkeypatch):
@@ -295,6 +295,34 @@ def test_oscillating_margin_solve_stops_at_its_first_zero(monkeypatch):
     assert len(ends) == 17 and max(ends[1:]) < 10.0
 
 
+def test_undecided_table_count_is_a_numerical_failure(monkeypatch,
+                                                      tmp_path, capsys):
+    # A table whose zero count moves between rtol 1e-10 and 1e-12 is
+    # neither admitted nor rejected: exit 5, naming both counts.
+    import holocurve.nehari as nehari
+    from holocurve.cli import main
+
+    monkeypatch.setattr(nehari, "_phase_zeros",
+                        lambda p, max_zeros, rtol: int(rtol < 1e-11))
+    with pytest.raises(NumericalError, match="0 at rtol 1e-10, 1 at 1e-12"):
+        validate_nehari(_constant_table(0.9))
+    cfg = tmp_path / "tab.cfg"
+    cfg.write_text("nehari.kind = tabulated\nnehari.table_x = 0,0.3,0.6,0.9\n"
+                   "nehari.table_p = 2,2,2,2\ngrid.n_r = 4\n")
+    assert main(["check-criterion", str(cfg), "--output",
+                 str(tmp_path)]) == 5
+    out, err = capsys.readouterr()
+    assert out == "" and "zero count of tabulated(factor=1) is undecided" \
+        in err
+    assert not (tmp_path / "scan.csv").exists()
+
+
+def test_decided_table_count_agrees_at_both_tolerances():
+    for p in (_constant_table(0.9), _constant_table(1.2)):
+        counts = {disconjugacy_count(p, rtol) for rtol in (1e-10, 1e-12)}
+        assert counts == {validate_nehari(p).zero_count}
+
+
 def test_extremality_margin_guards():
     for p in (NehariFunction.constant(1.2), _constant_table(1.2)):
         with pytest.raises(ValueError):   # already oscillates
@@ -302,7 +330,7 @@ def test_extremality_margin_guards():
     # margins above the first bracket [1, 4]: the bracket doubles
     m = extremality_margin(_constant_table(0.25))
     assert abs(m - 4.0) < 2e-3
-    assert extremality_margin(_constant_table(0.05)) == 20.000030517578125
+    assert extremality_margin(_constant_table(0.05)) == 20.0
     with pytest.raises(NumericalError):   # margin 1e7 > 2^20
         extremality_margin(_constant_table(1e-7))
     with pytest.raises(NumericalError):   # 1/factor overflows
