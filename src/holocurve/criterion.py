@@ -41,6 +41,10 @@ __all__ = [
 # Grid scans
 # ---------------------------------------------------------------------------
 
+# Fixed-size blocks bound the jet temporaries on the 1M-point grids.
+_CHUNK = 8192
+
+
 @dataclass(frozen=True)
 class GridSpec:
     """Polar evaluation grid: the origin plus n_r rings of n_theta angles."""
@@ -57,15 +61,37 @@ class GridSpec:
         if not 0.0 < self.r_max < 1.0:
             raise ConfigError("r_max must lie in (0, 1)")
 
-    def points(self) -> np.ndarray:
+    @property
+    def n_points(self) -> int:
+        return 1 + self.n_r * self.n_theta
+
+    def points(self, start: int = 0, stop: int | None = None) -> np.ndarray:
+        """Points start..stop-1 of the grid: the origin, then ring by ring
+        outward, each ring from angle 0.  A slice is the same slice of the
+        whole grid bit for bit, since each point is r[ring] * e^{i th}."""
+        stop = self.n_points if stop is None else stop
         r = self.r_max * np.arange(1, self.n_r + 1) / self.n_r
-        th = 2.0 * np.pi * np.arange(self.n_theta) / self.n_theta
-        rings = (r[:, None] * np.exp(1j * th)[None, :]).ravel()
-        return np.concatenate(([0.0 + 0.0j], rings))
+        e = np.exp(1j * (2.0 * np.pi * np.arange(self.n_theta) / self.n_theta))
+        ring, angle = np.divmod(np.arange(max(start, 1), stop) - 1,
+                                self.n_theta)
+        z = r[ring] * e[angle]
+        return np.concatenate(([0j], z)) if start == 0 else z
+
+    def blocks(self):
+        """(start, points(start, stop)) over consecutive blocks of at most
+        _CHUNK points."""
+        n = self.n_points
+        for i in range(0, n, _CHUNK):
+            yield i, self.points(i, min(i + _CHUNK, n))
 
 
 @dataclass(frozen=True)
 class CriterionReport:
+    """A scan's verdict and its summary over n_points: min_margin at its
+    first point argmin_z, equality_count and max_abs_margin.  The whole-grid
+    columns are kept only by scan(..., columns=True); they are None
+    otherwise."""
+
     curve_label: str
     verdict: str                     # "holds" | "holds-with-equality" | "fails"
     min_margin: float
@@ -73,74 +99,99 @@ class CriterionReport:
     tol_eq: float
     equality_count: int
     n_points: int
-    re_z: np.ndarray
-    im_z: np.ndarray
-    abs_schwarzian: np.ndarray
-    curv_term: np.ndarray
-    bound: np.ndarray
-    margin: np.ndarray
-
-
-# Fixed-size chunks bound the jet temporaries on the 1M-point grids.
-_CHUNK = 8192
-
-
-def _in_chunks(fn, z: np.ndarray) -> tuple:
-    """fn over z in _CHUNK-point blocks; each of its outputs concatenated."""
-    parts = [fn(z[i:i + _CHUNK]) for i in range(0, len(z), _CHUNK)]
-    return tuple(np.concatenate(p) for p in zip(*parts))
+    max_abs_margin: float
+    re_z: np.ndarray | None = None
+    im_z: np.ndarray | None = None
+    abs_schwarzian: np.ndarray | None = None
+    curv_term: np.ndarray | None = None
+    bound: np.ndarray | None = None
+    margin: np.ndarray | None = None
 
 
 def _metric_factor(curve: HoloCurve, z: np.ndarray) -> np.ndarray:
-    """e^{sigma} = sqrt(q) over z."""
-    return _in_chunks(lambda block: (np.sqrt(eval_curve(curve, block).q),),
-                      z)[0]
+    """e^{sigma} = sqrt(q) over z, evaluated in _CHUNK-point blocks."""
+    return np.concatenate([np.sqrt(eval_curve(curve, z[i:i + _CHUNK]).q)
+                           for i in range(0, len(z), _CHUNK)])
 
 
-def _margin_parts(curve: HoloCurve, weight: NehariFunction, z: np.ndarray):
-    """abs_schwarzian, curv_term, bound and margin over z.
+def _margin_parts(curve: HoloCurve, weight: NehariFunction, z: np.ndarray,
+                  first: int = 0):
+    """abs_schwarzian, curv_term, bound and margin over z, one block of at
+    most _CHUNK points.
 
-    Raises NumericalError at the first point whose margin is not finite.
+    Raises NumericalError at the first point whose margin is not finite,
+    naming it by its index in z plus `first`.
     """
-    def parts(block):
-        abs_s, curv, lhs = _criterion_terms(
-            conformal_data(eval_curve(curve, block)))
-        bound = 2.0 * weight(np.abs(block))
-        return abs_s, curv, bound, bound - lhs
-
-    abs_s, curv, bound, margin = _in_chunks(parts, z)
+    abs_s, curv, lhs = _criterion_terms(conformal_data(eval_curve(curve, z)))
+    bound = 2.0 * weight(np.abs(z))
+    margin = bound - lhs
     bad = ~np.isfinite(margin)
     if np.any(bad):
         i = int(np.argmax(bad))
-        raise NumericalError(f"criterion margin is {margin[i]} at point {i} "
-                             f"(z = {complex(z[i])})")
+        raise NumericalError(f"criterion margin is {margin[i]} at point "
+                             f"{first + i} (z = {complex(z[i])})")
     return abs_s, curv, bound, margin
+
+
+class _Fold:
+    """The running minimum margin and its first point, the count of margins
+    within tol_eq of zero and the largest |margin|, over blocks in order."""
+
+    def __init__(self, tol_eq: float):
+        self.tol_eq = tol_eq
+        self.n_points = self.equality_count = 0
+        self.min_margin, self.argmin_z = np.inf, None
+        self.max_abs_margin = 0.0
+
+    def add(self, z: np.ndarray, margin: np.ndarray) -> None:
+        j = int(np.argmin(margin))
+        if margin[j] < self.min_margin:      # strict: np.argmin's first
+            self.min_margin, self.argmin_z = margin[j], z[j]
+        abs_m = np.abs(margin)
+        self.equality_count += int(np.count_nonzero(abs_m <= self.tol_eq))
+        self.max_abs_margin = max(self.max_abs_margin, float(np.max(abs_m)))
+        self.n_points += len(z)
 
 
 def scan(curve: HoloCurve, weight: NehariFunction,
          grid: GridSpec | None = None,
-         tol_eq: float | None = None) -> CriterionReport:
+         tol_eq: float | None = None, columns: bool = True) -> CriterionReport:
     """Evaluate the criterion margin over the grid and classify.
 
     verdict is "fails" iff the minimum margin drops below -tol_eq,
     "holds-with-equality" iff the minimum sits within tol_eq of zero, and
     "holds" otherwise.  tol_eq defaults to 1e-6 * max(1, 2 p(0)).
+
+    The grid is evaluated in one pass over blocks of at most 8,192 points
+    (GridSpec.blocks), each folded into the summary at once: the minimum
+    and its first point, equality_count and max_abs_margin.  The blocks
+    change no bit of any value.  With columns=False the scan holds one
+    block at a time; with columns=True (the default) the report also keeps
+    the six whole-grid columns that write_scan_csv writes, 48 bytes a point.
+    Refinement picks are appended after the grid points.
+
     Raises ConfigError unless tol_eq is None or finite and >= 0, and
-    NumericalError if the margin is not finite at some grid point.
+    NumericalError at the first grid point whose margin is not finite.
     """
     if tol_eq is not None and not 0.0 <= tol_eq < np.inf:
         raise ConfigError(f"tol_eq = {tol_eq:g} must be finite and >= 0")
     grid = grid or GridSpec()
-    z = grid.points()
-    abs_s, curv, bound, margin = _margin_parts(curve, weight, z)
-
     if tol_eq is None:
         tol_eq = 1e-6 * max(1.0, 2.0 * float(weight(0.0)))
+    fold = _Fold(tol_eq)
+    cols = []           # z, abs_s, curv, bound and margin, block by block
+    if columns:
+        n = grid.n_points
+        cols = [np.empty(n, complex)] + [np.empty(n) for _ in range(4)]
+    for i, z in grid.blocks():
+        parts = (z,) + _margin_parts(curve, weight, z, first=i)
+        fold.add(z, parts[-1])
+        for col, part in zip(cols, parts):
+            col[i:i + len(z)] = part
 
     if grid.refine > 0:
         # Zoom the polar cell around the coarse argmin, once per level.
-        i0 = int(np.argmin(margin))
-        best, r0, th0 = margin[i0], abs(z[i0]), np.angle(z[i0])
+        r0, th0 = abs(fold.argmin_z), np.angle(fold.argmin_z)
         dr = grid.r_max / grid.n_r
         dth = 2.0 * np.pi / grid.n_theta
         picks = []          # (z, abs_s, curv, bound, margin) per improvement
@@ -150,31 +201,33 @@ def scan(curve: HoloCurve, weight: NehariFunction,
             zz = (rr[:, None] * np.exp(1j * tt)[None, :]).ravel()
             a2, c2, b2, m2 = _margin_parts(curve, weight, zz)
             j = int(np.argmin(m2))
-            if m2[j] < best:
+            if m2[j] < fold.min_margin:
                 picks.append((zz[j], a2[j], c2[j], b2[j], m2[j]))
-                best, r0, th0 = m2[j], abs(zz[j]), np.angle(zz[j])
+                fold.add(zz[j:j + 1], m2[j:j + 1])
+                r0, th0 = abs(zz[j]), np.angle(zz[j])
             dr /= 4.0
             dth /= 4.0
-        if picks:
-            z, abs_s, curv, bound, margin = (
-                np.concatenate([col, new]) for col, new in
-                zip((z, abs_s, curv, bound, margin), zip(*picks)))
+        if picks and columns:
+            cols = [np.concatenate([col, new])
+                    for col, new in zip(cols, zip(*picks))]
 
-    i_min = int(np.argmin(margin))
-    min_margin = float(margin[i_min])
+    min_margin = float(fold.min_margin)
     if min_margin < -tol_eq:
         verdict = "fails"
     elif min_margin <= tol_eq:
         verdict = "holds-with-equality"
     else:
         verdict = "holds"
+    kept = {}
+    if columns:
+        z, abs_s, curv, bound, margin = cols
+        kept = dict(re_z=np.real(z), im_z=np.imag(z), abs_schwarzian=abs_s,
+                    curv_term=curv, bound=bound, margin=margin)
     return CriterionReport(
-        curve_label=curve.label,
-        verdict=verdict, min_margin=min_margin, argmin_z=complex(z[i_min]),
-        tol_eq=float(tol_eq),
-        equality_count=int(np.sum(np.abs(margin) <= tol_eq)),
-        n_points=len(z), re_z=np.real(z), im_z=np.imag(z),
-        abs_schwarzian=abs_s, curv_term=curv, bound=bound, margin=margin)
+        curve_label=curve.label, verdict=verdict, min_margin=min_margin,
+        argmin_z=complex(fold.argmin_z), tol_eq=float(tol_eq),
+        equality_count=fold.equality_count, n_points=fold.n_points,
+        max_abs_margin=fold.max_abs_margin, **kept)
 
 
 def write_scan_csv(report: CriterionReport, path_or_buf) -> None:

@@ -3,11 +3,16 @@ parser's error reporting and the determinism guarantees."""
 
 import io
 import math
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from holocurve import cli, criterion
 from holocurve._table import write_csv
 from holocurve.cli import main, parse_config
 from holocurve.criterion import normalize
@@ -489,6 +494,71 @@ def test_reproduce_example2(tmp_path, capsys):
     assert (tmp_path / "example2_slack_hist.csv").exists()
 
 
+@pytest.mark.parametrize("which", [1, 2])
+def test_reproduce_example_evaluates_one_block_at_a_time(tmp_path, capsys,
+                                                         monkeypatch, which):
+    # With 64-point blocks, no call sees more than a block of the 801-point
+    # grid, and stdout and the artifact are those of 8,192-point blocks.
+    cfg = _write(tmp_path, "ex.cfg", f"example.which = {which}\n"
+                 "grid.n_r = 50\ngrid.n_theta = 16\nexample.c_values = 0.05\n")
+    runs = []
+    for chunk in (8192, 64):
+        monkeypatch.setattr(criterion, "_CHUNK", chunk)
+        sizes = []
+
+        def spy(fn):
+            def call(head, z, *rest):
+                sizes.append(np.size(z))
+                return fn(head, z, *rest)
+            return call
+        monkeypatch.setattr(criterion, "eval_curve",
+                            spy(criterion.eval_curve))
+        monkeypatch.setattr(cli, "example2_reduced_slack",
+                            spy(cli.example2_reduced_slack))
+        out_dir = tmp_path / str(chunk)
+        assert main(["reproduce-example", cfg, "--output", str(out_dir)]) == 0
+        out = capsys.readouterr().out.replace(str(out_dir), "<out>")
+        runs.append((out, {p.name: p.read_bytes() for p in out_dir.iterdir()}))
+        monkeypatch.undo()
+    assert runs[0] == runs[1]
+    assert sum(sizes) >= 801 and max(sizes) <= 64
+
+
+_LAUNCH = """
+import os, subprocess, sys
+child = subprocess.Popen(sys.argv[1:], stdout=subprocess.DEVNULL)
+_, status, usage = os.wait4(child.pid, 0)
+print(os.waitstatus_to_exitcode(status), usage.ru_maxrss)
+"""
+
+
+def _child_peak_kb(argv):
+    # A child's ru_maxrss starts from the high-water mark of the process it
+    # was spawned from, so a small launcher spawns it rather than pytest.
+    env = dict(os.environ)
+    src = str(Path(criterion.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+    out = subprocess.run([sys.executable, "-c", _LAUNCH, *argv], env=env,
+                         capture_output=True, text=True, check=True).stdout
+    code, peak_kb = map(int, out.split())
+    assert code == 0
+    return peak_kb
+
+
+@pytest.mark.skipif(not hasattr(os, "wait4"), reason="needs os.wait4")
+def test_reproduce_example2_memory_does_not_grow_with_the_grid(tmp_path):
+    # 1,024,001 grid points against 10,241: one block plus 8 bytes a point
+    # of slack is about 8 MB more; whole-grid temporaries would add ~104 MB.
+    peaks = []
+    for n_r in (4000, 40):
+        cfg = _write(tmp_path, f"ex2-{n_r}.cfg", "example.which = 2\n"
+                     f"grid.n_r = {n_r}\ngrid.n_theta = 256\n")
+        peaks.append(_child_peak_kb(
+            [sys.executable, "-m", "holocurve", "reproduce-example", cfg,
+             "--output", str(tmp_path / str(n_r))]))
+    assert peaks[0] - peaks[1] < 24 * 1024, peaks
+
+
 def test_reproduce_example_bad_which(tmp_path, capsys):
     cfg = _write(tmp_path, "ex3.cfg", "example.which = 3\n")
     assert main(["reproduce-example", cfg]) == 2
@@ -746,18 +816,28 @@ def test_csv_writer_pins_special_values_and_counts():
 
 
 @pytest.mark.parametrize("command", ["check-criterion", "injectivity"])
-def test_overflowing_curve_is_a_numerical_failure(tmp_path, capsys, command):
+def test_overflowing_curve_is_a_numerical_failure(tmp_path, capsys, command,
+                                                 monkeypatch):
     # c = 1e300 overflows Q = |f'|^2, so the margin is NaN, and the image
     # spans ~1e301, so squared image distances overflow in the pair search.
+    # 16-point blocks split the 161-point grid into 11 and change nothing.
     cfg = _write(tmp_path, "huge.cfg",
                  "curve.kind = example1\ncurve.c = 1e300\ngrid.n_r = 20\n"
                  "grid.n_theta = 8\ninjectivity.samples = 2000\n")
-    with np.errstate(over="ignore", invalid="ignore"):
-        assert main([command, cfg, "--output", str(tmp_path)]) == 5
-    out, err = capsys.readouterr()
-    assert "numerical failure" in err
-    assert out == ""
-    assert not (tmp_path / "scan.csv").exists()
+    errs = []
+    for chunk in (8192, 16):
+        monkeypatch.setattr(criterion, "_CHUNK", chunk)
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert main([command, cfg, "--output", str(tmp_path)]) == 5
+        out, err = capsys.readouterr()
+        assert "numerical failure" in err
+        assert out == ""
+        assert not (tmp_path / "scan.csv").exists()
+        errs.append(err)
+    assert errs[0] == errs[1]
+    if command == "check-criterion":
+        assert errs[0] == "numerical failure: criterion margin is nan at " \
+            "point 0 (z = 0j)\n"
 
 
 @pytest.mark.parametrize("command,line", [

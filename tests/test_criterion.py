@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 
 import holocurve as hc
+from holocurve import criterion
 from holocurve.criterion import (BoundaryDiagnostics, GridSpec, boundary_diagnostics,
                                  boundary_trace, covering_bound,
                                  intrinsic_min_distance, normalize,
@@ -39,6 +40,96 @@ def test_grid_spec_points():
     assert pts.size == 1 + 10 * 8
     assert pts[0] == 0.0
     assert np.max(np.abs(pts)) <= 0.9 + 1e-15
+
+
+def _broadcast_points(g):
+    """The grid as one whole-grid broadcast: every ring times every angle."""
+    r = g.r_max * np.arange(1, g.n_r + 1) / g.n_r
+    th = 2.0 * np.pi * np.arange(g.n_theta) / g.n_theta
+    rings = (r[:, None] * np.exp(1j * th)[None, :]).ravel()
+    return np.concatenate(([0.0 + 0.0j], rings))
+
+
+@pytest.mark.parametrize("n_r,n_theta", [
+    (300, 100), (40, 3000), (7, 10000), (3, 8191), (1, 4), (1, 9000),
+    (4000, 256)])
+def test_grid_blocks_are_the_points_bit_for_bit(n_r, n_theta):
+    # n_theta not dividing 8,192, one above it, and single-ring grids.
+    g = GridSpec(n_r=n_r, n_theta=n_theta, r_max=0.97)
+    whole = g.points()
+    starts, blocks = zip(*g.blocks())
+    assert whole.view(float).tobytes() == \
+        _broadcast_points(g).view(float).tobytes()
+    assert np.concatenate(blocks).view(float).tobytes() == \
+        whole.view(float).tobytes()
+    assert len(whole) == g.n_points == 1 + n_r * n_theta
+    assert starts == tuple(range(0, g.n_points, criterion._CHUNK))
+    assert all(len(b) == criterion._CHUNK for b in blocks[:-1])
+    assert 1 <= len(blocks[-1]) <= criterion._CHUNK
+
+
+def _column_summary(rep):
+    """The summary a whole-grid reduction of the report's columns gives."""
+    i = int(np.argmin(rep.margin))
+    return (float(rep.margin[i]), complex(rep.re_z[i], rep.im_z[i]),
+            int(np.sum(np.abs(rep.margin) <= rep.tol_eq)),
+            float(np.max(np.abs(rep.margin))), len(rep.margin))
+
+
+def _summary(rep):
+    return (rep.min_margin, rep.argmin_z, rep.equality_count,
+            rep.max_abs_margin, rep.n_points, rep.verdict, rep.tol_eq)
+
+
+@pytest.mark.parametrize("case", [
+    "example1", "example2", "identity", "refine2", "tol0-example1",
+    "tol0-example2"])
+@pytest.mark.parametrize("chunk", [37, 8192])
+def test_streamed_fold_equals_column_reductions(case, chunk, ex1, ex2,
+                                                monkeypatch):
+    monkeypatch.setattr(criterion, "_CHUNK", chunk)
+    curve, weight, grid, tol = {
+        "example1": (ex1, NehariFunction.constant(), SMALL, None),
+        "example2": (ex2, NehariFunction.inverse_square(),
+                     GridSpec(n_r=30, n_theta=16, r_max=0.99), None),
+        "identity": (hc.identity_curve(), NehariFunction.constant(), SMALL,
+                     None),
+        "refine2": (hc.tan_truncation_curve(), NehariFunction.constant(),
+                    GridSpec(n_r=20, n_theta=12, r_max=0.7, refine=2), None),
+        "tol0-example1": (ex1, NehariFunction.constant(), SMALL, 0.0),
+        "tol0-example2": (ex2, NehariFunction.inverse_square(),
+                          GridSpec(n_r=30, n_theta=16, r_max=0.99), 0.0),
+    }[case]
+    full = scan(curve, weight, grid, tol_eq=tol)
+    lean = scan(curve, weight, grid, tol_eq=tol, columns=False)
+    assert _summary(lean) == _summary(full)
+    assert lean.margin is None and lean.re_z is None
+    assert _summary(full)[:5] == _column_summary(full)
+    if case == "identity":
+        # A constant margin: the minimum ties in every block, and the
+        # first point holds it.
+        assert np.all(full.margin == full.margin[0])
+        assert lean.argmin_z == 0j
+    if case == "refine2":
+        assert full.n_points > grid.n_points
+        assert full.argmin_z == complex(full.re_z[-1], full.im_z[-1])
+
+
+def test_first_nonfinite_margin_is_named_across_blocks(monkeypatch):
+    # c = 1e152 overflows the margin to -inf first at grid point 129, in
+    # the ninth 16-point block; the message names its whole-grid index.
+    curve = hc.example1_curve(1e152)
+    grid = GridSpec(n_r=20, n_theta=8)
+    messages = []
+    for chunk in (8192, 16):
+        monkeypatch.setattr(criterion, "_CHUNK", chunk)
+        for columns in (True, False):
+            with np.errstate(over="ignore", invalid="ignore"), \
+                    pytest.raises(NumericalError) as info:
+                scan(curve, NehariFunction.constant(), grid, columns=columns)
+            messages.append(str(info.value))
+    assert messages == ["criterion margin is -inf at point 129 "
+                        "(z = (0.8491500000000001+0j))"] * 4
 
 
 def test_identity_scan_holds_with_constant_margin():
