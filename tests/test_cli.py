@@ -1,7 +1,6 @@
 """End-to-end runs of every subcommand through main(), plus the config
 parser's error reporting and the determinism guarantees."""
 
-import io
 import math
 import os
 import re
@@ -13,7 +12,6 @@ import numpy as np
 import pytest
 
 from holocurve import cli, criterion
-from holocurve._table import write_csv
 from holocurve.cli import main, parse_config
 from holocurve.criterion import normalize
 from holocurve.errors import ConfigError
@@ -800,19 +798,6 @@ def test_byte_identical_reruns(tmp_path, capsys, command, config, artifact):
     again_out, again_csv = run_once()
     assert again_out == ref_out
     assert again_csv == ref_csv
-
-
-def test_csv_writer_pins_special_values_and_counts():
-    buf = io.StringIO()
-    write_csv(buf, ("x", "y", "count"),
-              (np.array([np.nan, -0.0, 0.1]),
-               np.array([np.inf, -np.inf, 1e300]),
-               np.array([0, 7, 123456789], dtype=np.int64)))
-    assert buf.getvalue() == ("x,y,count\n"
-                              "nan,inf,0\n"
-                              "-0,-inf,7\n"
-                              "0.10000000000000001,1.0000000000000001e+300,"
-                              "123456789\n")
 
 
 @pytest.mark.parametrize("command", ["check-criterion", "injectivity"])
