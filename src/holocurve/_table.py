@@ -14,7 +14,7 @@ lays them out as %g does (fixed notation for -4 <= e < 17, else scientific,
 trailing zeros and a bare point dropped).  Every other value -- zero,
 subnormal, inf, nan, a near tie, a decade edge -- goes through Python's own
 ``%``, and so does every value where long double is a plain double, whose
-bound exceeds 1/2.
+bound exceeds 1/2: there the kernel and its tables are skipped altogether.
 """
 from __future__ import annotations
 
@@ -77,6 +77,9 @@ def _format(x: np.ndarray, out: np.ndarray) -> None:
     """Lay out ``"%.17g" % v`` for every v of the flat float64 block `x` in
     the (len(x), 4) uint64 words `out`: words 0-2 are overwritten, the
     exponent is or-ed into word 3, which holds the separator."""
+    if _MARGIN > 0.5:       # long double is a plain double: no value is fast
+        out[:, :3] = _text(x)
+        return
     pow10, quad, zeros4, head, exp, left, right, point = _tables()
     a = np.abs(x)
     fast = (a >= _TINY) & (a <= _HUGE)
@@ -125,8 +128,13 @@ def _format(x: np.ndarray, out: np.ndarray) -> None:
 
     slow = np.flatnonzero(~fast)
     if len(slow):
-        text = np.array(["%.17g" % v for v in x[slow].tolist()], "S24")
-        out[slow, :3] = text.view("<u8").reshape(-1, 3)
+        out[slow, :3] = _text(x[slow])
+
+
+def _text(x: np.ndarray) -> np.ndarray:
+    """``"%.17g" % v`` for every v of `x`, as (len(x), 3) uint64 words."""
+    text = np.array(["%.17g" % v for v in x.tolist()], "S24")
+    return text.view("<u8").reshape(-1, 3)
 
 
 def _csv_bytes(header: Sequence[str], columns: list):

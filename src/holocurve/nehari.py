@@ -426,17 +426,62 @@ def extremal_profile(p: NehariFunction, eps: float = 1e-6,
     return ExtremalProfile(p=p, eps=eps, xs=xs, _sol=sol.sol, _p2_at_0=p2)
 
 
-def completeness_probe(p: NehariFunction) -> dict:
-    """Phi(1 - delta) for delta = 1e-4, 1e-6, 1e-8, plus a divergence verdict.
+def _closed_phi(p: NehariFunction, d: float) -> float:
+    """Phi(1 - d) in closed form for `constant`, `inverse_square` and, at
+    factor 1, `half_strip`: tan(a x)/a, tanh(b t)/b and x/(2(1-x^2)) + t/2
+    with t = artanh x, each written so that no term cancels as x -> 1."""
+    x = 1.0 - d
+    delta = 1.0 - x                         # exact (Sterbenz)
+    t = 0.5 * np.log((1.0 + x) / delta)
+    k = p.factor
+    if p.kind == "constant":                # u0 = cos(a x) = sin g
+        s = np.sqrt(k)
+        g = np.pi / 2 * ((1.0 - k) / (1.0 + s) + s * delta)
+        a = s * np.pi / 2
+        return float(np.sin(a * x) / (a * np.sin(g)))
+    if p.kind == "inverse_square":          # u0 = cosh(b t) / cosh t
+        b = np.sqrt(1.0 - k)
+        return float(np.tanh(b * t) / b) if b else float(t)
+    return float(x / (2.0 * delta * (1.0 + x)) + t / 2.0)   # u0 = 1 - x^2
 
-    Extremal weights have Phi(1) = +inf; the built-in extremal kinds all
-    exceed the threshold 5 already at delta = 1e-6, while any non-extremal
-    rescaling saturates far below it.
+
+def _u0_at_1(p: NehariFunction, rtol: float) -> float:
+    """u0(1) of a table, whose clamped spline keeps p bounded up to x = 1."""
+    sol = solve_ivp(lambda x, y: [y[1], -float(p(x)) * y[0]], (0.0, 1.0),
+                    [1.0, 0.0], rtol=rtol, atol=1e-14)
+    if not sol.success:
+        raise NumericalError(f"u0 integration failed: {sol.message}")
+    return float(sol.y[0, -1])
+
+
+def completeness_probe(p: NehariFunction) -> dict:
+    """Phi(1 - d) for d = 1e-4, 1e-6, 1e-8, and whether Phi(1) = +inf.
+
+    Phi(1) = +inf iff u0 vanishes at +-1, which by Sturm comparison is iff
+    the extremality margin is 1.  So a closed kind diverges iff factor == 1.
+    Its values come from closed forms, except for `half_strip` below factor
+    1, which, like a table, takes them from a profile solve to 1 - 1e-8
+    (accurate to about 1e-8 relative there).  A table diverges iff
+    u0(1) = 0: it does not when u0(1), solved at rtol 1e-10 and 1e-12,
+    exceeds the two values' difference at both; otherwise NumericalError
+    names both.  Raises ValueError for a closed kind above factor 1.
     """
-    prof = extremal_profile(p, eps=1e-8, n_samples=17)
-    values = {d: float(prof.Phi(1.0 - d)) for d in (1e-4, 1e-6, 1e-8)}
-    return {"phi_values": values, "diverging": values[1e-6] > 5.0,
-            "threshold": 5.0}
+    deltas = (1e-4, 1e-6, 1e-8)
+    if p.kind != "tabulated" and p.factor > 1.0:
+        raise ValueError("weight is not disconjugate; Phi undefined")
+    if p.kind == "tabulated" or p.kind == "half_strip" and p.factor < 1.0:
+        prof = extremal_profile(p, eps=1e-8, n_samples=17)
+        values = {d: float(prof.Phi(1.0 - d)) for d in deltas}
+    else:
+        values = {d: _closed_phi(p, d) for d in deltas}
+    if p.kind != "tabulated":
+        return {"phi_values": values, "diverging": p.factor == 1.0}
+    coarse, fine = (_u0_at_1(p, rtol) for rtol in (1e-10, 1e-12))
+    if not min(coarse, fine) > abs(coarse - fine):
+        raise NumericalError(f"divergence of Phi(1) for {p.label} is "
+                             f"undecided: u0(1) = {coarse!r} at rtol 1e-10, "
+                             f"{fine!r} at 1e-12")
+    return {"phi_values": values, "diverging": False}
 
 
 # ---------------------------------------------------------------------------

@@ -21,12 +21,14 @@ def r2_sequence(n: int, dim: int = 2, seed: int = 0) -> np.ndarray:
     # unrelated to alpha (sqrt(2), sqrt(3), ... mod 1).  Advancing the
     # recurrence itself would make neighbouring seeds share all but a few
     # points; a rotation keeps the sets disjoint and equally uniform.
-    # 0.5 keeps the unseeded sequence away from the corner.
+    # 0.5 keeps the unseeded sequence away from the corner.  The rotation
+    # is reduced mod 1 first: a start near seed * sqrt(p) (1.6e12 at seed
+    # 2^40) would leave each coordinate only a few thousand values.
     primes = np.array([2, 3, 5, 7, 11, 13, 17, 19, 23, 29], dtype=float)
     if dim > primes.size:
         raise ValueError("at most 10 dimensions supported")
     shift = np.sqrt(primes[:dim])
-    start = 0.5 + seed * shift
+    start = 0.5 + np.mod(seed * shift, 1.0)
     idx = np.arange(1, n + 1)[:, None]
     return np.mod(start + idx * alpha, 1.0)
 

@@ -121,6 +121,12 @@ def test_check_criterion_failure_exit_code(tmp_path, capsys):
 # extremal-profile
 # ---------------------------------------------------------------------------
 
+# pi^2/4 on ten nodes: the spline is constant, so this is the constant weight.
+_CONSTANT_TABLE = ("nehari.kind = tabulated\nnehari.table_x = "
+                   + ",".join(map(repr, np.linspace(0.0, 0.9, 10).tolist()))
+                   + "\nnehari.table_p = " + ",".join([repr(np.pi ** 2 / 4)]
+                                                      * 10) + "\n")
+
 def test_extremal_profile_constant(tmp_path, capsys):
     cfg = _write(tmp_path, "prof.cfg", "nehari.kind = constant\n")
     assert main(["extremal-profile", cfg, "--output", str(tmp_path)]) == 0
@@ -173,6 +179,40 @@ def test_extremal_profile_margin_has_no_bracket_cap(tmp_path, capsys):
     assert main(["extremal-profile", cfg, "--output", str(tmp_path)]) == 0
     out = capsys.readouterr().out
     assert _stdout_value(out, "extremality_margin") == "%.17g" % (1 / 1e-150)
+
+
+@pytest.mark.parametrize("config", [
+    "nehari.kind = constant\nnehari.factor = 0.9\n",
+    "nehari.kind = inverse_square\nnehari.factor = 0.99\n",
+    "nehari.kind = half_strip\nnehari.factor = 0.9\n",
+    f"nehari.kind = constant\nnehari.factor = {1 - 2 ** -53!r}\n",
+    "nehari.kind = tabulated\nnehari.table_x = 0,0.3,0.6,0.9\n"
+    "nehari.table_p = 2,2,2,2\n",
+    _CONSTANT_TABLE + "nehari.factor = 0.9\n",
+], ids=["constant-0.9", "inverse_square-0.99", "half_strip-0.9",
+        "constant-below-1", "table-two", "constant-table-0.9"])
+def test_extremal_profile_below_the_extremal_weight_converges(
+        tmp_path, capsys, config):
+    # Each margin exceeds 1, so Phi(1) is finite.  The first three printed
+    # diverging = true under the old rule Phi(1 - 1e-6) > 5.
+    cfg = _write(tmp_path, "prof.cfg", config + "profile.samples = 17\n")
+    assert main(["extremal-profile", cfg, "--output", str(tmp_path)]) == 0
+    out = capsys.readouterr().out
+    assert float(_stdout_value(out, "extremality_margin")) > 1.0
+    assert _stdout_value(out, "diverging") == "false"
+
+
+def test_extremal_profile_of_an_extremal_table_is_undecided(tmp_path,
+                                                           capsys):
+    # u0(1) = 0 for the constant table at factor 1: its two solves return
+    # rounding-level values, so the verdict is a numerical failure.
+    cfg = _write(tmp_path, "tab.cfg", _CONSTANT_TABLE)
+    assert main(["extremal-profile", cfg, "--output", str(tmp_path)]) == 5
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert re.search(r"undecided: u0\(1\) = \S+ at rtol 1e-10, \S+ at "
+                     r"1e-12", err)
+    assert not (tmp_path / "profile.csv").exists()
 
 
 # e^{4z} truncated at degree 39 meets the criterion of the constant weight

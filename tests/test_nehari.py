@@ -526,14 +526,117 @@ def test_boundary_exponents():
 # ---------------------------------------------------------------------------
 
 def test_completeness_probe_matches_extremality():
+    # Factor 1 is extremal and diverges; every factor below it is not, up
+    # to 0.99, where the probe's old rule Phi(1 - 1e-6) > 5 said it was.
     extremal = [NehariFunction.constant(), NehariFunction.inverse_square(),
                 NehariFunction.half_strip()]
-    shrunk = [NehariFunction.constant(0.5), NehariFunction.inverse_square(0.7),
-              NehariFunction.half_strip(0.3)]
+    shrunk = [NehariFunction(kind, k)
+              for kind in ("constant", "inverse_square", "half_strip")
+              for k in (0.3, 0.5, 0.7, 0.9, 0.95, 0.99)]
     for p in extremal:
         assert completeness_probe(p)["diverging"]
     for p in shrunk:
         assert not completeness_probe(p)["diverging"]
+
+
+_PROBE_FACTORS = [1e-150, 1e-20, 0.05, 0.5, 0.9, 0.99, 1 - 2 ** -40,
+                  1 - 2 ** -53, 1.0]
+
+
+def _mp_phi(kind, k, x):
+    """Phi(x) at 60 digits from the textbook forms tan(a x)/a,
+    tanh(b artanh x)/b and x/(2(1-x^2)) + artanh(x)/2."""
+    import mpmath
+
+    with mpmath.workdps(60):
+        k, x = mpmath.mpf(k), mpmath.mpf(x)
+        t = mpmath.atanh(x)
+        if kind == "constant":
+            a = mpmath.sqrt(k) * mpmath.pi / 2
+            return mpmath.tan(a * x) / a
+        if kind == "inverse_square":
+            b = mpmath.sqrt(1 - k)
+            return mpmath.tanh(b * t) / b if b else t
+        return x / (2 * (1 - x * x)) + t / 2
+
+
+@pytest.mark.parametrize("kind,factor", [
+    (kind, k) for kind in ("constant", "inverse_square")
+    for k in _PROBE_FACTORS] + [("half_strip", 1.0)])
+def test_probe_closed_forms_against_mpmath(kind, factor, monkeypatch):
+    # Near x = 1 the closed forms keep full precision: within 1e-15
+    # relative of 60 digits at the same double x = 1 - d, with no solve.
+    solves = _count_solves(monkeypatch)
+    probe = completeness_probe(NehariFunction(kind, factor))
+    assert solves == []
+    assert list(probe) == ["phi_values", "diverging"]
+    assert probe["diverging"] == (factor == 1.0)
+    for d, got in probe["phi_values"].items():
+        want = _mp_phi(kind, factor, 1.0 - d)
+        assert abs(got - want) <= 1e-15 * want, (d, got, want)
+
+
+@pytest.mark.parametrize("factor", _PROBE_FACTORS[:-1])
+def test_half_strip_below_one_takes_its_values_from_one_solve(
+        factor, monkeypatch):
+    solves = _count_solves(monkeypatch)
+    p = NehariFunction.half_strip(factor)
+    probe = completeness_probe(p)
+    assert not probe["diverging"]
+    assert solves == [1.0 - 1e-8]
+    prof = extremal_profile(p, eps=1e-8, n_samples=17)
+    assert probe["phi_values"] == {d: float(prof.Phi(1.0 - d))
+                                   for d in (1e-4, 1e-6, 1e-8)}
+
+
+def test_probe_closed_forms_match_the_solve():
+    # Where Phi(1) is finite, the profile solve to 1 - 1e-8 agrees with the
+    # closed forms to its own accuracy, about 2e-8 relative at 1 - 1e-8.
+    for p in (NehariFunction.constant(0.9),
+              NehariFunction.inverse_square(0.99)):
+        prof = extremal_profile(p, eps=1e-8, n_samples=17)
+        for d, val in completeness_probe(p)["phi_values"].items():
+            assert abs(float(prof.Phi(1.0 - d)) / val - 1.0) < 3e-8
+
+
+def test_probe_at_the_double_below_one_does_not_diverge():
+    # The largest factor below 1: its margin 1/factor is the double above
+    # 1 (1 + 2^-53 + 2^-106 rounds up), and Phi(1) is finite.
+    for kind in ("constant", "inverse_square", "half_strip"):
+        p = NehariFunction(kind, 1 - 2 ** -53)
+        assert extremality_margin(p) == 1 + 2 ** -52
+        assert not completeness_probe(p)["diverging"]
+
+
+@pytest.mark.parametrize("table", [
+    ([0, 0.3, 0.6, 0.9], [2, 2, 2, 2], 1.0),
+    (np.linspace(0.0, 0.9, 10), np.full(10, np.pi ** 2 / 4), 0.9),
+], ids=["two", "constant-0.9"])
+def test_table_probe_decides_from_u0_at_one(table, monkeypatch):
+    # One profile solve to 1 - 1e-8 for the values, then u0(1) at rtol
+    # 1e-10 and 1e-12 for the verdict.
+    solves = _count_solves(monkeypatch)
+    p = NehariFunction.tabulated(*table)
+    probe = completeness_probe(p)
+    assert not probe["diverging"]
+    assert solves == [1.0 - 1e-8, 1.0, 1.0]
+    prof = extremal_profile(p, eps=1e-8, n_samples=17)
+    assert probe["phi_values"] == {d: float(prof.Phi(1.0 - d))
+                                   for d in (1e-4, 1e-6, 1e-8)}
+
+
+def test_extremal_table_probe_is_undecided():
+    # The constant table at factor 1 has u0 = cos(pi x/2), so u0(1) = 0:
+    # both solves return rounding-level values, which decide nothing.
+    with pytest.raises(NumericalError, match=r"undecided: u0\(1\) = \S+ at "
+                       r"rtol 1e-10, \S+ at 1e-12"):
+        completeness_probe(_constant_table())
+
+
+def test_probe_rejects_a_closed_kind_above_one():
+    for kind in ("constant", "inverse_square", "half_strip"):
+        with pytest.raises(ValueError, match="not disconjugate"):
+            completeness_probe(NehariFunction(kind, 1.05))
 
 
 def test_mobius_weight_check_invariant_weight_exact():

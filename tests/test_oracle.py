@@ -10,7 +10,7 @@ from holocurve import oracle
 from holocurve.errors import ConfigError, DomainError
 from holocurve.oracle import (_admissible_min_brute, default_suite_curves,
                               identity_suite, injectivity_scan)
-from holocurve.sampling import disk_samples
+from holocurve.sampling import disk_samples, r2_sequence
 
 EXPECTED_RECORDS = {
     "second_form_lagrange_vs_wronskian",
@@ -128,6 +128,22 @@ def test_disk_samples_rejects_an_empty_or_outside_annulus(r_min, r_max):
     # An inverted annulus used to be sampled silently.
     with pytest.raises(ValueError, match="0 <= r_min < r_max <= 1"):
         disk_samples(10, r_min=r_min, r_max=r_max)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 12345, 2 ** 40])
+def test_large_seeds_keep_every_sample_distinct(seed):
+    # The seed's rotation is reduced mod 1: unreduced, seed 2^40 put the
+    # start near 1.6e12, whose ulp 2^-12 left each coordinate 4,096 values
+    # and disk_samples(20000) 19,996 distinct points.
+    u = r2_sequence(20000, 2, seed)
+    assert [len(np.unique(u[:, j])) for j in range(2)] == [20000, 20000]
+    assert len(np.unique(disk_samples(20000, seed=seed))) == 20000
+
+
+def test_seed_zero_is_the_plain_recurrence():
+    alpha = (1.0 / 1.32471795724474602596) ** np.arange(1, 3)
+    want = np.mod(0.5 + np.arange(1, 101)[:, None] * alpha, 1.0)
+    assert np.array_equal(r2_sequence(100, 2, 0), want)
 
 
 _REFERENCE_SCANS = [

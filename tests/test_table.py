@@ -131,6 +131,21 @@ def test_forced_fallback_gives_the_same_bytes(monkeypatch):
         == _reference(tuple("abcdef"), columns)
 
 
+def test_plain_double_platform_skips_the_kernel(monkeypatch):
+    # Where long double is a plain double the bound exceeds 1/2, no value
+    # can take the kernel, and its tables are never built.
+    values = np.concatenate([
+        np.random.default_rng(6).integers(0, 2 ** 64, 6_000,
+                                          dtype=np.uint64).view(np.float64),
+        _powers_of_ten()])
+    columns = list(values[:len(values) // 6 * 6].reshape(-1, 6).T)
+    monkeypatch.setattr(_table, "_MARGIN", np.inf)
+    _table._tables.cache_clear()
+    assert _written(tuple("abcdef"), columns) \
+        == _reference(tuple("abcdef"), columns)
+    assert _table._tables.cache_info().misses == 0
+
+
 def test_blocks_change_no_byte(monkeypatch):
     columns = list(np.random.default_rng(5).normal(size=(3, 1001)) * 1e3)
     want = _reference(("a", "b", "c"), columns)
