@@ -13,8 +13,9 @@ that, 10^16 <= d and round(d) < 10^17, round(d) are the digits; the kernel
 lays them out as %g does (fixed notation for -4 <= e < 17, else scientific,
 trailing zeros and a bare point dropped).  Every other value -- zero,
 subnormal, inf, nan, a near tie, a decade edge -- goes through Python's own
-``%``, and so does every value where long double is a plain double, whose
-bound exceeds 1/2: there the kernel and its tables are skipped altogether.
+``%``.  Where long double is a plain double, whose bound exceeds 1/2, the
+kernel and its tables are skipped altogether: each block of rows is one
+``%`` of the row format repeated over the block.
 """
 from __future__ import annotations
 
@@ -77,9 +78,6 @@ def _format(x: np.ndarray, out: np.ndarray) -> None:
     """Lay out ``"%.17g" % v`` for every v of the flat float64 block `x` in
     the (len(x), 4) uint64 words `out`: words 0-2 are overwritten, the
     exponent is or-ed into word 3, which holds the separator."""
-    if _MARGIN > 0.5:       # long double is a plain double: no value is fast
-        out[:, :3] = _text(x)
-        return
     pow10, quad, zeros4, head, exp, left, right, point = _tables()
     a = np.abs(x)
     fast = (a >= _TINY) & (a <= _HUGE)
@@ -143,6 +141,7 @@ def _csv_bytes(header: Sequence[str], columns: list):
     n_cols = len(columns)
     n_rows = len(columns[0]) if columns else 0
     rows = max(1, _BLOCK // max(n_cols, 1))
+    row = "%.17g," * (n_cols - 1) + "%.17g\n"
     x = np.empty((min(rows, n_rows), n_cols))
     words = np.empty((len(x), n_cols, 4), "<u8")
     sep = np.array([ord(",") << 56] * (n_cols - 1) + [ord("\n") << 56], _U)
@@ -150,6 +149,9 @@ def _csv_bytes(header: Sequence[str], columns: list):
         b = min(rows, n_rows - start)
         for j, col in enumerate(columns):
             x[:b, j] = col[start:start + b]
+        if _MARGIN > 0.5:   # long double is a plain double: no value is fast
+            yield (row * b % tuple(x[:b].ravel().tolist())).encode()
+            continue
         block = words[:b]
         block[:, :, 3] = sep
         _format(x[:b].ravel(), block.reshape(b * n_cols, 4))

@@ -19,6 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import jets
 from ._table import write_csv
 from .errors import ConfigError, NumericalError
 from .jets import HoloCurve, eval_curve, scale_curve
@@ -40,10 +41,6 @@ __all__ = [
 # ---------------------------------------------------------------------------
 # Grid scans
 # ---------------------------------------------------------------------------
-
-# Fixed-size blocks bound the jet temporaries on the 1M-point grids.
-_CHUNK = 8192
-
 
 @dataclass(frozen=True)
 class GridSpec:
@@ -79,10 +76,10 @@ class GridSpec:
 
     def blocks(self):
         """(start, points(start, stop)) over consecutive blocks of at most
-        _CHUNK points."""
+        jets._CHUNK points."""
         n = self.n_points
-        for i in range(0, n, _CHUNK):
-            yield i, self.points(i, min(i + _CHUNK, n))
+        for i in range(0, n, jets._CHUNK):
+            yield i, self.points(i, min(i + jets._CHUNK, n))
 
 
 @dataclass(frozen=True)
@@ -109,15 +106,15 @@ class CriterionReport:
 
 
 def _metric_factor(curve: HoloCurve, z: np.ndarray) -> np.ndarray:
-    """e^{sigma} = sqrt(q) over z, evaluated in _CHUNK-point blocks."""
-    return np.concatenate([np.sqrt(eval_curve(curve, z[i:i + _CHUNK]).q)
-                           for i in range(0, len(z), _CHUNK)])
+    """e^{sigma} = sqrt(q) over z, evaluated in jets._CHUNK-point blocks."""
+    return np.concatenate([np.sqrt(eval_curve(curve, z[i:i + jets._CHUNK]).q)
+                           for i in range(0, len(z), jets._CHUNK)])
 
 
 def _margin_parts(curve: HoloCurve, weight: NehariFunction, z: np.ndarray,
                   first: int = 0):
     """abs_schwarzian, curv_term, bound and margin over z, one block of at
-    most _CHUNK points.
+    most jets._CHUNK points.
 
     Raises NumericalError at the first point whose margin is not finite,
     naming it by its index in z plus `first`.
@@ -162,7 +159,7 @@ def scan(curve: HoloCurve, weight: NehariFunction,
     "holds-with-equality" iff the minimum sits within tol_eq of zero, and
     "holds" otherwise.  tol_eq defaults to 1e-6 * max(1, 2 p(0)).
 
-    The grid is evaluated in one pass over blocks of at most 8,192 points
+    The grid is evaluated in one pass over blocks of at most 4,096 points
     (GridSpec.blocks), each folded into the summary at once: the minimum
     and its first point, equality_count and max_abs_margin.  The blocks
     change no bit of any value.  With columns=False the scan holds one

@@ -13,6 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import jets
 from .ahlfors import (PlaneCurve, compose_real,
                       make_speed_curvature, s1_from_speed_curvature, s1_direct,
                       s1_mobius_invariance_check, s1_of_composed_curve,
@@ -230,7 +231,8 @@ def injectivity_scan(curve: HoloCurve, n_samples: int = 10000,
     generic cloud would never hit.
 
     Also reports the exact least image distance of admissible pairs, from
-    `_closest_pair`; `pair` is deliberately its lowest-index pair.
+    `_closest_pair`; `pair` is deliberately its lowest-index pair.  The
+    samples are evaluated in blocks of at most jets._CHUNK points.
 
     Raises ConfigError if n_samples < 2, if min_sep is negative or not
     finite, if 0 <= r_min < r_max < 1 fails, or if no two samples are
@@ -247,7 +249,9 @@ def injectivity_scan(curve: HoloCurve, n_samples: int = 10000,
     z = disk_samples(n_samples, r_min=r_min, r_max=r_max, seed=seed)
     if symmetrize:
         z = np.concatenate([z[:n_samples // 2], -z[:n_samples // 2]])
-    X = _image_points(curve.label, eval_curve(curve, z).val)
+    X = _image_points(curve.label, np.concatenate(
+        [eval_curve(curve, z[i:i + jets._CHUNK]).val
+         for i in range(0, len(z), jets._CHUNK)], axis=1))
     min_dist, i, j = _closest_pair(z, X, min_sep)
     if min_dist == np.inf:
         raise ConfigError(f"no two of the n_samples = {len(z)} samples are "

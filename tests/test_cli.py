@@ -11,7 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from holocurve import cli, criterion
+from holocurve import cli, criterion, jets, oracle
 from holocurve.cli import main, parse_config
 from holocurve.criterion import normalize
 from holocurve.errors import ConfigError
@@ -536,12 +536,12 @@ def test_reproduce_example2(tmp_path, capsys):
 def test_reproduce_example_evaluates_one_block_at_a_time(tmp_path, capsys,
                                                          monkeypatch, which):
     # With 64-point blocks, no call sees more than a block of the 801-point
-    # grid, and stdout and the artifact are those of 8,192-point blocks.
+    # grid, and stdout and the artifact are those of the default blocks.
     cfg = _write(tmp_path, "ex.cfg", f"example.which = {which}\n"
                  "grid.n_r = 50\ngrid.n_theta = 16\nexample.c_values = 0.05\n")
     runs = []
-    for chunk in (8192, 64):
-        monkeypatch.setattr(criterion, "_CHUNK", chunk)
+    for chunk in (jets._CHUNK, 64):
+        monkeypatch.setattr(jets, "_CHUNK", chunk)
         sizes = []
 
         def spy(fn):
@@ -560,6 +560,35 @@ def test_reproduce_example_evaluates_one_block_at_a_time(tmp_path, capsys,
         monkeypatch.undo()
     assert runs[0] == runs[1]
     assert sum(sizes) >= 801 and max(sizes) <= 64
+
+
+@pytest.mark.parametrize("config,code,n", [
+    ("curve.kind = example2\n", 0, 1001),
+    ("curve.kind = z_squared\ninjectivity.symmetrize = true\n", 4, 1000)],
+    ids=["example2", "z_squared"])
+def test_injectivity_evaluates_one_block_at_a_time(tmp_path, capsys,
+                                                   monkeypatch, config, code,
+                                                   n):
+    # With 64-point blocks, no call sees more than a block of the n samples
+    # (1,001 drawn; symmetrizing keeps 1,000), and stdout is that of one
+    # block.
+    cfg = _write(tmp_path, "inj.cfg",
+                 config + "injectivity.samples = 1001\n")
+    outs = []
+    for chunk in (jets._CHUNK, 64):
+        monkeypatch.setattr(jets, "_CHUNK", chunk)
+        sizes = []
+        evaluate = oracle.eval_curve
+
+        def spy(curve, z):
+            sizes.append(np.size(z))
+            return evaluate(curve, z)
+        monkeypatch.setattr(oracle, "eval_curve", spy)
+        assert main(["injectivity", cfg]) == code
+        outs.append(capsys.readouterr().out)
+        monkeypatch.undo()
+    assert outs[0] == outs[1]
+    assert sum(sizes) == n and len(sizes) == 16 and max(sizes) <= 64
 
 
 _LAUNCH = """
@@ -850,8 +879,8 @@ def test_overflowing_curve_is_a_numerical_failure(tmp_path, capsys, command,
                  "curve.kind = example1\ncurve.c = 1e300\ngrid.n_r = 20\n"
                  "grid.n_theta = 8\ninjectivity.samples = 2000\n")
     errs = []
-    for chunk in (8192, 16):
-        monkeypatch.setattr(criterion, "_CHUNK", chunk)
+    for chunk in (jets._CHUNK, 16):
+        monkeypatch.setattr(jets, "_CHUNK", chunk)
         with np.errstate(over="ignore", invalid="ignore"):
             assert main([command, cfg, "--output", str(tmp_path)]) == 5
         out, err = capsys.readouterr()

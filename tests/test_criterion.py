@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 import holocurve as hc
-from holocurve import criterion
+from holocurve import jets
 from holocurve.criterion import (BoundaryDiagnostics, GridSpec, boundary_diagnostics,
                                  boundary_trace, covering_bound,
                                  intrinsic_min_distance, normalize,
@@ -52,9 +52,10 @@ def _broadcast_points(g):
 
 @pytest.mark.parametrize("n_r,n_theta", [
     (300, 100), (40, 3000), (7, 10000), (3, 8191), (1, 4), (1, 9000),
-    (4000, 256)])
+    (4000, 256), (5, 4095), (5, 4097), (1, 4095)])
 def test_grid_blocks_are_the_points_bit_for_bit(n_r, n_theta):
-    # n_theta not dividing 8,192, one above it, and single-ring grids.
+    # n_theta not dividing the 4,096-point block, just below and above it,
+    # and single-ring grids.
     g = GridSpec(n_r=n_r, n_theta=n_theta, r_max=0.97)
     whole = g.points()
     starts, blocks = zip(*g.blocks())
@@ -63,9 +64,9 @@ def test_grid_blocks_are_the_points_bit_for_bit(n_r, n_theta):
     assert np.concatenate(blocks).view(float).tobytes() == \
         whole.view(float).tobytes()
     assert len(whole) == g.n_points == 1 + n_r * n_theta
-    assert starts == tuple(range(0, g.n_points, criterion._CHUNK))
-    assert all(len(b) == criterion._CHUNK for b in blocks[:-1])
-    assert 1 <= len(blocks[-1]) <= criterion._CHUNK
+    assert starts == tuple(range(0, g.n_points, jets._CHUNK))
+    assert all(len(b) == jets._CHUNK for b in blocks[:-1])
+    assert 1 <= len(blocks[-1]) <= jets._CHUNK
 
 
 def _column_summary(rep):
@@ -87,7 +88,7 @@ def _summary(rep):
 @pytest.mark.parametrize("chunk", [37, 8192])
 def test_streamed_fold_equals_column_reductions(case, chunk, ex1, ex2,
                                                 monkeypatch):
-    monkeypatch.setattr(criterion, "_CHUNK", chunk)
+    monkeypatch.setattr(jets, "_CHUNK", chunk)
     curve, weight, grid, tol = {
         "example1": (ex1, NehariFunction.constant(), SMALL, None),
         "example2": (ex2, NehariFunction.inverse_square(),
@@ -121,8 +122,8 @@ def test_first_nonfinite_margin_is_named_across_blocks(monkeypatch):
     curve = hc.example1_curve(1e152)
     grid = GridSpec(n_r=20, n_theta=8)
     messages = []
-    for chunk in (8192, 16):
-        monkeypatch.setattr(criterion, "_CHUNK", chunk)
+    for chunk in (jets._CHUNK, 16):
+        monkeypatch.setattr(jets, "_CHUNK", chunk)
         for columns in (True, False):
             with np.errstate(over="ignore", invalid="ignore"), \
                     pytest.raises(NumericalError) as info:

@@ -5,12 +5,14 @@ import numpy as np
 import pytest
 
 import holocurve as hc
+from holocurve import fixtures
 from holocurve.criterion import _margin_parts
 from holocurve.fixtures import (_zeta_parts, example1_e2sigma, example1_margin,
                                 example1_min_c, example1_schwarzian,
                                 example1_wronskian_sq, example2_equality_defect,
                                 example2_reduced_slack, example2_zeta,
                                 strip_constants_check)
+from holocurve.jets import StripMapComponent
 from holocurve.nehari import NehariFunction
 from holocurve.sampling import disk_samples
 from holocurve.schwarzian import conformal_data
@@ -56,6 +58,20 @@ def test_example2_zeta_center_value():
     for c in (0.01, 0.05, 0.2):
         z0 = example2_zeta(c, z=np.array([0.0 + 0j]))[0]
         assert abs(z0 - 3 * c * c) < 1e-15
+
+
+def test_example2_zeta_phi_is_the_strip_jets_value(monkeypatch):
+    # zeta and the strip map both take Phi from jets.artanh: the same bits,
+    # off the diameters, on them, and at radius 1e-300.
+    seen = []
+    parts = fixtures._zeta_parts
+    monkeypatch.setattr(fixtures, "_zeta_parts",
+                        lambda c, Phi: seen.append(Phi) or parts(c, Phi))
+    x = np.linspace(-0.9999, 0.9999, 101)
+    z = np.concatenate([disk_samples(2000, r_max=0.9999, seed=5), x, 1j * x,
+                        [0j, 1e-300 + 1e-300j]])
+    example2_zeta(0.05, z)
+    assert seen[0].tobytes() == StripMapComponent().jet(z).val.tobytes()
 
 
 def test_example2_zeta_real_on_diameter_and_bounded():

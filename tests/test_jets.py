@@ -12,7 +12,7 @@ from holocurve.jets import (AffineComponent, ComposedComponent, DiskMobius,
                             identity_curve, polynomial_curve,
                             precompose_disk_mobius, radial_pair_curve,
                             scale_curve, strip_curve, tan_series,
-                            tan_truncation_curve)
+                            tan_truncation_curve, artanh)
 from holocurve.sampling import disk_samples, r2_sequence
 
 RNG_POINTS = disk_samples(25, r_max=0.8, seed=3)
@@ -177,6 +177,47 @@ def test_strip_curve_is_artanh():
     jet = strip_curve().eval(z)
     assert abs(jet.val[0, 0] - np.arctanh(z[0])) < 1e-14
     assert abs(jet.d1[0, 0] - 1.0 / (1.0 - z[0] ** 2)) < 1e-14
+
+
+def _artanh_points():
+    """Uniform in the disk up to r = 0.9999, within 1e-12 ... 1e-3 of the
+    circle, at radii 1e-300 ... 1e-1, on both diameters, and 0."""
+    rng = np.random.default_rng(11)
+
+    def ring(r):
+        return r * np.exp(2j * np.pi * rng.random(len(r)))
+    x = np.linspace(-1.0, 1.0, 401)[1:-1] * 0.9999
+    return np.concatenate([
+        ring(0.9999 * np.sqrt(rng.random(1000))),
+        ring(1.0 - 10.0 ** rng.uniform(-12, -3, 500)),
+        ring(10.0 ** rng.uniform(-300, -1, 500)),
+        x, 1j * x, -x - 0j, [0j]])
+
+
+def test_artanh_matches_mpmath():
+    import mpmath
+    z = _artanh_points()
+    assert np.all(np.abs(z) < 1.0)
+    with mpmath.workdps(40):
+        ref = np.array([complex(mpmath.atanh(mpmath.mpc(v.real, v.imag)))
+                        for v in z.tolist()])
+    err = np.abs(artanh(z) - ref)
+    assert np.all(err <= 4 * 2.0 ** -52 * np.maximum(1.0, np.abs(ref)))
+
+
+def test_artanh_is_the_principal_branch_and_keeps_signed_zeros():
+    # Real on the real diameter and imaginary on the imaginary one;
+    # conjugation commutes with it exactly; a scalar gives the scalar of its
+    # array.
+    x = np.linspace(-0.999, 0.999, 201)
+    assert np.all(artanh(x + 0j).imag == 0.0)
+    assert np.all(artanh(1j * x).real == 0.0)
+    z = disk_samples(200, r_max=0.999, seed=4)
+    assert np.array_equal(artanh(np.conj(z)), np.conj(artanh(z)))
+    assert np.all(np.abs(artanh(z).imag) < np.pi / 4)
+    assert artanh(complex(z[7])) == artanh(z)[7]
+    zero = artanh(np.array([0j, complex(0.0, -0.0)]))
+    assert np.array_equal(np.signbit(zero.imag), [False, True])
 
 
 def test_polynomial_curve_validates_input():

@@ -147,11 +147,15 @@ def test_plain_double_platform_skips_the_kernel(monkeypatch):
 
 
 def test_blocks_change_no_byte(monkeypatch):
+    # On both paths: the kernel, and one row-format % per block where long
+    # double is a plain double.
     columns = list(np.random.default_rng(5).normal(size=(3, 1001)) * 1e3)
     want = _reference(("a", "b", "c"), columns)
-    for block in (1, 3, 7, 4096):
-        monkeypatch.setattr(_table, "_BLOCK", block)
-        assert _written(("a", "b", "c"), columns) == want
+    for margin in (_table._MARGIN, np.inf):
+        monkeypatch.setattr(_table, "_MARGIN", margin)
+        for block in (1, 3, 7, 4096):
+            monkeypatch.setattr(_table, "_BLOCK", block)
+            assert _written(("a", "b", "c"), columns) == want
 
 
 def test_empty_table_is_the_header():
