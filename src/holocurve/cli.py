@@ -388,8 +388,8 @@ def _reproduce_example2(cfg: RunConfig) -> int:
     grid = _grid(cfg)
     # Block by block: np.histogram needs the whole slack, nothing more.
     # Freeing it before the scan also raises glibc's trim threshold past a
-    # block's ~3 MB of temporaries, which would otherwise be returned to the
-    # system and faulted in again block after block.
+    # scan block's ~1.4 MB of temporaries, which would otherwise be returned
+    # to the system and faulted in again block after block.
     slack = np.empty(grid.n_points)
     for i, z in grid.blocks():
         slack[i:i + len(z)] = example2_reduced_slack(c, z)

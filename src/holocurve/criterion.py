@@ -62,24 +62,20 @@ class GridSpec:
     def n_points(self) -> int:
         return 1 + self.n_r * self.n_theta
 
-    def points(self, start: int = 0, stop: int | None = None) -> np.ndarray:
-        """Points start..stop-1 of the grid: the origin, then ring by ring
-        outward, each ring from angle 0.  A slice is the same slice of the
-        whole grid bit for bit, since each point is r[ring] * e^{i th}."""
-        stop = self.n_points if stop is None else stop
+    def blocks(self):
+        """(start, z) over consecutive blocks of at most jets._CHUNK points
+        of the grid: the origin, then ring by ring outward, each ring from
+        angle 0.  The radii and angles are built once per walk, and each
+        point is r[ring] * e^{i th}, so a block is the same slice of the
+        whole grid bit for bit."""
         r = self.r_max * np.arange(1, self.n_r + 1) / self.n_r
         e = np.exp(1j * (2.0 * np.pi * np.arange(self.n_theta) / self.n_theta))
-        ring, angle = np.divmod(np.arange(max(start, 1), stop) - 1,
-                                self.n_theta)
-        z = r[ring] * e[angle]
-        return np.concatenate(([0j], z)) if start == 0 else z
-
-    def blocks(self):
-        """(start, points(start, stop)) over consecutive blocks of at most
-        jets._CHUNK points."""
-        n = self.n_points
-        for i in range(0, n, jets._CHUNK):
-            yield i, self.points(i, min(i + jets._CHUNK, n))
+        n, chunk = self.n_points, jets._CHUNK
+        for i in range(0, n, chunk):
+            ring, angle = np.divmod(np.arange(max(i, 1), min(i + chunk, n)) - 1,
+                                    self.n_theta)
+            z = r[ring] * e[angle]
+            yield i, (np.concatenate(([0j], z)) if i == 0 else z)
 
 
 @dataclass(frozen=True)
@@ -307,15 +303,6 @@ def dijkstra(*args, **kwargs):
     return dijkstra(*args, **kwargs)
 
 
-def _sigma_derivatives(curve: HoloCurve, z):
-    """q = e^{2 sigma}, sigma_z = P/(2Q), sigma_zz = (R/Q - (P/Q)^2)/2 and
-    sigma_zzbar = W^2/(2Q^2) over z."""
-    data = conformal_data(eval_curve(curve, z))
-    ratio = data.p_sum / data.q
-    return (data.q, 0.5 * ratio, 0.5 * (data.r_sum / data.q - ratio * ratio),
-            0.5 * data.wronskian_sq / data.q ** 2)
-
-
 def _ray_sums(curve, r, n, thetas):
     """intrinsic_min_distance's (lower, upper) by n Gauss-Legendre nodes.
 
@@ -331,10 +318,12 @@ def _ray_sums(curve, r, n, thetas):
     half = np.pi / len(thetas)
     for _ in range(6):
         z = t * np.exp(1j * theta)
-        q, s_z, s_zz, s_zzbar = _sigma_derivatives(curve, z)
-        best = np.minimum(best, np.sqrt(q))
+        data = conformal_data(eval_curve(curve, z))
+        best = np.minimum(best, np.sqrt(data.q))
+        s_z = data.sigma_z
         s_t = -2.0 * np.imag(z * s_z)
-        s_tt = 2.0 * s_zzbar * t * t - 2.0 * np.real(z * z * s_zz + z * s_z)
+        s_tt = 2.0 * data.sigma_zzbar * t * t \
+            - 2.0 * np.real(z * z * data.sigma_zz + z * s_z)
         with np.errstate(divide="ignore", invalid="ignore"):
             theta = theta + np.where(s_tt > 0.0,
                                      np.clip(-s_t / s_tt, -half, half), 0.0)
@@ -422,14 +411,14 @@ def _log_weight_derivatives(curve: HoloCurve, profile: ExtremalProfile, z):
         l_zz     = (rho_r zetabar^2 / 2 - 2 sigma_zz) / 4
         l_zzbar  = (rho_r / 2 + rho - 2 sigma_zzbar) / 4,    zeta = z/|z|,
 
-    with sigma's derivatives from _sigma_derivatives.
+    with sigma's derivatives from ConformalData.
 
     Returns (w, m, u0, g, a, b) with g = l_x + i l_y = 2 conj(l_z),
     a = l_zz and b = l_zzbar; the second derivative of l along a unit
     vector v is 2b + 2 Re(a v^2).
     """
     z = np.asarray(z, dtype=complex)
-    q, s_z, s_zz, s_zzbar = _sigma_derivatives(curve, z)
+    data = conformal_data(eval_curve(curve, z))
     r = np.abs(z)
     u0, u0p = profile.u0(r), profile.u0_prime(r)
     m = -2.0 * u0p / u0
@@ -437,10 +426,10 @@ def _log_weight_derivatives(curve: HoloCurve, profile: ExtremalProfile, z):
     rho = 2.0 * a_r - 0.5 * m * m
     rho_r = 2.0 * profile.p(r) + m * m - 2.0 * a_r
     zeta = np.where(r > 0, z / np.where(r > 0, r, 1.0), 1.0)
-    g = 0.5 * np.conj(rho * np.conj(z) - 2.0 * s_z)
-    a = 0.25 * (0.5 * rho_r * np.conj(zeta) ** 2 - 2.0 * s_zz)
-    b = 0.25 * (0.5 * rho_r + rho - 2.0 * s_zzbar)
-    return 1.0 / (u0 * q ** 0.25), m, u0, g, a, b
+    g = 0.5 * np.conj(rho * np.conj(z) - 2.0 * data.sigma_z)
+    a = 0.25 * (0.5 * rho_r * np.conj(zeta) ** 2 - 2.0 * data.sigma_zz)
+    b = 0.25 * (0.5 * rho_r + rho - 2.0 * data.sigma_zzbar)
+    return 1.0 / (u0 * data.q ** 0.25), m, u0, g, a, b
 
 
 def minimize(*args, **kwargs):

@@ -12,7 +12,8 @@ This module provides
   evaluated once,
 * ``HoloCurve``, whose ``eval`` (alias ``eval_curve``) returns one
   ``CurveJet``: a ``Jet3`` stacking the jets of all components,
-* ``DiskMobius`` disk automorphisms and ``precompose_disk_mobius``,
+* ``DiskMobius`` disk automorphisms, whose jets are ``MoebiusComponent``
+  jets, and ``precompose_disk_mobius``,
 * finite-difference reference derivatives (``fd_derivative``, ``fd_jet``)
   used as independent oracles by the test-suite and the identity checker.
 
@@ -297,17 +298,10 @@ class DiskMobius:
             raise ConfigError("rho must lie in (-1, 1) and theta be finite")
 
     def jet(self, z) -> Jet3:
-        rho = self.rho
-        den = 1.0 + 1j * rho * z
+        """The jet of T, as a MoebiusComponent."""
         phase = np.exp(1j * self.theta)
-        fac = phase * (1.0 - rho * rho)
-        inv = 1.0 / den
-        return Jet3(
-            phase * (z - 1j * rho) * inv,
-            fac * inv ** 2,
-            -2j * rho * fac * inv ** 3,
-            -6.0 * rho * rho * fac * inv ** 4,
-        )
+        return MoebiusComponent(phase, -1j * self.rho * phase, 1j * self.rho,
+                                1.0).jet(z)
 
     def __call__(self, z):
         return self.jet(z).val
@@ -345,9 +339,9 @@ class HoloCurve:
     def n(self) -> int:
         return len(self.components)
 
-    def eval(self, z, check_domain: bool = True) -> CurveJet:
+    def eval(self, z) -> CurveJet:
         z = np.asarray(z, dtype=complex) if np.ndim(z) else complex(z)
-        if check_domain and np.any(np.abs(z) >= 1.0):
+        if not np.all(np.abs(z) < 1.0):             # a NaN point fails too
             raise DomainError("evaluation point outside the open unit disk")
         memo = {}
         jets = [_shared_jet(m, z, memo) for m in self.components]

@@ -37,7 +37,6 @@ class ConformalData:
     r_sum: np.ndarray        # sum conj(f') f'''
     wronskian_sq: np.ndarray
     schwarzian: np.ndarray   # generalized Schwarzian derivative
-    curvature: np.ndarray    # Gaussian curvature K of the image surface
 
     @property
     def sigma(self) -> np.ndarray:
@@ -49,9 +48,22 @@ class ConformalData:
         return self.p_sum / (2.0 * self.q)
 
     @property
+    def sigma_zz(self) -> np.ndarray:
+        ratio = self.p_sum / self.q
+        return 0.5 * (self.r_sum / self.q - ratio * ratio)
+
+    @property
+    def sigma_zzbar(self) -> np.ndarray:
+        return 0.5 * self.wronskian_sq / self.q ** 2
+
+    @property
     def grad_sigma_sq(self) -> np.ndarray:
         """|grad sigma|^2 = |P/Q|^2 (gradient with respect to x, y)."""
         return np.abs(self.p_sum / self.q) ** 2
+
+    @property
+    def curvature(self) -> np.ndarray:
+        return -2.0 * self.wronskian_sq / self.q ** 3
 
     @property
     def second_form_sq(self) -> np.ndarray:
@@ -74,10 +86,8 @@ def conformal_data(jet: CurveJet) -> ConformalData:
         w2 = w2 + np.abs(d1[i] * d2[j] - d1[j] * d2[i]) ** 2
     ratio = p_sum / q
     schwarzian = r_sum / q - 1.5 * ratio * ratio
-    curvature = -2.0 * w2 / q ** 3
     return ConformalData(z=jet.z, q=q, p_sum=p_sum, r_sum=r_sum,
-                         wronskian_sq=w2, schwarzian=schwarzian,
-                         curvature=curvature)
+                         wronskian_sq=w2, schwarzian=schwarzian)
 
 
 def classical_schwarzian(jet: Jet3) -> np.ndarray:
@@ -120,10 +130,11 @@ def second_form_sq_fd(curve: HoloCurve, z: complex) -> float:
     """|II|^2 with the metric-gradient term taken by finite differences.
 
     sigma is sampled as (1/2) log Q on a cross stencil around z (the step
-    1e-4 of fd_derivative), so this route does not consult P at all.
+    1e-4 of fd_derivative), so this route does not consult P at all.  The
+    stencil reaches 3e-4 from z, so z must lie 3e-4 inside the circle.
     """
     def sigma_at(w):
-        jet = curve.eval(w, check_domain=False)
+        jet = curve.eval(w)
         return 0.5 * np.log(np.sum(np.abs(jet.d1) ** 2, axis=0))
 
     x0, y0 = float(np.real(z)), float(np.imag(z))

@@ -99,7 +99,7 @@ def test_signed_curvature_variant_differs_by_curvature_term(ex2):
         right = s1_via_curvature(ex2, path, t)
         wrong = s1_via_curvature(ex2, path, t, signed_curvature=True)
         z = path.jet(t).val
-        data = conformal_data(ex2.eval(np.array([z]), check_domain=False))
+        data = conformal_data(ex2.eval(np.array([z])))
         gap = 1.5 * np.exp(2 * data.sigma[0]) * abs(data.curvature[0])
         assert gap > 1e-4   # the probe is only meaningful off the flat locus
         assert abs((right - wrong) - gap) <= 1e-10 * (1.0 + gap)

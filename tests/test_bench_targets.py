@@ -3,8 +3,8 @@ drops one would otherwise only show when a traced benchmark run stops, and
 one that routes a call around its binding would read as 0 calls.
 
 bench/tracer.py is loaded by path; only the shim test installs it.  The
-weight gate and covering tests read bench/workloads.json and change nothing
-there.
+weight gate and expectations tests read bench/workloads.json and change
+nothing there.
 """
 
 import importlib.util
@@ -99,12 +99,10 @@ def _config_text(op):
     return "".join(f"{key} = {value}\n" for key, value in op["config"].items())
 
 
-@pytest.mark.parametrize("op", [op for op in _bench_ops()
-                                if op["command"] == "covering"],
-                         ids=lambda op: op["id"])
-def test_bench_covering_ops_meet_their_expectations(op, tmp_path, capsys):
-    # The bench checks each op's exit code and expected stdout lines; the
-    # covering bracket must keep them.
+@pytest.mark.parametrize("op", _bench_ops(), ids=lambda op: op["id"])
+def test_bench_ops_meet_their_expectations(op, tmp_path, capsys):
+    # The bench checks each op's exit code and expected stdout lines, edge
+    # ops included; a library change must keep them.
     cfg = tmp_path / "op.cfg"
     cfg.write_text(_config_text(op))
     code = cli.main([op["command"], str(cfg), "--output", str(tmp_path)])

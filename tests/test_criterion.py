@@ -36,7 +36,7 @@ SMALL = GridSpec(n_r=40, n_theta=16)
 
 def test_grid_spec_points():
     g = GridSpec(n_r=10, n_theta=8, r_max=0.9)
-    pts = g.points()
+    pts = np.concatenate([z for _, z in g.blocks()])
     assert pts.size == 1 + 10 * 8
     assert pts[0] == 0.0
     assert np.max(np.abs(pts)) <= 0.9 + 1e-15
@@ -52,17 +52,19 @@ def _broadcast_points(g):
 
 @pytest.mark.parametrize("n_r,n_theta", [
     (300, 100), (40, 3000), (7, 10000), (3, 8191), (1, 4), (1, 9000),
-    (4000, 256), (5, 4095), (5, 4097), (1, 4095)])
-def test_grid_blocks_are_the_points_bit_for_bit(n_r, n_theta):
+    (4000, 256), (5, 4095), (5, 4097), (1, 4095), (1, 100000)])
+def test_grid_blocks_are_the_points_bit_for_bit(n_r, n_theta, monkeypatch):
     # n_theta not dividing the 4,096-point block, just below and above it,
-    # and single-ring grids.
+    # and single-ring grids.  A walk evaluates its n_theta exponentials
+    # once, not once per block.
     g = GridSpec(n_r=n_r, n_theta=n_theta, r_max=0.97)
-    whole = g.points()
+    want = _broadcast_points(g)
+    exp, calls = np.exp, []
+    monkeypatch.setattr(np, "exp", lambda x: calls.append(x) or exp(x))
     starts, blocks = zip(*g.blocks())
-    assert whole.view(float).tobytes() == \
-        _broadcast_points(g).view(float).tobytes()
-    assert np.concatenate(blocks).view(float).tobytes() == \
-        whole.view(float).tobytes()
+    assert len(calls) == 1
+    whole = np.concatenate(blocks)
+    assert whole.view(float).tobytes() == want.view(float).tobytes()
     assert len(whole) == g.n_points == 1 + n_r * n_theta
     assert starts == tuple(range(0, g.n_points, jets._CHUNK))
     assert all(len(b) == jets._CHUNK for b in blocks[:-1])

@@ -106,6 +106,18 @@ def test_disk_mobius_jet_matches_finite_differences():
             assert abs(getattr(exact, name) - getattr(approx, name)) <= 1e-7
 
 
+def test_disk_mobius_jet_is_the_moebius_component_jet_bit_for_bit():
+    zs = disk_samples(200, r_max=0.99, seed=3)
+    for rho, theta in ((0.35, 1.1), (-0.55, 2.1), (0.0, 0.0), (0.999, -3.0)):
+        phase = np.exp(1j * theta)
+        want = MoebiusComponent(phase, -1j * rho * phase, 1j * rho,
+                                1.0).jet(zs)
+        got = DiskMobius(rho, theta).jet(zs)
+        for name in ("val", "d1", "d2", "d3"):
+            assert getattr(got, name).tobytes() == \
+                getattr(want, name).tobytes(), name
+
+
 def test_disk_mobius_rejects_out_of_range_rho():
     with pytest.raises(ValueError):
         DiskMobius(rho=1.0, theta=0.0)
@@ -136,6 +148,10 @@ def test_eval_outside_disk_raises():
         identity_curve().eval(np.array([1.0 + 0j]))
     with pytest.raises(DomainError):
         identity_curve().eval(np.array([0.3, 1.2j]))
+    # NaN compares false both ways; it is not a point of the disk either.
+    for bad in (np.nan, complex(0.1, np.nan), np.array([0.3, np.nan])):
+        with pytest.raises(DomainError):
+            identity_curve().eval(bad)
 
 
 def test_vanishing_tangent_detected():

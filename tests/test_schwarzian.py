@@ -124,3 +124,19 @@ def test_sigma_derived_quantities_consistent():
     lhs = data.laplacian_sigma
     rhs = np.exp(2 * data.sigma) * np.abs(data.curvature)
     assert np.max(np.abs(lhs - rhs) / (1.0 + rhs)) < 1e-12
+
+
+@pytest.mark.parametrize("curve", [hc.example2_curve(0.05),
+                                   hc.radial_pair_curve(0.7)],
+                         ids=["example2", "radial_pair"])
+def test_sigma_derivatives_and_curvature_are_the_frozen_expressions(curve):
+    # sigma_z = P/(2Q), sigma_zz = (R/Q - (P/Q)^2)/2, sigma_zzbar =
+    # W^2/(2Q^2) and K = -2 W^2/Q^3, each written out from the sums.
+    data = conformal_data(curve.eval(disk_samples(500, r_max=0.999, seed=2)))
+    ratio = data.p_sum / data.q
+    want = {"sigma_z": 0.5 * ratio,
+            "sigma_zz": 0.5 * (data.r_sum / data.q - ratio * ratio),
+            "sigma_zzbar": 0.5 * data.wronskian_sq / data.q ** 2,
+            "curvature": -2.0 * data.wronskian_sq / data.q ** 3}
+    for name, value in want.items():
+        assert getattr(data, name).tobytes() == value.tobytes(), name
