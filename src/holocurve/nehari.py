@@ -9,7 +9,8 @@ kinds:
     inverse_square  p = (1-x^2)^{-2}      (kernel 1)
     half_strip      p = 2 (1-x^2)^{-1}    (kernel 2 sech^2 t)
 
-each times an optional positive factor, plus cubic-spline tabulated weights.
+each times an optional positive factor, plus tabulated weights: monotone
+cubic Hermite pieces, slope 0 at x = 0, clamped beyond the last node.
 
 A closed kind is disconjugate iff factor <= 1.  A table is certified through
 v'' + (P(t) - 1) v = 0 on |t| <= _T_MAX (v = u cosh t shares its zeros with
@@ -30,7 +31,7 @@ import numpy as np
 
 from ._table import write_csv
 from .errors import ConfigError, NumericalError
-from .jets import DiskMobius, fd_derivative
+from .jets import DiskMobius
 
 __all__ = [
     "NehariFunction", "NehariValidation", "validate_nehari",
@@ -79,7 +80,7 @@ class NehariFunction:
         if not 0.0 < self.factor < np.inf:
             raise ConfigError("weight factor must be positive and finite")
         if self.kind == "tabulated":
-            from scipy.interpolate import CubicSpline
+            from ._hermite import MonotoneCubic
             x = np.asarray(self.table_x, dtype=float)
             p = np.asarray(self.table_p, dtype=float)
             if x.ndim != 1 or x.shape != p.shape or x.size < 4:
@@ -92,7 +93,7 @@ class NehariFunction:
                 raise ConfigError("table values must be finite")
             object.__setattr__(self, "table_x", x)
             object.__setattr__(self, "table_p", p)
-            object.__setattr__(self, "_spline", CubicSpline(x, p))
+            object.__setattr__(self, "_spline", MonotoneCubic(x, p))
 
     # -- constructors -------------------------------------------------------
 
@@ -122,8 +123,8 @@ class NehariFunction:
 
     def __call__(self, x):
         ax = np.abs(x)
-        if self.kind == "tabulated":   # clamped at the table edge
-            return self.factor * self._spline(np.minimum(ax, self.table_x[-1]))
+        if self.kind == "tabulated":
+            return self.factor * self._spline(ax)
         c, m = _CLOSED[self.kind]
         return self.factor * c / _one_minus_sq(ax) ** (2 - m)
 
@@ -136,8 +137,8 @@ class NehariFunction:
 
     @property
     def boundary_lambda(self) -> float:
-        """lim_{|x| -> 1} (1-x^2)^2 p(x); 0 for a table, which the spline
-        clamps at its last node below 1."""
+        """lim_{|x| -> 1} (1-x^2)^2 p(x); 0 for a table, whose interpolant
+        is clamped at its last node below 1."""
         if self.kind == "tabulated":
             return 0.0
         c, m = _CLOSED[self.kind]
@@ -349,8 +350,8 @@ class ExtremalProfile:
     def A(self, r):
         """A(r) = (1/4)(Phi''/Phi')^2 + (1/(2r)) Phi''/Phi'.
 
-        Near r = 0 the closed formula is 0/0-ish; a series in r^2 (exact
-        through O(r^2)) takes over below r = 1e-4.
+        Near r = 0 the closed formula is 0/0-ish; below r = 1e-4 the series
+        A = p(0) + (8 p(0)^2 + p''(0)) r^2 / 6 + O(r^4) takes over.
         """
         r = np.asarray(r, dtype=float)
         scalar = r.ndim == 0
@@ -363,7 +364,7 @@ class ExtremalProfile:
             out[~small] = 0.25 * ratio ** 2 + ratio / (2.0 * rr)
         if np.any(small):
             p0 = float(self.p(0.0))
-            c2 = p0 ** 2 + (self._p2_at_0 + p0 ** 2) / 3.0
+            c2 = (8.0 * p0 ** 2 + self._p2_at_0) / 6.0
             out[small] = p0 + c2 * r[small] ** 2
         return out[0] if scalar else out
 
@@ -420,8 +421,12 @@ def extremal_profile(p: NehariFunction, eps: float = 1e-6,
     if not sol.success:
         raise NumericalError(f"profile integration failed: {sol.message}")
 
-    # p''(0), for the small-r series of A.
-    p2 = fd_derivative(lambda x: float(p(x)), 0.0, 2, h=1e-3)
+    # p''(0), exact, for the small-r series of A.
+    if p.kind == "tabulated":
+        p2 = 2.0 * p.factor * float(p._spline.c[2, 0])
+    else:
+        c, m = _CLOSED[p.kind]
+        p2 = 2.0 * p.factor * c * (2 - m)
     xs = np.linspace(0.0, x_end, n_samples)
     return ExtremalProfile(p=p, eps=eps, xs=xs, _sol=sol.sol, _p2_at_0=p2)
 
@@ -446,7 +451,7 @@ def _closed_phi(p: NehariFunction, d: float) -> float:
 
 
 def _u0_at_1(p: NehariFunction, rtol: float) -> float:
-    """u0(1) of a table, whose clamped spline keeps p bounded up to x = 1."""
+    """u0(1) of a table, whose clamped interpolant keeps p bounded."""
     sol = solve_ivp(lambda x, y: [y[1], -float(p(x)) * y[0]], (0.0, 1.0),
                     [1.0, 0.0], rtol=rtol, atol=1e-14)
     if not sol.success:

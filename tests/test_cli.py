@@ -121,7 +121,8 @@ def test_check_criterion_failure_exit_code(tmp_path, capsys):
 # extremal-profile
 # ---------------------------------------------------------------------------
 
-# pi^2/4 on ten nodes: the spline is constant, so this is the constant weight.
+# pi^2/4 on ten nodes: the interpolant is constant, so this is the constant
+# weight.
 _CONSTANT_TABLE = ("nehari.kind = tabulated\nnehari.table_x = "
                    + ",".join(map(repr, np.linspace(0.0, 0.9, 10).tolist()))
                    + "\nnehari.table_p = " + ",".join([repr(np.pi ** 2 / 4)]
@@ -768,15 +769,39 @@ def test_boundary_empty_distortion_annulus_is_infeasible(tmp_path, capsys,
     assert "distortion_a" not in out
 
 
+def _table_config(values):
+    return ("nehari.kind = tabulated\nnehari.table_x = 0,0.3,0.6,0.9\n"
+            f"nehari.table_p = {values}\ncovering.radii = 0.3\n"
+            "covering.resolution = 20\n")
+
+
 def test_covering_decreasing_weight_is_a_config_error(tmp_path, capsys):
-    cfg = _write(tmp_path, "cov.cfg",
-                 "nehari.kind = tabulated\nnehari.table_x = 0,0.3,0.6,0.9\n"
-                 "nehari.table_p = 2,1.5,1.2,1.0\ncovering.radii = 0.3\n"
-                 "covering.resolution = 20\n")
+    cfg = _write(tmp_path, "cov.cfg", _table_config("2,1.5,1.2,1.0"))
     assert main(["covering", cfg, "--output", str(tmp_path)]) == 2
     out, err = capsys.readouterr()
     assert out == "" and "nondecreasing weight" in err
     assert not (tmp_path / "covering.csv").exists()
+
+
+def test_covering_accepts_a_nondecreasing_table(tmp_path, capsys):
+    # The old not-a-knot spline of this table had slope -0.139 at 0, so
+    # covering exited 2: "covering bound requires a nondecreasing weight".
+    cfg = _write(tmp_path, "cov.cfg", _table_config("2.4,2.4,2.45,2.5"))
+    assert main(["covering", cfg, "--output", str(tmp_path)]) == 0
+    assert _stdout_value(capsys.readouterr().out, "verdict") == "consistent"
+
+
+@pytest.mark.parametrize("values", ["0.1,0.1,0.1,4", "1,1,1,4"])
+def test_steep_table_fails_only_the_kernel_gate(tmp_path, capsys, values):
+    # Each Hermite piece stays between its node values, so the first table
+    # is positive now (its spline dipped below 0); but (1-x^2)^2 p still
+    # rises on the last interval of both.
+    cfg = _write(tmp_path, "cov.cfg", _table_config(values))
+    assert main(["covering", cfg, "--output", str(tmp_path)]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == ("config error: (1-x^2)^2 p(x) increases somewhere in "
+                   "|x|\n")
 
 
 @pytest.mark.parametrize("command,line", [

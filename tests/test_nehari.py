@@ -74,18 +74,6 @@ def test_odd_and_negative_callables_rejected():
     assert not v.positive
 
 
-def test_import_leaves_the_spline_module_unloaded():
-    # CubicSpline is imported when a tabulated weight is built, not before.
-    src = str(Path(holocurve.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        filter(None, [src, os.environ.get("PYTHONPATH")])))
-    code = ("import sys, holocurve; "
-            "print('scipy.interpolate' in sys.modules)")
-    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
-                         capture_output=True, text=True).stdout
-    assert out.strip() == "False"
-
-
 def _scipy_modules_after(code: str, *args: str) -> set[str]:
     """The scipy modules loaded once `code` has run in a fresh interpreter."""
     src = str(Path(holocurve.__file__).resolve().parents[1])
@@ -150,6 +138,60 @@ def test_ode_subcommands_load_neither_integrate_nor_optimize(tmp_path):
     assert _scipy_modules_after_main(runs, tmp_path) == set()
 
 
+# Nondecreasing and admissible; the old not-a-knot spline had slope -0.139
+# at 0, so p(|x|) had a kink there and covering rejected the table.
+_RISING_TABLE = ("nehari.kind = tabulated\nnehari.table_x = 0,0.3,0.6,0.9\n"
+                 "nehari.table_p = 2.4,2.4,2.45,2.5\n")
+
+
+def test_tabulated_runs_load_no_scipy(tmp_path):
+    # A table is interpolated by numpy Hermite cubics: scipy.interpolate,
+    # once loaded by every tabulated run, stays unloaded too.
+    runs = [("extremal-profile", _RISING_TABLE + "profile.samples = 17\n"),
+            ("check-criterion", _RISING_TABLE + _GRID),
+            ("boundary", _RISING_TABLE + "curve.kind = example2\n"
+             "boundary.rays = 2\nboundary.s_points = 3\n"
+             "boundary.ring_samples = 64\n")]
+    assert _scipy_modules_after_main(runs, tmp_path) == set()
+
+
+def _random_tables(shape, count=40):
+    """Tables of 4 to 12 nodes on [0, 0.9) of the given shape."""
+    rng = np.random.default_rng(["rising", "falling", "any",
+                                 "plateaus"].index(shape))
+    for _ in range(count):
+        n = int(rng.integers(4, 13))
+        x = np.concatenate([[0.0], np.cumsum(rng.uniform(0.02, 0.08, n - 1))])
+        p = (rng.integers(1, 4, n).astype(float) if shape == "plateaus"
+             else rng.uniform(0.1, 5.0, n))
+        yield x, {"rising": np.sort(p), "falling": np.sort(p)[::-1]}.get(
+            shape, p)
+
+
+@pytest.mark.parametrize("shape", ["rising", "falling", "any", "plateaus"])
+def test_table_interpolant_is_monotone_hermite(shape):
+    from scipy.interpolate import PchipInterpolator   # reference only
+    for x, p in _random_tables(shape):
+        w = NehariFunction.tabulated(x, p)
+        tol = 1e-15 * np.max(np.abs(p))
+        assert np.array_equal(w(x), p)
+        # slope 0 at x = 0: the even extension is C^1 across the axis
+        h = 1e-9
+        assert abs(w(h) - w(0.0)) / h < 1e-4
+        ref = PchipInterpolator(x, p)
+        for i in range(x.size - 1):
+            t = np.linspace(x[i], x[i + 1], 101)
+            v = w(t)
+            # each piece stays between its end values
+            assert np.all(v >= min(p[i], p[i + 1]) - tol)
+            assert np.all(v <= max(p[i], p[i + 1]) + tol)
+            if i > 0:    # the same slopes as pchip away from x = 0
+                assert np.max(np.abs(v - ref(t))) <= tol
+        # clamped beyond the last node
+        assert np.array_equal(w(np.linspace(x[-1], 0.999, 7)),
+                              np.full(7, w(x[-1])))
+
+
 def test_tabulated_input_validation():
     xs = np.linspace(0.0, 0.9, 10)
     ps = np.ones_like(xs)
@@ -208,8 +250,8 @@ def test_extremality_margins():
     assert abs(extremality_margin(NehariFunction.inverse_square(0.5)) - 2.0) < 1e-3
 
 
-# A table of the constant weight: the spline of constant data is constant and
-# clamped beyond its last node, so it is pi^2/4 on all of (-1, 1), but a
+# A table of the constant weight: the interpolant of constant data is constant
+# and clamped beyond its last node, so it is pi^2/4 on all of (-1, 1), but a
 # table's margin is bisected, never read off its factor.
 def _constant_table(factor=1.0):
     return NehariFunction.tabulated(np.linspace(0.0, 0.9, 10),
@@ -464,6 +506,38 @@ def test_profile_A_small_radius_series(profile_constant):
     assert abs(a[0] - np.pi ** 2 / 4) < 1e-12
 
 
+@pytest.mark.parametrize("weight,p2,c2", [
+    (NehariFunction.constant(0.5), 0.0, 4.0 / 3.0 * (np.pi ** 2 / 8) ** 2),
+    (NehariFunction.inverse_square(), 4.0, 2.0),     # A = p = (1-r^2)^-2
+    (NehariFunction.half_strip(), 4.0, 6.0),         # A - p = 4 r^2 + ...
+], ids=["constant", "inverse_square", "half_strip"])
+def test_profile_A_series_is_exact_through_r_squared(weight, p2, c2):
+    # p''(0) is exact (2 factor c (2 - m) for p = factor c (1-x^2)^(m-2)),
+    # and A = p(0) + (8 p(0)^2 + p''(0)) r^2 / 6 below r = 1e-4; the old
+    # series had p''(0)/3, reading 8/3 for the inverse-square c2 = 2.
+    prof = extremal_profile(weight, n_samples=17)
+    assert prof._p2_at_0 == p2
+    p0 = float(weight(0.0))
+    for r in (2e-5, 5e-5, 0.99e-4):
+        assert abs((prof.A(r) - p0) / r ** 2 - c2) < 1e-6 * c2
+
+
+@pytest.mark.parametrize("values", [[2.4, 2.4, 2.45, 2.5],
+                                    [1.0, 1.09, 1.36, 1.81]])
+def test_table_A_is_continuous_at_the_series_switch(values):
+    # A's series takes over below r = 1e-4.  The old spline's slope -0.139
+    # at 0 in the first table put an O(r) term into A, which the series
+    # lacks: 2.3999990 below the switch against 2.3999931 above it.
+    w = NehariFunction.tabulated([0.0, 0.3, 0.6, 0.9], values)
+    prof = extremal_profile(w, n_samples=17)
+    below, above = prof.A(0.99e-4), prof.A(1.01e-4)
+    assert abs(below - above) <= 1e-8 * above
+    # p''(0) is the first Hermite piece's; p(h) - p(0) = p''(0) h^2/2 + O(h^3)
+    h = 1e-4
+    assert prof._p2_at_0 == pytest.approx(2.0 * (w(h) - w(0.0)) / h ** 2,
+                                          rel=1e-3, abs=1e-6)
+
+
 def test_phi_inverse_round_trip(profile_constant):
     s = np.array([0.1, 0.5, 1.5, 4.0, 20.0])
     x = profile_constant.phi_inverse(s)
@@ -491,7 +565,8 @@ def test_oscillating_weight_profile_raises():
 
 
 def test_tabulated_boundary_lambda_is_zero():
-    # The spline is clamped at its last node, below 1, so (1-x^2)^2 p -> 0.
+    # The interpolant is clamped at its last node, below 1, so
+    # (1-x^2)^2 p -> 0.
     tab = NehariFunction.tabulated(np.linspace(0.0, 0.95, 12),
                                    2.0 / (1.0 - np.linspace(0.0, 0.95, 12)))
     assert tab.boundary_lambda == 0.0 == richardson_lambda(tab)
