@@ -6,15 +6,14 @@ step rules of Hairer's DOP853: the combined 5th/3rd-order error norm, the
 step factor 0.9 err^(-1/8) clipped to [0.2, 10] and not grown right after a
 rejection, Hairer's initial-step heuristic, and h = (t + h) - t on every
 step.  A NaN or inf error estimate rejects the step; a step below 10 ulp of
-t ends the solve unsuccessfully.  Integration runs forward only.
+t raises NumericalError.  Integration runs forward only.
 """
 from dataclasses import dataclass
 
 import numpy as np
 
 from ._dop853 import A, B, C, D, E3, E5
-
-_EPS = np.finfo(float).eps
+from .errors import NumericalError
 
 
 def _rms(v):
@@ -51,39 +50,18 @@ class OdeResult:
     t: np.ndarray          # accepted step ends, preceded by the start
     y: np.ndarray          # (n, len(t))
     nfev: int
-    status: int            # 0: reached the end, 1: event, -1: failed
-    success: bool          # status >= 0
-    message: str
-    t_events: list         # [array of the event time], empty if none
+    stopped: bool          # stop(t[-1], y[:, -1]) <= 0 ended the solve
     sol: DenseSolution | None
 
 
-def _crossing(g, a, b, ga, gb):
-    """A zero of g between a and b, where g(a) and g(b) differ in sign, by
-    the Illinois form of false position, to about 4 ulp."""
-    side = 0
-    while ga and gb and b - a > 4 * _EPS * max(abs(a), abs(b)):
-        m = (a * gb - b * ga) / (gb - ga)
-        m = m if a < m < b else 0.5 * (a + b)
-        if not a < m < b:
-            break
-        gm = g(m)
-        if (gm > 0) == (gb > 0):
-            b, gb, ga, side = m, gm, ga * (0.5 if side == 1 else 1.0), 1
-        else:
-            a, ga, gb, side = m, gm, gb * (0.5 if side == -1 else 1.0), -1
-    return a if abs(ga) <= abs(gb) else b
-
-
-def solve_ivp(fun, t_span, y0, *, rtol, atol, event=None, direction=1,
+def solve_ivp(fun, t_span, y0, *, rtol, atol, stop=None,
               dense_output=False) -> OdeResult:
     """Integrate y' = fun(t, y) from t_span[0] forward to t_span[1].
 
-    With `event`, the solve stops (status 1) where event(t, y) first
-    crosses 0 upward (direction +1) or downward (-1), located on the step's
-    interpolant; the result then ends there.  The 3 extra stages of the
-    interpolant are computed on that step only, unless `dense_output` asks
-    for `sol` over the whole solve.
+    With `stop`, the solve ends at the first accepted step end where
+    stop(t, y) <= 0, with `stopped` set; that step is not shortened onto the
+    root.  `dense_output` asks for `sol` over the whole solve, at 3 more
+    stages a step.  A step below 10 ulp of t raises NumericalError.
     """
     t, t_end = float(t_span[0]), float(t_span[1])
     y = np.asarray(y0, dtype=float)
@@ -97,9 +75,8 @@ def solve_ivp(fun, t_span, y0, *, rtol, atol, event=None, direction=1,
     h_abs = min(100 * h0, t_end - t, max(1e-6, h0 * 1e-3)
                 if d1 <= 1e-15 and d2 <= 1e-15
                 else (0.01 / max(d1, d2)) ** 0.125)
-    nfev, ts, ys, steps, status, t_events = 2, [t], [y], [], 0, []
-    g = None if event is None else event(t, y)
-    while t < t_end and status == 0:
+    nfev, ts, ys, steps, stopped = 2, [t], [y], [], False
+    while t < t_end and not stopped:
         min_step = 10 * (np.nextafter(t, np.inf) - t)
         h_abs, rejected = max(h_abs, min_step), False
         K[0] = K[12]
@@ -122,28 +99,18 @@ def solve_ivp(fun, t_span, y0, *, rtol, atol, event=None, direction=1,
             h_abs *= max(0.2, 0.9 * err ** -0.125)  # 0.2 when err is NaN
             rejected = True
         else:
-            status = -1
-            break
-        g_new = None if event is None else event(t_new, y_new)
-        crossed = (event is not None
-                   and g * direction <= 0 <= g_new * direction)
-        if dense_output or crossed:
+            raise NumericalError(f"step size below 10 ulp at t = {float(t)!r} "
+                                 f"on [{float(t_span[0])!r}, {t_end!r}]")
+        if dense_output:
             _stages(fun, K, t, y, h, (13, 14, 15))
             nfev += 3
             dy = y_new - y
-            F = np.vstack([dy, h * K[0] - dy, 2 * dy - h * (K[12] + K[0]),
-                           h * np.dot(D, K)])
-            steps.append((t, h, y, F))
-        if crossed:
-            step = DenseSolution(steps[-1:])
-            t_new = _crossing(lambda s: event(s, step(s)), t, t_new, g,
-                              g_new)
-            y_new, status, t_events = step(t_new), 1, [np.array([t_new])]
-        t, y, g = t_new, y_new, g_new
+            steps.append((t, h, y, np.vstack([
+                dy, h * K[0] - dy, 2 * dy - h * (K[12] + K[0]),
+                h * np.dot(D, K)])))
+        stopped = stop is not None and bool(stop(t_new, y_new) <= 0)
+        t, y = t_new, y_new
         ts.append(t)
         ys.append(y)
-    message = {0: "reached the end of the interval", 1: "terminal event"}.get(
-        status, f"step size below 10 ulp at t = {t:.17g}")
-    return OdeResult(np.array(ts), np.vstack(ys).T, nfev, status,
-                     status >= 0, message, t_events,
+    return OdeResult(np.array(ts), np.vstack(ys).T, nfev, stopped,
                      DenseSolution(steps) if dense_output else None)

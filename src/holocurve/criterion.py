@@ -15,6 +15,7 @@ the weight ratio w = sqrt(Phi'(|z|)/|phi'(z)|) along rays.
 """
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -297,10 +298,16 @@ def check_covering(r: float, resolution: int) -> None:
 
 
 def dijkstra(*args, **kwargs):
-    """scipy.sparse.csgraph.dijkstra, imported at first use.  Uncalled, but
-    the bench tracer stops if it is gone; ROADMAP item 1 retires it."""
+    """scipy.sparse.csgraph.dijkstra from the test extra, at first use.
+    Uncalled; the bench tracer needs it until ROADMAP item 1 retires it."""
     from scipy.sparse.csgraph import dijkstra
     return dijkstra(*args, **kwargs)
+
+
+@functools.cache
+def _gauss_legendre(n):
+    """The n-node Gauss-Legendre rule on [-1, 1], built once per n."""
+    return np.polynomial.legendre.leggauss(n)
 
 
 def _ray_sums(curve, r, n, thetas):
@@ -310,7 +317,7 @@ def _ray_sums(curve, r, n, thetas):
     best one on sigma_theta = 0.  Both sums add in one order, so lower <=
     upper holds in floating point too.
     """
-    x, w = np.polynomial.legendre.leggauss(n)
+    x, w = _gauss_legendre(n)
     t, w = 0.5 * r * (x + 1.0), 0.5 * r * w
     f = _metric_factor(curve, np.outer(t, np.exp(1j * thetas)).ravel())
     f = f.reshape(n, len(thetas))
@@ -433,8 +440,8 @@ def _log_weight_derivatives(curve: HoloCurve, profile: ExtremalProfile, z):
 
 
 def minimize(*args, **kwargs):
-    """scipy.optimize.minimize, imported at first use.  Uncalled, but the
-    bench tracer stops if it is gone; ROADMAP item 1 retires it."""
+    """scipy.optimize.minimize from the test extra, at first use.
+    Uncalled; the bench tracer needs it until ROADMAP item 1 retires it."""
     from scipy.optimize import minimize
     return minimize(*args, **kwargs)
 

@@ -231,7 +231,8 @@ def disconjugacy_count(p: NehariFunction, rtol: float = 1e-10) -> int:
     theta' = cos^2 theta + (P - 1) sin^2 theta, theta(-_T_MAX) = 0: zeros of
     v correspond to theta crossing positive multiples of pi (each crossed
     transversally, theta' = 1 there), so the count is floor(theta(_T_MAX)/pi).
-    The solve stops at theta = _MAX_ZEROS pi, so counts saturate there.  It
+    The solve stops at the first step end past theta = _MAX_ZEROS pi, and
+    the count is clamped there, so counts saturate at _MAX_ZEROS.  It
     is skipped when Sturm comparison gives that many already: where P is
     non-increasing in |t|, P >= P(T) on [-T, T], so v has at least
     floor(2 T sqrt(P(T) - 1) / pi) zeros there.
@@ -245,18 +246,16 @@ def disconjugacy_count(p: NehariFunction, rtol: float = 1e-10) -> int:
 
 def _phase_zeros(p: NehariFunction, max_zeros: int,
                  rtol: float = 1e-10) -> int:
-    """The phase solve of disconjugacy_count; it ends where theta first
-    reaches max_zeros pi, and the count then reads max_zeros."""
+    """The phase solve of disconjugacy_count; it ends at the first step end
+    past theta = max_zeros pi, and the count is clamped there."""
     def rhs(t, y):
         g = float(p.kernel(t)) - 1.0
         s, c = np.sin(y[0]), np.cos(y[0])
         return [c * c + g * s * s]
 
     sol = solve_ivp(rhs, (-_T_MAX, _T_MAX), [0.0], rtol=rtol, atol=1e-12,
-                    event=lambda t, y: y[0] - max_zeros * np.pi, direction=1)
-    if not sol.success:  # e.g. a weight so large no step resolves it
-        raise NumericalError(f"phase integration failed: {sol.message}")
-    return int(np.floor(sol.y[0, -1] / np.pi + 1e-9))
+                    stop=lambda t, y: max_zeros * np.pi - y[0])
+    return min(int(np.floor(sol.y[0, -1] / np.pi + 1e-9)), max_zeros)
 
 
 def _exact_margin(p: NehariFunction) -> float | None:
@@ -413,13 +412,11 @@ def extremal_profile(p: NehariFunction, eps: float = 1e-6,
     x_end = 1.0 - eps
     sol = solve_ivp(rhs, (0.0, x_end), [1.0, 0.0, 0.0, 1.0, 0.0, 0.0],
                     rtol=1e-12, atol=1e-14, dense_output=True,
-                    event=lambda x, y: y[0], direction=-1)
-    if sol.status == 1:
+                    stop=lambda x, y: y[0])
+    if sol.stopped:
         raise NumericalError(
-            f"u0 vanished at x = {sol.t_events[0][0]:.6g} < {x_end:.6g}: "
+            f"u0 vanished by x = {sol.t[-1]:.6g} of [0, {x_end:.6g}]: "
             "the weight is too strong for a profile on [0, 1-eps)")
-    if not sol.success:
-        raise NumericalError(f"profile integration failed: {sol.message}")
 
     # p''(0), exact, for the small-r series of A.
     if p.kind == "tabulated":
@@ -454,8 +451,6 @@ def _u0_at_1(p: NehariFunction, rtol: float) -> float:
     """u0(1) of a table, whose clamped interpolant keeps p bounded."""
     sol = solve_ivp(lambda x, y: [y[1], -float(p(x)) * y[0]], (0.0, 1.0),
                     [1.0, 0.0], rtol=rtol, atol=1e-14)
-    if not sol.success:
-        raise NumericalError(f"u0 integration failed: {sol.message}")
     return float(sol.y[0, -1])
 
 

@@ -211,8 +211,8 @@ class InjectivityReport:
 
 
 def cKDTree(*args, **kwargs):
-    """scipy.spatial.cKDTree, imported at first use.  Uncalled, but the
-    bench tracer stops if it is gone; ROADMAP item 1 retires it."""
+    """scipy.spatial.cKDTree from the test extra, at first use.
+    Uncalled; the bench tracer needs it until ROADMAP item 1 retires it."""
     from scipy.spatial import cKDTree
     return cKDTree(*args, **kwargs)
 

@@ -327,6 +327,29 @@ def test_tabulated_margin_bits():
         == float.fromhex("0x1.0000000000000p+0")
 
 
+@pytest.mark.parametrize("factor,margin", [(1.0, 1.022705078125),
+                                           (0.5, 2.045440673828125)])
+def test_rising_table_margin_bits(factor, margin):
+    # Each oscillating solve ends at the first step end past its zero; the
+    # count reads as it would at the zero, so every bisection step, and the
+    # margin's bits, are those of a solve stopped on the zero.
+    p = NehariFunction.tabulated([0.0, 0.3, 0.6, 0.9],
+                                 [2.4, 2.4, 2.45, 2.5], factor)
+    assert extremality_margin(p) == margin
+
+
+@pytest.mark.parametrize("factor,count", [(1.05, 1), (100.0, 10),
+                                          (1e150, 64)])
+def test_constant_zero_counts_are_pinned(factor, count):
+    from holocurve.nehari import _phase_zeros
+
+    p = NehariFunction.constant(factor)
+    assert disconjugacy_count(p) == count
+    # The phase solve alone, without Sturm's shortcut at 1e150: it stops
+    # past theta = 64 pi and the count is clamped there.
+    assert _phase_zeros(p, 64) == count
+
+
 def test_oscillating_margin_solve_stops_at_its_first_zero(monkeypatch):
     ends = _count_solves(monkeypatch)
     extremality_margin(_constant_table())
@@ -560,8 +583,13 @@ def test_phi_inverse_is_accurate_up_to_the_profile_end(kind):
 
 
 def test_oscillating_weight_profile_raises():
-    with pytest.raises(NumericalError):
+    # u0 = cos(sqrt(1.5) pi x / 2) vanishes at 1/sqrt(1.5) = 0.8165, where
+    # Phi' = u0^-2 has a pole: the steps collapse there before u0 reads <= 0.
+    with pytest.raises(NumericalError, match=r"step size below 10 ulp at "
+                       r"t = \S+ on \[0\.0, 0\.999999\]$") as info:
         extremal_profile(NehariFunction.constant(1.5))
+    t = float(str(info.value).split()[8])
+    assert abs(t - 1.0 / np.sqrt(1.5)) < 1e-12
 
 
 def test_tabulated_boundary_lambda_is_zero():

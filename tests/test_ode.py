@@ -1,11 +1,12 @@
-"""The order-8 Runge-Kutta solver: its tableau, convergence, terminal
-events, dense output and failure path."""
+"""The order-8 Runge-Kutta solver: its tableau, convergence, stop
+condition, dense output and failure path."""
 
 import numpy as np
 import pytest
 
 from holocurve import _dop853 as tab
 from holocurve._ode import solve_ivp
+from holocurve.errors import NumericalError
 
 
 def test_tableau_order_conditions():
@@ -31,7 +32,7 @@ def test_convergence(fun, y0, t_end, exact):
     errs, steps = [], []
     for tol in tols:
         sol = solve_ivp(fun, (0.0, t_end), y0, rtol=tol, atol=1e-3 * tol)
-        assert sol.success and sol.status == 0 and sol.t[-1] == t_end
+        assert not sol.stopped and sol.t[-1] == t_end
         errs.append(np.max(np.abs(sol.y[:, -1] - exact(t_end))))
         steps.append(len(sol.t) - 1)
     assert np.all(np.array(errs) < 20.0 * tols)
@@ -41,35 +42,35 @@ def test_convergence(fun, y0, t_end, exact):
     assert steps[-1] < 10.0 * steps[0]
 
 
-@pytest.mark.parametrize("direction,root", [(-1, np.pi / 2),
-                                            (1, 3 * np.pi / 2)])
-def test_terminal_event_with_direction(direction, root):
-    # cos t falls through 0 at pi/2 and rises through it at 3 pi/2; the
-    # event does not read y, so the crossing is found to a few ulp.
+@pytest.mark.parametrize("stop,root", [
+    (lambda t, y: np.cos(t), np.pi / 2),
+    (lambda t, y: np.cos(t / 3), 3 * np.pi / 2),
+], ids=["cos-t", "cos-t/3"])
+def test_stop_ends_the_solve_at_the_first_step_past_the_root(stop, root):
+    # The stop condition reads only t; the solve ends at the first step end
+    # where it reads <= 0.
     sol = solve_ivp(lambda t, y: -y, (0.0, 10.0), [1.0], rtol=1e-12,
-                    atol=1e-14, event=lambda t, y: np.cos(t),
-                    direction=direction)
-    assert sol.status == 1 and sol.success
-    (t_event,) = sol.t_events[0]
-    assert abs(t_event - root) <= 4 * np.spacing(root)
-    assert sol.t[-1] == t_event
-    assert abs(sol.y[0, -1] - np.exp(-t_event)) < 1e-12
+                    atol=1e-14, stop=stop)
+    assert sol.stopped
+    assert sol.t[-2] < root <= sol.t[-1] < 10.0
+    assert abs(sol.y[0, -1] - np.exp(-sol.t[-1])) < 1e-12
 
 
 def test_event_on_the_solution():
-    # The oscillator's first component cos t: its zero is located as
-    # accurately as the solution itself.
+    # The oscillator's first component cos t: the stop condition reads the
+    # solution, which falls through 0 at pi/2.
     sol = solve_ivp(_oscillator, (0.0, 10.0), [1.0, 0.0], rtol=1e-12,
-                    atol=1e-14, event=lambda t, y: y[0], direction=-1)
-    assert sol.status == 1
-    assert abs(sol.t_events[0][0] - np.pi / 2) < 1e-12
-    assert abs(sol.y[0, -1]) < 1e-15
+                    atol=1e-14, stop=lambda t, y: y[0])
+    assert sol.stopped
+    assert sol.t[-2] < np.pi / 2 <= sol.t[-1]
+    assert sol.y[0, -2] > 0.0 >= sol.y[0, -1]
+    assert abs(sol.y[0, -1] - np.cos(sol.t[-1])) < 1e-12
 
 
-def test_no_event_leaves_no_event_time():
+def test_unmet_stop_runs_to_the_end():
     sol = solve_ivp(lambda t, y: -y, (0.0, 1.0), [1.0], rtol=1e-10,
-                    atol=1e-12, event=lambda t, y: y[0], direction=-1)
-    assert sol.status == 0 and sol.t_events == [] and sol.sol is None
+                    atol=1e-12, stop=lambda t, y: y[0])
+    assert not sol.stopped and sol.t[-1] == 1.0 and sol.sol is None
 
 
 def test_dense_output_is_continuous_and_vectorized():
@@ -94,6 +95,6 @@ def test_dense_output_is_continuous_and_vectorized():
     lambda t, y: y * y,                         # blow-up at t = 1
 ], ids=["nan", "inf", "blow-up"])
 def test_failure_ends_the_solve(fun):
-    sol = solve_ivp(fun, (0.0, 2.0), [1.0], rtol=1e-10, atol=1e-12)
-    assert sol.status == -1 and not sol.success
-    assert sol.t[-1] < 2.0
+    with pytest.raises(NumericalError, match=r"step size below 10 ulp at "
+                       r"t = \S+ on \[0\.0, 2\.0\]$"):
+        solve_ivp(fun, (0.0, 2.0), [1.0], rtol=1e-10, atol=1e-12)
