@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import functools
 import io
+import os
 from typing import Sequence
 
 import numpy as np
@@ -135,9 +136,8 @@ def _text(x: np.ndarray) -> np.ndarray:
     return text.view("<u8").reshape(-1, 3)
 
 
-def _csv_bytes(header: Sequence[str], columns: list):
-    """The CSV as a header line, then one bytes object per block of rows."""
-    yield (",".join(header) + "\n").encode()
+def _rows(columns: list):
+    """The CSV rows of `columns`, one bytes object per block of rows."""
     n_cols = len(columns)
     n_rows = len(columns[0]) if columns else 0
     rows = max(1, _BLOCK // max(n_cols, 1))
@@ -158,6 +158,45 @@ def _csv_bytes(header: Sequence[str], columns: list):
         yield block.tobytes().translate(None, b"\0")
 
 
+def _checked(header: Sequence[str], columns) -> list:
+    """`columns` as a list; ValueError unless there is one per name in
+    `header` and all have the same length."""
+    columns = list(columns)
+    if len(columns) != len(header):
+        raise ValueError(f"{len(header)} header names but {len(columns)} "
+                         f"columns")
+    lengths = [len(col) for col in columns]
+    if len(set(lengths)) > 1:
+        raise ValueError(f"columns differ in length: {lengths}")
+    return columns
+
+
+class CsvFile:
+    """A CSV file at `path` written a block of rows at a time: the header
+    line when the context is entered, then the rows of each
+    `write(columns)`, laid out as write_csv lays them out.  Leaving the
+    context on an exception removes the file, so `path` ends up holding a
+    whole table or nothing."""
+
+    def __init__(self, path, header: Sequence[str]):
+        self.path, self.header = path, tuple(header)
+
+    def __enter__(self):
+        self._file = open(self.path, "wb")
+        self._file.write((",".join(self.header) + "\n").encode())
+        return self
+
+    def write(self, columns) -> None:
+        """Append the rows of `columns`; ValueError as write_csv raises it."""
+        for chunk in _rows(_checked(self.header, columns)):
+            self._file.write(chunk)
+
+    def __exit__(self, kind, value, traceback):
+        self._file.close()
+        if kind is not None:
+            os.remove(self.path)
+
+
 def write_csv(path_or_buf, header: Sequence[str], columns) -> None:
     """Write `columns` (equal-length sequences, one per name in `header`) as
     CSV rows to a path or an open text buffer.
@@ -167,17 +206,11 @@ def write_csv(path_or_buf, header: Sequence[str], columns) -> None:
     Raises ValueError, before anything is written, when the number of
     columns differs from the number of names or the columns differ in length.
     """
-    columns = list(columns)
-    if len(columns) != len(header):
-        raise ValueError(f"{len(header)} header names but {len(columns)} "
-                         f"columns")
-    lengths = [len(col) for col in columns]
-    if len(set(lengths)) > 1:
-        raise ValueError(f"columns differ in length: {lengths}")
+    columns = _checked(header, columns)
     if isinstance(path_or_buf, io.IOBase):
-        for chunk in _csv_bytes(header, columns):
+        path_or_buf.write(",".join(header) + "\n")
+        for chunk in _rows(columns):
             path_or_buf.write(chunk.decode("ascii"))
     else:
-        with open(path_or_buf, "wb") as f:
-            for chunk in _csv_bytes(header, columns):
-                f.write(chunk)
+        with CsvFile(path_or_buf, header) as table:
+            table.write(columns)

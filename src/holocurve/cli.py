@@ -236,8 +236,12 @@ def _out_dir(cfg: RunConfig) -> Path:
 def _cmd_check_criterion(cfg: RunConfig) -> int:
     weight = build_weight(cfg)
     curve = build_curve(cfg)
-    report = scan(curve, weight, _grid(cfg), tol_eq=cfg["tol.equality"])
+    grid = _grid(cfg)
     csv_path = _out_dir(cfg) / "scan.csv"
+    # Staged block by block next to scan.csv, which appears only once the
+    # scan has succeeded.
+    report = scan(curve, weight, grid, tol_eq=cfg["tol.equality"],
+                  table=csv_path.with_name("scan.csv.part"))
     write_scan_csv(report, csv_path)
     print(f"curve = {report.curve_label}")
     print(f"weight = {weight.label}")
@@ -355,7 +359,7 @@ def _reproduce_example1(cfg: RunConfig) -> int:
     c = EXAMPLE1_C if cfg["curve.c"] is None else cfg["curve.c"]
     curve = example1_curve(c)
     weight = NehariFunction.constant()
-    report = scan(curve, weight, _grid(cfg), columns=False)
+    report = scan(curve, weight, _grid(cfg))
     xs = np.linspace(-0.999, 0.999, 201)
     from .fixtures import example1_e2sigma, example1_schwarzian, \
         example1_wronskian_sq
@@ -386,17 +390,19 @@ def _reproduce_example2(cfg: RunConfig) -> int:
             for cv in _float_list(cfg, "example.c_values")]
     weight = NehariFunction.inverse_square()
     grid = _grid(cfg)
-    # Block by block: np.histogram needs the whole slack, nothing more.
-    # Freeing it before the scan also raises glibc's trim threshold past a
-    # scan block's ~1.4 MB of temporaries, which would otherwise be returned
-    # to the system and faulted in again block after block.
-    slack = np.empty(grid.n_points)
-    for i, z in grid.blocks():
-        slack[i:i + len(z)] = example2_reduced_slack(c, z)
-    hist, edges = np.histogram(slack, bins=24)
-    min_slack = float(np.min(slack))
-    del slack
-    report = scan(curve, weight, grid, columns=False)
+    # Two passes over the grid's blocks: the slack's range, then the sum of
+    # the blocks' histograms on it, the whole grid's histogram bit for bit.
+    lo, hi = np.inf, -np.inf
+    for _, z in grid.blocks():
+        slack = example2_reduced_slack(c, z)
+        lo, hi = np.minimum(lo, np.min(slack)), np.maximum(hi, np.max(slack))
+    hist = 0
+    for _, z in grid.blocks():
+        counts, edges = np.histogram(example2_reduced_slack(c, z), bins=24,
+                                     range=(lo, hi))
+        hist = hist + counts
+    min_slack = float(lo)
+    report = scan(curve, weight, grid)
     csv_path = _out_dir(cfg) / "example2_slack_hist.csv"
     write_csv(csv_path, ("bin_lo", "bin_hi", "count"),
               (edges[:-1], edges[1:], hist))

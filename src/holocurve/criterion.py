@@ -15,13 +15,15 @@ the weight ratio w = sqrt(Phi'(|z|)/|phi'(z)|) along rays.
 """
 from __future__ import annotations
 
+import contextlib
 import functools
+import os
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import jets
-from ._table import write_csv
+from ._table import CsvFile
 from .errors import ConfigError, NumericalError
 from .jets import HoloCurve, eval_curve, scale_curve
 from .nehari import ExtremalProfile, NehariFunction
@@ -82,9 +84,8 @@ class GridSpec:
 @dataclass(frozen=True)
 class CriterionReport:
     """A scan's verdict and its summary over n_points: min_margin at its
-    first point argmin_z, equality_count and max_abs_margin.  The whole-grid
-    columns are kept only by scan(..., columns=True); they are None
-    otherwise."""
+    first point argmin_z, equality_count and max_abs_margin.  table is the
+    path scan(..., table=) wrote the scan table to, or None."""
 
     curve_label: str
     verdict: str                     # "holds" | "holds-with-equality" | "fails"
@@ -94,12 +95,11 @@ class CriterionReport:
     equality_count: int
     n_points: int
     max_abs_margin: float
-    re_z: np.ndarray | None = None
-    im_z: np.ndarray | None = None
-    abs_schwarzian: np.ndarray | None = None
-    curv_term: np.ndarray | None = None
-    bound: np.ndarray | None = None
-    margin: np.ndarray | None = None
+    table: str | os.PathLike | None = None
+
+
+_SCAN_HEADER = ("re_z", "im_z", "abs_schwarzian", "curv_term", "bound",
+                "margin")
 
 
 def _metric_factor(curve: HoloCurve, z: np.ndarray) -> np.ndarray:
@@ -149,7 +149,8 @@ class _Fold:
 
 def scan(curve: HoloCurve, weight: NehariFunction,
          grid: GridSpec | None = None,
-         tol_eq: float | None = None, columns: bool = True) -> CriterionReport:
+         tol_eq: float | None = None,
+         table: str | os.PathLike | None = None) -> CriterionReport:
     """Evaluate the criterion margin over the grid and classify.
 
     verdict is "fails" iff the minimum margin drops below -tol_eq,
@@ -159,13 +160,15 @@ def scan(curve: HoloCurve, weight: NehariFunction,
     The grid is evaluated in one pass over blocks of at most 4,096 points
     (GridSpec.blocks), each folded into the summary at once: the minimum
     and its first point, equality_count and max_abs_margin.  The blocks
-    change no bit of any value.  With columns=False the scan holds one
-    block at a time; with columns=True (the default) the report also keeps
-    the six whole-grid columns that write_scan_csv writes, 48 bytes a point.
-    Refinement picks are appended after the grid points.
+    change no bit of any value, and the scan holds one block at a time.
+    With `table`, a path, each block's rows re_z, im_z, abs_schwarzian,
+    curv_term, bound and margin are written there as the block is done,
+    after a header line; refinement picks follow the grid points.  The
+    report names the path, and write_scan_csv publishes it.
 
     Raises ConfigError unless tol_eq is None or finite and >= 0, and
-    NumericalError at the first grid point whose margin is not finite.
+    NumericalError at the first grid point whose margin is not finite.  A
+    failed scan removes its table.
     """
     if tol_eq is not None and not 0.0 <= tol_eq < np.inf:
         raise ConfigError(f"tol_eq = {tol_eq:g} must be finite and >= 0")
@@ -173,37 +176,40 @@ def scan(curve: HoloCurve, weight: NehariFunction,
     if tol_eq is None:
         tol_eq = 1e-6 * max(1.0, 2.0 * float(weight(0.0)))
     fold = _Fold(tol_eq)
-    cols = []           # z, abs_s, curv, bound and margin, block by block
-    if columns:
-        n = grid.n_points
-        cols = [np.empty(n, complex)] + [np.empty(n) for _ in range(4)]
-    for i, z in grid.blocks():
-        parts = (z,) + _margin_parts(curve, weight, z, first=i)
-        fold.add(z, parts[-1])
-        for col, part in zip(cols, parts):
-            col[i:i + len(z)] = part
+    # Freeing one untouched 4 MiB array makes glibc serve allocations below
+    # 4 MiB from its heap and keep up to 8 MiB of it when freed (its dynamic
+    # mmap and trim thresholds), so a block's ~1.6 MB of temporaries is
+    # reused block after block rather than returned to the system and
+    # faulted in again.  No page of it is touched: it costs no memory.
+    np.empty(1 << 19)
+    with (contextlib.nullcontext() if table is None
+          else CsvFile(table, _SCAN_HEADER)) as out:
+        for i, z in grid.blocks():
+            parts = _margin_parts(curve, weight, z, first=i)
+            fold.add(z, parts[-1])
+            if out:
+                out.write((z.real, z.imag) + parts)
 
-    if grid.refine > 0:
-        # Zoom the polar cell around the coarse argmin, once per level.
-        r0, th0 = abs(fold.argmin_z), np.angle(fold.argmin_z)
-        dr = grid.r_max / grid.n_r
-        dth = 2.0 * np.pi / grid.n_theta
-        picks = []          # (z, abs_s, curv, bound, margin) per improvement
-        for _ in range(grid.refine):
-            rr = np.linspace(max(r0 - dr, 0.0), min(r0 + dr, grid.r_max), 9)
-            tt = th0 + np.linspace(-dth, dth, 9)
-            zz = (rr[:, None] * np.exp(1j * tt)[None, :]).ravel()
-            a2, c2, b2, m2 = _margin_parts(curve, weight, zz)
-            j = int(np.argmin(m2))
-            if m2[j] < fold.min_margin:
-                picks.append((zz[j], a2[j], c2[j], b2[j], m2[j]))
-                fold.add(zz[j:j + 1], m2[j:j + 1])
-                r0, th0 = abs(zz[j]), np.angle(zz[j])
-            dr /= 4.0
-            dth /= 4.0
-        if picks and columns:
-            cols = [np.concatenate([col, new])
-                    for col, new in zip(cols, zip(*picks))]
+        if grid.refine > 0:
+            # Zoom the polar cell around the coarse argmin, once per level.
+            r0, th0 = abs(fold.argmin_z), np.angle(fold.argmin_z)
+            dr = grid.r_max / grid.n_r
+            dth = 2.0 * np.pi / grid.n_theta
+            for _ in range(grid.refine):
+                rr = np.linspace(max(r0 - dr, 0.0), min(r0 + dr, grid.r_max),
+                                 9)
+                tt = th0 + np.linspace(-dth, dth, 9)
+                zz = (rr[:, None] * np.exp(1j * tt)[None, :]).ravel()
+                a2, c2, b2, m2 = _margin_parts(curve, weight, zz)
+                j = int(np.argmin(m2))
+                if m2[j] < fold.min_margin:
+                    fold.add(zz[j:j + 1], m2[j:j + 1])
+                    if out:
+                        out.write([col[j:j + 1] for col in
+                                   (zz.real, zz.imag, a2, c2, b2, m2)])
+                    r0, th0 = abs(zz[j]), np.angle(zz[j])
+                dr /= 4.0
+                dth /= 4.0
 
     min_margin = float(fold.min_margin)
     if min_margin < -tol_eq:
@@ -212,25 +218,20 @@ def scan(curve: HoloCurve, weight: NehariFunction,
         verdict = "holds-with-equality"
     else:
         verdict = "holds"
-    kept = {}
-    if columns:
-        z, abs_s, curv, bound, margin = cols
-        kept = dict(re_z=np.real(z), im_z=np.imag(z), abs_schwarzian=abs_s,
-                    curv_term=curv, bound=bound, margin=margin)
     return CriterionReport(
         curve_label=curve.label, verdict=verdict, min_margin=min_margin,
         argmin_z=complex(fold.argmin_z), tol_eq=float(tol_eq),
         equality_count=fold.equality_count, n_points=fold.n_points,
-        max_abs_margin=fold.max_abs_margin, **kept)
+        max_abs_margin=fold.max_abs_margin, table=table)
 
 
-def write_scan_csv(report: CriterionReport, path_or_buf) -> None:
-    """Scan table: re_z,im_z,abs_schwarzian,curv_term,bound,margin."""
-    write_csv(path_or_buf,
-              ("re_z", "im_z", "abs_schwarzian", "curv_term", "bound",
-               "margin"),
-              (report.re_z, report.im_z, report.abs_schwarzian,
-               report.curv_term, report.bound, report.margin))
+def write_scan_csv(report: CriterionReport, path) -> None:
+    """Publish the scan table that scan(..., table=) wrote, by renaming it
+    to `path`: re_z,im_z,abs_schwarzian,curv_term,bound,margin.  Raises
+    ValueError for a report scanned without a table."""
+    if report.table is None:
+        raise ValueError("the scan wrote no table; pass scan(..., table=)")
+    os.replace(report.table, path)
 
 
 # ---------------------------------------------------------------------------

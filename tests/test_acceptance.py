@@ -39,7 +39,7 @@ def test_01_example1_equality_on_full_grid(ex1):
     report = hc.scan(ex1, hc.NehariFunction.constant(),
                      hc.GridSpec(n_r=200, n_theta=64, r_max=0.999))
     dt = time.perf_counter() - t0
-    worst = float(np.max(np.abs(report.margin)))
+    worst = report.max_abs_margin
     ok = (worst <= 1e-6 and report.verdict == "holds-with-equality"
           and dt < 5.0)
     _verdict(1, ok, f"example1 equality: max |margin| = {worst:.2e} over "

@@ -76,6 +76,30 @@ def test_tracer_records_the_scipy_shims(tmp_path):
         assert getattr(module, attr) is original
 
 
+def test_write_scan_csv_publishes_the_whole_table_once(tmp_path, capsys,
+                                                      monkeypatch):
+    # The tracer reads criterion.csv_rows from the report and
+    # criterion.csv_bytes from the file when cli.write_scan_csv returns.
+    calls = []
+    publish = cli.write_scan_csv
+
+    def spy(report, path):
+        publish(report, path)
+        calls.append((report.n_points,
+                      len(Path(path).read_text().splitlines())))
+
+    monkeypatch.setattr(cli, "write_scan_csv", spy)
+    cfg = tmp_path / "refine.cfg"
+    cfg.write_text("curve.kind = tan_truncation\ngrid.n_r = 20\n"
+                   "grid.n_theta = 12\ngrid.r_max = 0.7\ngrid.refine = 2\n")
+    assert cli.main(["check-criterion", str(cfg), "--output",
+                     str(tmp_path)]) == 1
+    capsys.readouterr()
+    [(n_points, lines)] = calls
+    assert n_points > 1 + 20 * 12       # refinement picks follow the grid
+    assert lines == n_points + 1
+
+
 def _bench_ops():
     path = Path(__file__).resolve().parents[1] / "bench" / "workloads.json"
     workloads = json.loads(path.read_text())["workloads"]

@@ -6,12 +6,13 @@ import os
 import re
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from holocurve import cli, criterion, jets, oracle
+from holocurve import _table, cli, criterion, jets, oracle
 from holocurve.cli import main, parse_config
 from holocurve.criterion import normalize
 from holocurve.errors import ConfigError
@@ -615,8 +616,8 @@ def _child_peak_kb(argv):
 
 @pytest.mark.skipif(not hasattr(os, "wait4"), reason="needs os.wait4")
 def test_reproduce_example2_memory_does_not_grow_with_the_grid(tmp_path):
-    # 1,024,001 grid points against 10,241: one block plus 8 bytes a point
-    # of slack is about 8 MB more; whole-grid temporaries would add ~104 MB.
+    # 1,024,001 grid points against 10,241: the slack is binned block by
+    # block; whole-grid temporaries would add ~104 MB.
     peaks = []
     for n_r in (4000, 40):
         cfg = _write(tmp_path, f"ex2-{n_r}.cfg", "example.which = 2\n"
@@ -625,6 +626,58 @@ def test_reproduce_example2_memory_does_not_grow_with_the_grid(tmp_path):
             [sys.executable, "-m", "holocurve", "reproduce-example", cfg,
              "--output", str(tmp_path / str(n_r))]))
     assert peaks[0] - peaks[1] < 24 * 1024, peaks
+
+
+def _traced_peak(argv):
+    tracemalloc.start()
+    try:
+        code = main(argv)
+        return code, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("command,config", [
+    ("check-criterion",
+     "curve.kind = example2\nnehari.kind = inverse_square\n"),
+    ("reproduce-example", "example.which = 2\nexample.c_values = 0.05\n"),
+], ids=["check-criterion", "reproduce-example-2"])
+def test_traced_peak_does_not_grow_with_the_grid(tmp_path, capsys, command,
+                                                 config):
+    # 16,385 and 65,537 grid points: scan.csv and the slack histogram are
+    # made block by block, so nothing held grows with the grid (whole-grid
+    # scan.csv columns, 48 bytes a point, would add 2.3 MB at 64k).
+    peaks = []
+    for n_r in (8, 128, 512):           # the first run fills the caches
+        cfg = _write(tmp_path, f"{n_r}.cfg",
+                     config + f"grid.n_r = {n_r}\ngrid.n_theta = 128\n")
+        code, peak = _traced_peak([command, cfg, "--output",
+                                   str(tmp_path / str(n_r))])
+        assert code == 0
+        peaks.append(peak)
+    capsys.readouterr()
+    assert abs(peaks[2] - peaks[1]) < 0.5e6, peaks
+
+
+def test_failed_scan_leaves_no_scan_csv(tmp_path, capsys, monkeypatch):
+    # c = 1e152 overflows the margin first at grid point 129, in the ninth
+    # 16-point block, after eight blocks of rows were staged.
+    monkeypatch.setattr(jets, "_CHUNK", 16)
+    blocks = []
+    rows = _table._rows
+    monkeypatch.setattr(_table, "_rows",
+                        lambda columns: blocks.append(1) or rows(columns))
+    cfg = _write(tmp_path, "late.cfg", "curve.kind = example1\n"
+                 "curve.c = 1e152\ngrid.n_r = 20\ngrid.n_theta = 8\n")
+    out_dir = tmp_path / "out"
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert main(["check-criterion", cfg, "--output", str(out_dir)]) == 5
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "numerical failure: criterion margin is -inf at point " \
+        "129 (z = (0.8491500000000001+0j))\n"
+    assert len(blocks) == 8
+    assert list(out_dir.iterdir()) == []
 
 
 def test_reproduce_example_bad_which(tmp_path, capsys):

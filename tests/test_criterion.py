@@ -8,7 +8,6 @@ increasing).
 """
 
 import functools
-import io
 
 import numpy as np
 import pytest
@@ -71,12 +70,23 @@ def test_grid_blocks_are_the_points_bit_for_bit(n_r, n_theta, monkeypatch):
     assert 1 <= len(blocks[-1]) <= jets._CHUNK
 
 
-def _column_summary(rep):
-    """The summary a whole-grid reduction of the report's columns gives."""
-    i = int(np.argmin(rep.margin))
-    return (float(rep.margin[i]), complex(rep.re_z[i], rep.im_z[i]),
-            int(np.sum(np.abs(rep.margin) <= rep.tol_eq)),
-            float(np.max(np.abs(rep.margin))), len(rep.margin))
+def _scan_table(path, curve, weight, grid, **kwargs):
+    """scan(..., table=path) and the columns of the table it wrote, by
+    name; 17 significant digits read back every value exactly."""
+    rep = scan(curve, weight, grid, table=path, **kwargs)
+    assert rep.table == path
+    header = path.read_text().split("\n", 1)[0].split(",")
+    data = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
+    return rep, dict(zip(header, data.T))
+
+
+def _column_summary(rep, cols):
+    """The summary a whole-grid reduction of the table's columns gives."""
+    margin = cols["margin"]
+    i = int(np.argmin(margin))
+    return (float(margin[i]), complex(cols["re_z"][i], cols["im_z"][i]),
+            int(np.sum(np.abs(margin) <= rep.tol_eq)),
+            float(np.max(np.abs(margin))), len(margin))
 
 
 def _summary(rep):
@@ -89,7 +99,7 @@ def _summary(rep):
     "tol0-example2"])
 @pytest.mark.parametrize("chunk", [37, 8192])
 def test_streamed_fold_equals_column_reductions(case, chunk, ex1, ex2,
-                                                monkeypatch):
+                                                monkeypatch, tmp_path):
     monkeypatch.setattr(jets, "_CHUNK", chunk)
     curve, weight, grid, tol = {
         "example1": (ex1, NehariFunction.constant(), SMALL, None),
@@ -103,63 +113,70 @@ def test_streamed_fold_equals_column_reductions(case, chunk, ex1, ex2,
         "tol0-example2": (ex2, NehariFunction.inverse_square(),
                           GridSpec(n_r=30, n_theta=16, r_max=0.99), 0.0),
     }[case]
-    full = scan(curve, weight, grid, tol_eq=tol)
-    lean = scan(curve, weight, grid, tol_eq=tol, columns=False)
+    full, cols = _scan_table(tmp_path / "t.csv", curve, weight, grid,
+                             tol_eq=tol)
+    lean = scan(curve, weight, grid, tol_eq=tol)
     assert _summary(lean) == _summary(full)
-    assert lean.margin is None and lean.re_z is None
-    assert _summary(full)[:5] == _column_summary(full)
+    assert lean.table is None
+    assert _summary(full)[:5] == _column_summary(full, cols)
     if case == "identity":
         # A constant margin: the minimum ties in every block, and the
         # first point holds it.
-        assert np.all(full.margin == full.margin[0])
+        assert np.all(cols["margin"] == cols["margin"][0])
         assert lean.argmin_z == 0j
     if case == "refine2":
         assert full.n_points > grid.n_points
-        assert full.argmin_z == complex(full.re_z[-1], full.im_z[-1])
+        assert full.argmin_z == complex(cols["re_z"][-1], cols["im_z"][-1])
 
 
-def test_first_nonfinite_margin_is_named_across_blocks(monkeypatch):
+def test_first_nonfinite_margin_is_named_across_blocks(monkeypatch,
+                                                       tmp_path):
     # c = 1e152 overflows the margin to -inf first at grid point 129, in
     # the ninth 16-point block; the message names its whole-grid index.
+    # A table the failed scan had begun is removed.
     curve = hc.example1_curve(1e152)
     grid = GridSpec(n_r=20, n_theta=8)
     messages = []
     for chunk in (jets._CHUNK, 16):
         monkeypatch.setattr(jets, "_CHUNK", chunk)
-        for columns in (True, False):
+        for table in (None, tmp_path / "scan.csv.part"):
             with np.errstate(over="ignore", invalid="ignore"), \
                     pytest.raises(NumericalError) as info:
-                scan(curve, NehariFunction.constant(), grid, columns=columns)
+                scan(curve, NehariFunction.constant(), grid, table=table)
             messages.append(str(info.value))
+            assert not any(tmp_path.iterdir())
     assert messages == ["criterion margin is -inf at point 129 "
                         "(z = (0.8491500000000001+0j))"] * 4
 
 
-def test_identity_scan_holds_with_constant_margin():
-    rep = scan(hc.identity_curve(), NehariFunction.constant(), SMALL)
+def test_identity_scan_holds_with_constant_margin(tmp_path):
+    rep, cols = _scan_table(tmp_path / "t.csv", hc.identity_curve(),
+                            NehariFunction.constant(), SMALL)
     assert rep.verdict == "holds"
     assert abs(rep.min_margin - np.pi ** 2 / 2) < 1e-12
     assert rep.equality_count == 0
-    assert np.max(np.abs(rep.margin - np.pi ** 2 / 2)) < 1e-12
+    assert np.max(np.abs(cols["margin"] - np.pi ** 2 / 2)) < 1e-12
 
 
 def test_example1_scan_equality_everywhere(ex1):
     rep = scan(ex1, NehariFunction.constant(), SMALL)
     assert rep.verdict == "holds-with-equality"
     assert rep.equality_count == rep.n_points
-    assert np.max(np.abs(rep.margin)) < 1e-10
+    assert rep.max_abs_margin < 1e-10
 
 
-def test_example2_scan_equality_on_real_diameter(ex2):
-    rep = scan(ex2, NehariFunction.inverse_square(),
-               GridSpec(n_r=30, n_theta=16, r_max=0.99))
+def test_example2_scan_equality_on_real_diameter(ex2, tmp_path):
+    rep, cols = _scan_table(tmp_path / "t.csv", ex2,
+                            NehariFunction.inverse_square(),
+                            GridSpec(n_r=30, n_theta=16, r_max=0.99))
     assert rep.verdict == "holds-with-equality"
     assert rep.min_margin > -1e-8
-    on_axis = np.abs(rep.im_z) < 1e-15
+    margin, re_z, im_z = cols["margin"], cols["re_z"], cols["im_z"]
+    on_axis = np.abs(im_z) < 1e-15
     assert np.count_nonzero(on_axis) >= 30
-    assert np.max(np.abs(rep.margin[on_axis])) < 1e-10
-    off_axis = ~on_axis & (np.hypot(rep.re_z, rep.im_z) > 0.1)
-    assert np.min(rep.margin[off_axis]) > 1e-6   # strict inequality off-axis
+    assert np.max(np.abs(margin[on_axis])) < 1e-10
+    off_axis = ~on_axis & (np.hypot(re_z, im_z) > 0.1)
+    assert np.min(margin[off_axis]) > 1e-6   # strict inequality off-axis
 
 
 def test_truncated_tan_curve_fails():
@@ -179,10 +196,12 @@ def test_scan_rotation_invariance(ex2):
     assert abs(rep0.min_margin - rep1.min_margin) < 1e-8
 
 
-def test_scan_scaling_invariance(ex1):
-    rep0 = scan(ex1, NehariFunction.constant(), SMALL)
-    rep1 = scan(hc.scale_curve(ex1, 7.5j), NehariFunction.constant(), SMALL)
-    assert np.max(np.abs(rep0.margin - rep1.margin)) < 1e-9
+def test_scan_scaling_invariance(ex1, tmp_path):
+    _, cols0 = _scan_table(tmp_path / "0.csv", ex1,
+                           NehariFunction.constant(), SMALL)
+    _, cols1 = _scan_table(tmp_path / "1.csv", hc.scale_curve(ex1, 7.5j),
+                           NehariFunction.constant(), SMALL)
+    assert np.max(np.abs(cols0["margin"] - cols1["margin"])) < 1e-9
 
 
 def test_scan_refinement_zooms_toward_violation():
@@ -196,15 +215,21 @@ def test_scan_refinement_zooms_toward_violation():
 
 
 def test_scan_csv_layout(ex1, tmp_path):
-    rep = scan(ex1, NehariFunction.constant(), GridSpec(n_r=5, n_theta=4))
-    buf = io.StringIO()
-    write_scan_csv(rep, buf)
-    lines = buf.getvalue().splitlines()
+    tables = []
+    for i in range(2):
+        part, path = tmp_path / f"{i}.part", tmp_path / f"{i}.csv"
+        rep = scan(ex1, NehariFunction.constant(), GridSpec(n_r=5, n_theta=4),
+                   table=part)
+        write_scan_csv(rep, path)
+        assert not part.exists()
+        tables.append(path.read_text())
+    lines = tables[0].splitlines()
     assert lines[0] == "re_z,im_z,abs_schwarzian,curv_term,bound,margin"
     assert len(lines) == 1 + rep.n_points
-    buf2 = io.StringIO()
-    write_scan_csv(rep, buf2)
-    assert buf.getvalue() == buf2.getvalue()
+    assert tables[0] == tables[1]
+    with pytest.raises(ValueError, match="wrote no table"):
+        write_scan_csv(scan(ex1, NehariFunction.constant(), SMALL),
+                       tmp_path / "none.csv")
 
 
 # ---------------------------------------------------------------------------

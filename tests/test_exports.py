@@ -1,9 +1,13 @@
-"""Every name a module exports through __all__ exists in it, and the
-package metadata asks only for numpy at run time."""
+"""Every name a module exports through __all__ exists in it, `import
+holocurve` loads none of them until one is used, and the package metadata
+asks only for numpy at run time."""
 
 import importlib
+import os
 import pkgutil
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -21,6 +25,23 @@ def test_all_names_resolve(name):
     missing = [n for n in getattr(module, "__all__", ())
                if not hasattr(module, n)]
     assert not missing, f"{name}.__all__ names missing attributes: {missing}"
+
+
+def test_import_loads_nothing_until_a_name_is_used():
+    # A fresh interpreter: the package's names resolve on first access.
+    code = ("import sys, holocurve\n"
+            "early = {'numpy', 'holocurve.criterion'} & sys.modules.keys()\n"
+            "missing = [n for n in holocurve.__all__\n"
+            "           if getattr(holocurve, n, None) is None]\n"
+            "loaded = 'holocurve.criterion' in sys.modules\n"
+            "print(sorted(early), missing, loaded)\n")
+    env = dict(os.environ)
+    src = str(Path(holocurve.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out == "[] [] True\n"
+    assert "scan" in dir(holocurve) and len(holocurve.__all__) == 64
 
 
 def test_scipy_is_a_test_dependency_only():

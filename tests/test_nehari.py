@@ -592,6 +592,16 @@ def test_oscillating_weight_profile_raises():
     assert abs(t - 1.0 / np.sqrt(1.5)) < 1e-12
 
 
+def test_too_strong_weight_fails_at_the_zero_of_u0():
+    # No stop condition: a weight too strong for a profile fails with the
+    # step-size error at u0's zero 1/sqrt(1.2) = 0.91287...
+    with pytest.raises(NumericalError, match=r"step size below 10 ulp at "
+                       r"t = 0\.91287\d* on \[0\.0, 0\.999999\]$") as info:
+        extremal_profile(NehariFunction.constant(1.2))
+    t = float(str(info.value).split()[8])
+    assert abs(t - 1.0 / np.sqrt(1.2)) < 1e-12
+
+
 def test_tabulated_boundary_lambda_is_zero():
     # The interpolant is clamped at its last node, below 1, so
     # (1-x^2)^2 p -> 0.

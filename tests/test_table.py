@@ -230,20 +230,22 @@ _ARTIFACTS = [
                          ids=[run[2] for run in _ARTIFACTS])
 def test_cli_artifacts_match_the_reference(tmp_path, capsys, monkeypatch,
                                            command, config, artifact):
-    # Every table the CLI writes, covering's tuples of floats and the
-    # histogram's int64 counts included, as the row loop writes it.
-    tables = []
-    csv_bytes = _table._csv_bytes
+    # Every table the CLI writes, covering's tuples of floats, the
+    # histogram's int64 counts and scan.csv's blocks of rows included, as
+    # the row loop writes it.
+    blocks = []
+    rows = _table._rows
 
-    def spy(header, columns):
-        tables.append((header, columns))
-        return csv_bytes(header, columns)
+    def spy(columns):
+        blocks.append(columns)
+        return rows(columns)
 
-    monkeypatch.setattr(_table, "_csv_bytes", spy)
+    monkeypatch.setattr(_table, "_rows", spy)
     (tmp_path / "run.cfg").write_text(config)
     assert main([command, str(tmp_path / "run.cfg"),
                  "--output", str(tmp_path)]) == 0
     capsys.readouterr()
-    [(header, columns)] = tables
-    assert (tmp_path / artifact).read_bytes() \
-        == _reference(header, columns).encode()
+    written = (tmp_path / artifact).read_bytes()
+    header = tuple(written.decode().split("\n", 1)[0].split(","))
+    columns = [np.concatenate(col) for col in zip(*blocks)]
+    assert written == _reference(header, columns).encode()
