@@ -102,12 +102,6 @@ _SCAN_HEADER = ("re_z", "im_z", "abs_schwarzian", "curv_term", "bound",
                 "margin")
 
 
-def _metric_factor(curve: HoloCurve, z: np.ndarray) -> np.ndarray:
-    """e^{sigma} = sqrt(q) over z, evaluated in jets._CHUNK-point blocks."""
-    return np.concatenate([np.sqrt(eval_curve(curve, z[i:i + jets._CHUNK]).q)
-                           for i in range(0, len(z), jets._CHUNK)])
-
-
 def _margin_parts(curve: HoloCurve, weight: NehariFunction, z: np.ndarray,
                   first: int = 0):
     """abs_schwarzian, curv_term, bound and margin over z, one block of at
@@ -315,15 +309,21 @@ def _ray_sums(curve, r, n, thetas):
     """intrinsic_min_distance's (lower, upper) by n Gauss-Legendre nodes.
 
     A node's minimum is over its sampled angles and the Newton polish of the
-    best one on sigma_theta = 0.  Both sums add in one order, so lower <=
+    best one on sigma_theta = 0.  Both sums add in node order, so lower <=
     upper holds in floating point too.
     """
     x, w = _gauss_legendre(n)
     t, w = 0.5 * r * (x + 1.0), 0.5 * r * w
-    f = _metric_factor(curve, np.outer(t, np.exp(1j * thetas)).ravel())
-    f = f.reshape(n, len(thetas))
-    best, theta = np.min(f, axis=1), thetas[np.argmin(f, axis=1)]
-    half = np.pi / len(thetas)
+    e, m = np.exp(1j * thetas), len(thetas)
+    rows = max(1, jets._CHUNK // m)
+    sums, best, arg = np.zeros(m), np.empty(n), np.empty(n, int)
+    for a in range(0, n, rows):
+        f = np.sqrt(eval_curve(curve, (t[a:a + rows, None] * e).ravel()).q)
+        f = f.reshape(-1, m)
+        best[a:a + rows], arg[a:a + rows] = np.min(f, 1), np.argmin(f, 1)
+        for wi, row in zip(w[a:a + rows], f):
+            sums += wi * row
+    theta, half = thetas[arg], np.pi / m
     for _ in range(6):
         z = t * np.exp(1j * theta)
         data = conformal_data(eval_curve(curve, z))
@@ -335,10 +335,7 @@ def _ray_sums(curve, r, n, thetas):
         with np.errstate(divide="ignore", invalid="ignore"):
             theta = theta + np.where(s_tt > 0.0,
                                      np.clip(-s_t / s_tt, -half, half), 0.0)
-    sums = np.zeros(len(thetas) + 1)
-    for wi, row in zip(w, np.column_stack([f, best])):
-        sums += wi * row
-    return sums[-1], np.min(sums[:-1])
+    return np.cumsum(w * best)[-1], np.min(sums)
 
 
 def intrinsic_min_distance(curve: HoloCurve, r: float,
@@ -350,6 +347,8 @@ def intrinsic_min_distance(curve: HoloCurve, r: float,
     ray is such a path, so upper = min_theta int_0^r e^{sigma(t e^{i theta})}
     dt is at least it.  Both take 128 Gauss-Legendre nodes, less and plus
     their difference from 64 nodes, and `resolution` angles per node circle.
+    The node circles are sampled a block of whole circles at a time, at most
+    max(jets._CHUNK, resolution) points, and no lattice-sized array is held.
     Raises ConfigError for a radius or resolution check_covering rejects.
     """
     check_covering(r, resolution)

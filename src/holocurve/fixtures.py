@@ -118,9 +118,10 @@ def example2_curve(c: float = EXAMPLE2_C) -> HoloCurve:
 
 
 def _zeta_parts(c: float, Phi: np.ndarray):
-    """Cancellation-free pieces of zeta: (Re, Im, |zeta|, |zeta|-Re zeta).
+    """Cancellation-free pieces of zeta = scale * V^2: (Re zeta, Im zeta,
+    scale, Im V).
 
-    The last entry is returned as the product 2*scale*Im(V)^2 rather than a
+    |zeta| - Re zeta is the product 2 * scale * Im(V)^2 rather than a
     difference, so it stays exact however close Phi sits to the real axis.
     """
     a, b = np.real(Phi), np.imag(Phi)
@@ -132,9 +133,7 @@ def _zeta_parts(c: float, Phi: np.ndarray):
     scale = 12.0 * c * c / (d * d)
     re_z = scale * (re_v * re_v - im_v * im_v)
     im_z = -scale * 2.0 * re_v * im_v
-    abs_z = scale * (re_v * re_v + im_v * im_v)
-    gap = 2.0 * scale * im_v * im_v
-    return re_z, im_z, abs_z, gap
+    return re_z, im_z, scale, im_v
 
 
 def example2_zeta(c: float, z) -> np.ndarray:
@@ -231,7 +230,8 @@ def strip_constants_check(c: float, n_samples: int = 20000,
     mask = np.abs(b) >= 1e-9
     w = w[mask]
     b = b[mask]
-    re_z, im_z, _, gap = _zeta_parts(c, w)
+    re_z, im_z, scale, im_v = _zeta_parts(c, w)
+    gap = 2.0 * scale * im_v * im_v
     one_minus = np.sqrt((1.0 - re_z) ** 2 + im_z ** 2)
     # |1-zeta| - (1-Re zeta), stable form (Re zeta < 1 for c <= 0.2):
     extra = im_z ** 2 / (one_minus + (1.0 - re_z))

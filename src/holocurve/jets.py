@@ -11,7 +11,7 @@ This module provides
   ``HoloCurve.eval`` a sub-component that several wrappers share is
   evaluated once,
 * ``HoloCurve``, whose ``eval`` (alias ``eval_curve``) returns one
-  ``CurveJet``: a ``Jet3`` stacking the jets of all components,
+  ``CurveJet``: a ``Jet3`` stacking all component jets, times its factors,
 * ``DiskMobius`` disk automorphisms, whose jets are ``MoebiusComponent``
   jets, and ``precompose_disk_mobius``,
 * finite-difference reference derivatives (``fd_derivative``, ``fd_jet``)
@@ -65,13 +65,6 @@ class Jet3:
     def __add__(self, other: "Jet3") -> "Jet3":
         return Jet3(self.val + other.val, self.d1 + other.d1,
                     self.d2 + other.d2, self.d3 + other.d3)
-
-    def __sub__(self, other: "Jet3") -> "Jet3":
-        return Jet3(self.val - other.val, self.d1 - other.d1,
-                    self.d2 - other.d2, self.d3 - other.d3)
-
-    def __neg__(self) -> "Jet3":
-        return Jet3(-self.val, -self.d1, -self.d2, -self.d3)
 
     def __mul__(self, other):
         if isinstance(other, Jet3):
@@ -315,9 +308,9 @@ class DiskMobius:
 class CurveJet(Jet3):
     """The order-3 jet of a whole curve at common evaluation points.
 
-    val, d1, d2 and d3 stack the components' jets, row k holding component
-    k, so each has shape (n,) + shape(z); q = sum |f_k'|^2 (= e^{2 sigma})
-    has the shape of z.
+    val, d1, d2 and d3 stack the components' jets times the curve's factors,
+    row k holding component k, so each has shape (n,) + shape(z);
+    q = sum |f_k'|^2 (= e^{2 sigma}) has the shape of z.
     """
 
     z: complex | np.ndarray
@@ -326,10 +319,11 @@ class CurveJet(Jet3):
 
 @dataclass(frozen=True)
 class HoloCurve:
-    """A holomorphic curve D -> C^n given by exact component models."""
+    """A holomorphic curve D -> C^n: exact component models times `factors`."""
 
     components: tuple
     label: str = "curve"
+    factors: tuple = ()
 
     def __post_init__(self):
         if not self.components:
@@ -345,8 +339,12 @@ class HoloCurve:
             raise DomainError("evaluation point outside the open unit disk")
         memo = {}
         jets = [_shared_jet(m, z, memo) for m in self.components]
+        del memo                # sub-jets go before the stack is built
         stack = np.array([[getattr(j, f) for j in jets]
                           for f in ("val", "d1", "d2", "d3")])
+        del jets
+        for factor in self.factors:
+            stack *= factor
         q = np.sum(np.abs(stack[1]) ** 2, axis=0)
         if np.any(q < 1e-280):
             raise VanishingTangentError(
@@ -360,18 +358,20 @@ def eval_curve(curve: HoloCurve, z) -> CurveJet:
 
 
 def precompose_disk_mobius(curve: HoloCurve, mobius: DiskMobius) -> HoloCurve:
-    """The curve z -> phi(T(z)) with exact chain-rule jets."""
+    """The curve z -> phi(T(z)): chain-rule jets, then phi's factors."""
     comps = tuple(ComposedComponent(m, mobius) for m in curve.components)
-    return HoloCurve(comps, label=f"{curve.label}∘mobius(rho={mobius.rho:g},"
-                                  f"theta={mobius.theta:g})")
+    label = f"{curve.label}∘mobius(rho={mobius.rho:g},theta={mobius.theta:g})"
+    return HoloCurve(comps, label, curve.factors)
 
 
 def scale_curve(curve: HoloCurve, factor: complex) -> HoloCurve:
-    """The curve factor * phi (all components scaled by one constant)."""
+    """factor * phi: phi's components, `factor` after its factors.  Its jets
+    have the bits of AffineComponent(m, mul=factor) on each component m, up
+    to the sign of a zero in val (at one point, for real factors only)."""
     if factor == 0 or not np.isfinite(factor):
         raise ConfigError("scale factor must be finite and nonzero")
-    comps = tuple(AffineComponent(m, mul=factor) for m in curve.components)
-    return HoloCurve(comps, label=f"{abs(factor):.6g}*{curve.label}")
+    return HoloCurve(curve.components, f"{abs(factor):.6g}*{curve.label}",
+                     curve.factors + (complex(factor),))
 
 
 # ---------------------------------------------------------------------------

@@ -659,6 +659,27 @@ def test_traced_peak_does_not_grow_with_the_grid(tmp_path, capsys, command,
     assert abs(peaks[2] - peaks[1]) < 0.5e6, peaks
 
 
+def test_covering_traced_peak_does_not_grow_with_the_resolution(tmp_path,
+                                                                capsys):
+    # 128 node circles of 200, 2,000 and 2,400 angles: the lattice is
+    # walked a block of whole circles at a time, so it is never held (16
+    # bytes a point for z alone, 4.1 MB at 2,000).  200 and 2,000 angles
+    # make the same 4,000-point blocks; at 2,400 a block is one smaller
+    # circle.
+    peaks = []
+    for resolution in (20, 200, 2000, 2400):  # the first fills the caches
+        cfg = _write(tmp_path, f"{resolution}.cfg",
+                     "curve.kind = example2\nnehari.kind = inverse_square\n"
+                     f"covering.resolution = {resolution}\n")
+        code, peak = _traced_peak(["covering", cfg, "--output",
+                                   str(tmp_path / str(resolution))])
+        assert code == 0
+        peaks.append(peak)
+    capsys.readouterr()
+    assert abs(peaks[2] - peaks[1]) < 0.3e6, peaks
+    assert peaks[3] < peaks[1] + 0.3e6, peaks
+
+
 def test_failed_scan_leaves_no_scan_csv(tmp_path, capsys, monkeypatch):
     # c = 1e152 overflows the margin first at grid point 129, in the ninth
     # 16-point block, after eight blocks of rows were staged.

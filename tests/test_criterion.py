@@ -13,11 +13,11 @@ import numpy as np
 import pytest
 
 import holocurve as hc
-from holocurve import jets
-from holocurve.criterion import (BoundaryDiagnostics, GridSpec, boundary_diagnostics,
-                                 boundary_trace, covering_bound,
-                                 intrinsic_min_distance, normalize,
-                                 radial_comparison_margin, scan,
+from holocurve import criterion, jets
+from holocurve.criterion import (BoundaryDiagnostics, GridSpec, _gauss_legendre,
+                                 boundary_diagnostics, boundary_trace,
+                                 covering_bound, intrinsic_min_distance,
+                                 normalize, radial_comparison_margin, scan,
                                  second_derivative_norm, tangent_norm_at_zero,
                                  weight_ratio, write_scan_csv)
 from holocurve.errors import ConfigError, NumericalError
@@ -25,6 +25,7 @@ from holocurve.jets import DiskMobius, eval_curve
 from holocurve.nehari import NehariFunction, extremal_profile
 from holocurve.oracle import _admissible_min_brute, _image_points
 from holocurve.sampling import disk_samples
+from holocurve.schwarzian import conformal_data
 
 SMALL = GridSpec(n_r=40, n_theta=16)
 
@@ -346,6 +347,53 @@ def test_intrinsic_distance_bracket_is_ordered(name):
         if upper - lower <= 1e-12:
             ref_lower = _fine_bracket(name, r)[0]
             assert abs(lower - ref_lower) <= 1e-12 * ref_lower, r
+
+
+def _whole_lattice_ray_sums(curve, r, n, thetas):
+    """The n x len(thetas) lattice of e^sigma held at once, as the bracket
+    was first computed: the reference for the block walk."""
+    x, w = _gauss_legendre(n)
+    t, w = 0.5 * r * (x + 1.0), 0.5 * r * w
+    z = np.outer(t, np.exp(1j * thetas)).ravel()
+    f = np.concatenate([np.sqrt(eval_curve(curve, z[i:i + jets._CHUNK]).q)
+                        for i in range(0, len(z), jets._CHUNK)])
+    f = f.reshape(n, len(thetas))
+    best, theta = np.min(f, axis=1), thetas[np.argmin(f, axis=1)]
+    half = np.pi / len(thetas)
+    for _ in range(6):
+        z = t * np.exp(1j * theta)
+        data = conformal_data(eval_curve(curve, z))
+        best = np.minimum(best, np.sqrt(data.q))
+        s_z = data.sigma_z
+        s_t = -2.0 * np.imag(z * s_z)
+        s_tt = 2.0 * data.sigma_zzbar * t * t \
+            - 2.0 * np.real(z * z * data.sigma_zz + z * s_z)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            theta = theta + np.where(s_tt > 0.0,
+                                     np.clip(-s_t / s_tt, -half, half), 0.0)
+    sums = np.zeros(len(thetas) + 1)
+    for wi, row in zip(w, np.column_stack([f, best])):
+        sums += wi * row
+    return sums[-1], np.min(sums[:-1])
+
+
+@pytest.mark.parametrize("resolution", [2, 7, 600, 8192])
+@pytest.mark.parametrize("name", ["example2", "identity", "example2-mobius"])
+def test_intrinsic_distance_blocks_match_the_whole_lattice(monkeypatch, name,
+                                                           resolution):
+    # Blocks of whole node rows (one row of 8,192 angles exceeds
+    # jets._CHUNK) give the whole lattice's bracket bit for bit.
+    ex2 = hc.example2_curve(0.05)
+    curve = normalize({
+        "example2": ex2, "identity": hc.identity_curve(),
+        "example2-mobius": hc.precompose_disk_mobius(ex2,
+                                                     DiskMobius(0.5, 0.3)),
+    }[name])
+    radii = (0.3, 0.9) if resolution < 8192 else (0.9,)
+    got = [intrinsic_min_distance(curve, r, resolution) for r in radii]
+    monkeypatch.setattr(criterion, "_ray_sums", _whole_lattice_ray_sums)
+    want = [intrinsic_min_distance(curve, r, resolution) for r in radii]
+    assert np.array(got).tobytes() == np.array(want).tobytes()
 
 
 def test_example1_covering_is_tight_and_consistent(ex1, profile_constant):

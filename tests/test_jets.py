@@ -170,13 +170,18 @@ def test_moebius_component_pole_guard():
 
 
 def test_precompose_disk_mobius_values():
+    # A scaled curve keeps its factor through the composition.
     mob = DiskMobius(rho=0.3, theta=0.7)
-    curve = radial_pair_curve(0.7)
-    pre = precompose_disk_mobius(curve, mob)
     zs = disk_samples(12, r_max=0.7, seed=5)
-    direct = curve.eval(mob(zs)).val
-    viaa = pre.eval(zs).val
-    assert np.max(np.abs(direct - viaa)) < 1e-14
+    for factors in ((), (2.0 - 1.0j,)):
+        curve = radial_pair_curve(0.7)
+        for factor in factors:
+            curve = scale_curve(curve, factor)
+        pre = precompose_disk_mobius(curve, mob)
+        assert pre.factors == factors
+        direct = curve.eval(mob(zs)).val
+        viaa = pre.eval(zs).val
+        assert np.max(np.abs(direct - viaa)) < 1e-14
 
 
 def test_scale_curve_scales_all_components():
@@ -186,6 +191,34 @@ def test_scale_curve_scales_all_components():
     assert np.max(np.abs(scaled.eval(z).val - 0.5j * curve.eval(z).val)) < 1e-12
     with pytest.raises(ValueError):
         scale_curve(curve, 0.0)
+
+
+@pytest.mark.parametrize("factors", [(1.0 / 3.0,), (0.5j,),
+                                     (3.0 - 4.0j, 1.0 / 7.0)])
+def test_scale_curve_has_the_bits_of_affine_components(factors):
+    # Scaling the stacked jet multiplies as AffineComponent does, so d1, d2,
+    # d3 and q keep its bits; its val adds 0j, which can flip a zero's sign.
+    # At a single point AffineComponent multiplies numpy scalars, which
+    # round a complex product apart from the array loop: there only real
+    # factors (normalize's, the CLI's curve.scale) keep the bits.
+    from holocurve.fixtures import example2_curve
+
+    z = np.concatenate([disk_samples(200, r_max=0.95, seed=3),
+                        [0j, 0.5, -0.3j]])
+    points = (z, complex(z[5])) if np.isrealobj(factors) else (z,)
+    for base in (example2_curve(0.05), radial_pair_curve(0.7),
+                 identity_curve()):
+        scaled, comps = base, base.components
+        for factor in factors:
+            scaled = scale_curve(scaled, factor)
+            comps = tuple(AffineComponent(m, mul=factor) for m in comps)
+        assert scaled.components == base.components
+        for w in points:
+            got, want = scaled.eval(w), HoloCurve(comps).eval(w)
+            for field in ("d1", "d2", "d3", "q"):
+                assert np.asarray(getattr(got, field)).tobytes() == \
+                    np.asarray(getattr(want, field)).tobytes()
+            assert np.array_equal(got.val, want.val)
 
 
 def test_strip_curve_is_artanh():
@@ -250,7 +283,7 @@ def test_eval_shares_sub_jets_within_one_call(monkeypatch, normalized):
 
     curve = example2_curve(0.05)
     if normalized:
-        curve = normalize(curve)  # wraps f and 1/f in AffineComponent
+        curve = normalize(curve)  # f and 1/f with the factor 1/|phi'(0)|
     zs = disk_samples(500, r_max=0.95, seed=1)
     calls = []
     strip_jet = StripMapComponent.jet
@@ -260,8 +293,9 @@ def test_eval_shares_sub_jets_within_one_call(monkeypatch, normalized):
         return strip_jet(self, w)
 
     monkeypatch.setattr(StripMapComponent, "jet", counting)
-    # Row k of each stacked field is component k's own jet, bit for bit,
-    # for an array of points and for a single point.
+    # Row k of each stacked field is component k's own jet times the
+    # curve's factors, bit for bit, for an array of points and for a single
+    # point.
     for z in (zs, complex(zs[7])):
         alone = [m.jet(z) for m in curve.components]
         for _ in range(2):
@@ -271,8 +305,10 @@ def test_eval_shares_sub_jets_within_one_call(monkeypatch, normalized):
             assert jet.val.shape == (curve.n,) + np.shape(z)
             for k, want in enumerate(alone):
                 for field in ("val", "d1", "d2", "d3"):
-                    assert getattr(jet, field)[k].tobytes() == \
-                        np.asarray(getattr(want, field)).tobytes()
+                    row = np.asarray(getattr(want, field))
+                    for factor in curve.factors:
+                        row = row * factor
+                    assert getattr(jet, field)[k].tobytes() == row.tobytes()
 
 
 def test_outer_component_is_not_shared_with_inner_points():
