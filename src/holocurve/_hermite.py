@@ -39,3 +39,20 @@ class MonotoneCubic:
         i = np.searchsorted(self.x[1:], ax, side="right")
         c, t = self.c[:, i], ax - self.x[i]
         return ((c[3] * t + c[2]) * t + c[1]) * t + c[0]
+
+    def kernel_nonincreasing(self) -> bool:
+        """Whether K = (1-x^2)^2 p is nonincreasing on [0, 1): K' = (1-x^2) g
+        with g = (1-x^2) p' - 4 x p, a quartic on each piece, so g <= 0 is
+        checked at the piece ends and the real parts of the roots of g', up
+        to 1e-12 times its largest coefficient.  Past the last node p is
+        constant and K decreases."""
+        poly = np.polynomial.Polynomial
+        for a, h, c in zip(self.x, np.diff(self.x), self.c.T):
+            # In s = x - a: 1 - x^2 = (1 - a^2) - 2 a s - s^2, 4 x = 4 a + 4 s.
+            p = poly(c)
+            g = poly([1.0 - a * a, -2.0 * a, -1.0]) * p.deriv() \
+                - poly([4.0 * a, 4.0]) * p
+            s = np.clip(np.append(g.deriv().roots().real, (0.0, h)), 0.0, h)
+            if np.any(g(s) > 1e-12 * np.max(np.abs(g.coef))):
+                return False
+        return True

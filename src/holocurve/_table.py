@@ -20,8 +20,8 @@ kernel and its tables are skipped altogether: each block of rows is one
 from __future__ import annotations
 
 import functools
-import io
 import os
+from pathlib import Path
 from typing import Sequence
 
 import numpy as np
@@ -172,16 +172,17 @@ def _checked(header: Sequence[str], columns) -> list:
 
 
 class CsvFile:
-    """A CSV file at `path` written a block of rows at a time: the header
-    line when the context is entered, then the rows of each
-    `write(columns)`, laid out as write_csv lays them out.  Leaving the
-    context on an exception removes the file, so `path` ends up holding a
-    whole table or nothing."""
+    """A CSV file at `path` written a block of rows at a time: entering the
+    context creates the parent directory and writes the header line, then
+    each `write(columns)` appends its rows, laid out as write_csv lays them
+    out.  Leaving the context on an exception removes the file, so `path`
+    ends up holding a whole table or nothing."""
 
     def __init__(self, path, header: Sequence[str]):
         self.path, self.header = path, tuple(header)
 
     def __enter__(self):
+        Path(self.path).parent.mkdir(parents=True, exist_ok=True)
         self._file = open(self.path, "wb")
         self._file.write((",".join(self.header) + "\n").encode())
         return self
@@ -197,20 +198,16 @@ class CsvFile:
             os.remove(self.path)
 
 
-def write_csv(path_or_buf, header: Sequence[str], columns) -> None:
+def write_csv(path, header: Sequence[str], columns) -> None:
     """Write `columns` (equal-length sequences, one per name in `header`) as
-    CSV rows to a path or an open text buffer.
+    CSV rows to the file at `path`, through CsvFile.
 
     Every value is written as ``"%.17g" % float(v)`` writes it, so a float
     round-trips exactly and an integer count prints without a decimal point.
-    Raises ValueError, before anything is written, when the number of
-    columns differs from the number of names or the columns differ in length.
+    Raises ValueError, before anything is written or any directory made,
+    when the number of columns differs from the number of names or the
+    columns differ in length.
     """
     columns = _checked(header, columns)
-    if isinstance(path_or_buf, io.IOBase):
-        path_or_buf.write(",".join(header) + "\n")
-        for chunk in _rows(columns):
-            path_or_buf.write(chunk.decode("ascii"))
-    else:
-        with CsvFile(path_or_buf, header) as table:
-            table.write(columns)
+    with CsvFile(path, header) as table:
+        table.write(columns)

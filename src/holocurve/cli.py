@@ -223,12 +223,6 @@ def _grid(cfg: RunConfig) -> GridSpec:
                     r_max=cfg["grid.r_max"], refine=cfg["grid.refine"])
 
 
-def _out_dir(cfg: RunConfig) -> Path:
-    out = Path(cfg["run.output"])
-    out.mkdir(parents=True, exist_ok=True)
-    return out
-
-
 # ---------------------------------------------------------------------------
 # Subcommand implementations (each returns an exit code)
 # ---------------------------------------------------------------------------
@@ -237,7 +231,7 @@ def _cmd_check_criterion(cfg: RunConfig) -> int:
     weight = build_weight(cfg)
     curve = build_curve(cfg)
     grid = _grid(cfg)
-    csv_path = _out_dir(cfg) / "scan.csv"
+    csv_path = Path(cfg["run.output"]) / "scan.csv"
     # Staged block by block next to scan.csv, which appears only once the
     # scan has succeeded.
     report = scan(curve, weight, grid, tol_eq=cfg["tol.equality"],
@@ -262,7 +256,7 @@ def _cmd_extremal_profile(cfg: RunConfig) -> int:
                                n_samples=cfg["profile.samples"])
     margin = extremality_margin(weight)
     probe = completeness_probe(weight)
-    csv_path = _out_dir(cfg) / "profile.csv"
+    csv_path = Path(cfg["run.output"]) / "profile.csv"
     write_profile_csv(profile, csv_path)
     print(f"weight = {weight.label}")
     print(f"lambda = {_fmt(weight.boundary_lambda)}")
@@ -305,7 +299,7 @@ def _cmd_covering(cfg: RunConfig) -> int:
             raise NumericalError(
                 f"covering bracket inconclusive at r = {_fmt(r)}: lower = "
                 f"{_fmt(lower)}, upper = {_fmt(upper)}, bound = {_fmt(h)}")
-    csv_path = _out_dir(cfg) / "covering.csv"
+    csv_path = Path(cfg["run.output"]) / "covering.csv"
     write_csv(csv_path, ("r", "bound", "lower", "upper", "slack"),
               list(zip(*rows)))
     print(f"curve = {curve.label}")
@@ -365,7 +359,7 @@ def _reproduce_example1(cfg: RunConfig) -> int:
         example1_wronskian_sq
     abs_s = np.abs(example1_schwarzian(xs, c))
     curv = 1.5 * example1_wronskian_sq(c) / example1_e2sigma(xs, c) ** 2
-    csv_path = _out_dir(cfg) / "example1_table.csv"
+    csv_path = Path(cfg["run.output"]) / "example1_table.csv"
     write_csv(csv_path,
               ("x", "abs_schwarzian", "curv_term", "criterion_sum", "bound"),
               (xs, abs_s, curv, abs_s + curv,
@@ -403,7 +397,7 @@ def _reproduce_example2(cfg: RunConfig) -> int:
         hist = hist + counts
     min_slack = float(lo)
     report = scan(curve, weight, grid)
-    csv_path = _out_dir(cfg) / "example2_slack_hist.csv"
+    csv_path = Path(cfg["run.output"]) / "example2_slack_hist.csv"
     write_csv(csv_path, ("bin_lo", "bin_hi", "count"),
               (edges[:-1], edges[1:], hist))
     print(f"curve = {curve.label}")

@@ -267,14 +267,13 @@ def covering_bound(profile: ExtremalProfile, phi2_norm: float, r) -> np.ndarray:
 
     for a normalized curve satisfying the criterion with a nondecreasing
     weight.  Raises ConfigError if r lies beyond the profile's end or the
-    profile's weight decreases somewhere on [0, 1).
+    profile's weight decreases on [0, 1): only a table can, iff its values do.
     """
     if np.any(np.asarray(r) > profile.xs[-1]):
         raise ConfigError(f"covering radius {r} lies beyond the profile's "
                           f"end 1 - eps = {profile.xs[-1]:g}")
-    rs = np.linspace(0.0, profile.xs[-1], 512)
-    pv = profile.p(rs)
-    if np.any(np.diff(pv) < -1e-12 * max(pv[0], 1.0)):
+    p = profile.p
+    if p.kind == "tabulated" and np.any(np.diff(p.table_p) < 0.0):
         raise ConfigError("covering bound requires a nondecreasing weight")
     psi = profile.Psi(np.asarray(r, dtype=float))
     return 2.0 * psi / (2.0 + phi2_norm * psi)

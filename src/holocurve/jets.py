@@ -313,7 +313,7 @@ class CurveJet(Jet3):
     q = sum |f_k'|^2 (= e^{2 sigma}) has the shape of z.
     """
 
-    z: complex | np.ndarray
+    z: np.ndarray
     q: np.ndarray
 
 
@@ -334,14 +334,15 @@ class HoloCurve:
         return len(self.components)
 
     def eval(self, z) -> CurveJet:
-        z = np.asarray(z, dtype=complex) if np.ndim(z) else complex(z)
+        z = np.asarray(z, dtype=complex)
         if not np.all(np.abs(z) < 1.0):             # a NaN point fails too
             raise DomainError("evaluation point outside the open unit disk")
+        # A point is a one-point array: it has the bits it has in any array.
         memo = {}
-        jets = [_shared_jet(m, z, memo) for m in self.components]
+        jets = [_shared_jet(m, z.reshape(-1), memo) for m in self.components]
         del memo                # sub-jets go before the stack is built
-        stack = np.array([[getattr(j, f) for j in jets]
-                          for f in ("val", "d1", "d2", "d3")])
+        stack = np.array([[getattr(j, f) for j in jets] for f in (
+            "val", "d1", "d2", "d3")]).reshape((4, self.n) + z.shape)
         del jets
         for factor in self.factors:
             stack *= factor

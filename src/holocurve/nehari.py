@@ -179,28 +179,23 @@ class NehariValidation:
 
 
 def validate_nehari(p: NehariFunction) -> NehariValidation:
-    """Check the defining properties of a Nehari weight on a sample grid.
-
-    Positivity is sampled on (-1, 1), the monotonicity of the compactified
-    kernel in t (heavily refined near |x| = 1, where violations hide).  A
-    closed kind is disconjugate iff factor <= 1, a table iff its count is 0.
-    NumericalError if a table's count differs at rtol 1e-10 and 1e-12.
-    """
+    """Check the defining properties of a Nehari weight, each exactly: a
+    closed kind is positive with a nonincreasing kernel by its formula and
+    disconjugate iff factor <= 1; a table is positive iff its values are
+    (its pieces stay between them), its kernel is decided piece by piece by
+    MonotoneCubic.kernel_nonincreasing, and it is disconjugate iff its zero
+    count is 0.  NumericalError if that count differs at rtol 1e-10 and
+    1e-12."""
     msgs = []
-    xs = np.tanh(np.linspace(-16.0, 16.0, 2001))
-    vals = p(xs)
-    positive = bool(np.all(vals > 0.0))
+    table = p.kind == "tabulated"
+    positive = not table or bool(np.all(p.table_p > 0.0))
     if not positive:
-        msgs.append("weight is not strictly positive on the sample grid")
-
-    ts = np.linspace(0.0, 40.0, 2001)
-    kv = p.kernel(ts)
-    tol = 1e-10 * max(float(kv[0]), 1e-300)
-    kernel_noninc = bool(np.all(np.diff(kv) <= tol))
+        msgs.append("weight is not strictly positive")
+    kernel_noninc = not table or p._spline.kernel_nonincreasing()
     if not kernel_noninc:
         msgs.append("(1-x^2)^2 p(x) increases somewhere in |x|")
 
-    if p.kind != "tabulated":
+    if not table:
         # The window can miss the first zero of a factor just above 1.
         count = 0 if _exact_margin(p) >= 1.0 else max(disconjugacy_count(p), 1)
     elif positive:   # a count that moves with the tolerance is undecided
@@ -534,9 +529,9 @@ def richardson_lambda(p: NehariFunction) -> float:
     return float(np.clip(m[-1], 0.0, 1.0))
 
 
-def write_profile_csv(profile: ExtremalProfile, path_or_buf) -> None:
-    """Profile table: columns x,u0,Phi,PhiP,U,Psi,A,p at the sample grid."""
+def write_profile_csv(profile: ExtremalProfile, path) -> None:
+    """Profile table at `path`: x,u0,Phi,PhiP,U,Psi,A,p at the sample grid."""
     xs = profile.xs
-    write_csv(path_or_buf, ("x", "u0", "Phi", "PhiP", "U", "Psi", "A", "p"),
+    write_csv(path, ("x", "u0", "Phi", "PhiP", "U", "Psi", "A", "p"),
               (xs, profile.u0(xs), profile.Phi(xs), profile.PhiP(xs),
                profile.U(xs), profile.Psi(xs), profile.A(xs), profile.p(xs)))

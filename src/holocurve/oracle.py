@@ -130,25 +130,24 @@ def identity_suite(curves: list[HoloCurve] | None = None, seed: int = 0,
     ts = np.linspace(-0.7, 0.7, 7)
     for curve in curves:
         for path in _paths():
-            t_lo, t_hi = path.t_range()
-            for t in np.interp(ts, [-0.7, 0.7], [t_lo, t_hi]):
-                a = s1_of_composed_curve(curve, path, float(t))
-                b = s1_via_curvature(curve, path, float(t))
-                devs.append((abs(a - b) / (1.0 + abs(a)),
-                             f"{curve.label} / {path.kind} t={t:.3f}"))
+            t = np.interp(ts, [-0.7, 0.7], path.t_range())
+            a = s1_of_composed_curve(curve, path, t)
+            b = s1_via_curvature(curve, path, t)
+            devs += zip(np.abs(a - b) / (1.0 + np.abs(a)),
+                        [f"{curve.label} / {path.kind} t={ti:.3f}" for ti in t])
     records.append(_record("s1_direct_vs_curvature_decomposition", 1e-8,
                            devs))
 
     # (3) S1: direct vs. speed/curvature (finite-difference log-speed) form.
     devs = []
+    ts = np.array([-0.5, 0.0, 0.4])
     for curve in curves:
         for path in _paths()[:2]:
             speed, kappa = make_speed_curvature(curve, path)
-            for t in (-0.5, 0.0, 0.4):
-                a = s1_of_composed_curve(curve, path, t)
-                b = s1_from_speed_curvature(speed, kappa, t)
-                devs.append((abs(a - b) / (1.0 + abs(a)),
-                             f"{curve.label} / {path.kind} t={t}"))
+            a = s1_of_composed_curve(curve, path, ts)
+            b = s1_from_speed_curvature(speed, kappa, ts)
+            devs += zip(np.abs(a - b) / (1.0 + np.abs(a)),
+                        [f"{curve.label} / {path.kind} t={t}" for t in ts])
     records.append(_record("s1_direct_vs_speed_curvature_form", 1e-5, devs))
 
     # (4) Schwarzian chain rule under disk automorphisms (exact jets).
@@ -168,11 +167,10 @@ def identity_suite(curves: list[HoloCurve] | None = None, seed: int = 0,
 
     # (5) S1 invariance under Moebius maps of the target (FD route).
     devs = []
-    t_values = (-0.5, -0.1, 0.35)
+    t_values = np.array([-0.5, -0.1, 0.35])
     for curve in curves:
         path = PlaneCurve.diameter(0.0)
-        span = max(float(np.max(np.abs(compose_real(curve, path, t).x0)))
-                   for t in t_values) + 1.0
+        span = np.max(np.abs(compose_real(curve, path, t_values).x0)) + 1.0
         mob = _target_mobius(2 * curve.n, span)
         devs.append((s1_mobius_invariance_check(curve, path, mob, t_values),
                      curve.label))
@@ -181,15 +179,15 @@ def identity_suite(curves: list[HoloCurve] | None = None, seed: int = 0,
     # (6) The signed-curvature reading: its gap from the direct formula must
     # equal (3/2) e^{2 sigma} |K| (documents the incorrect variant).
     devs = []
+    t, path = np.array([0.3, 1.1, 2.0]), PlaneCurve.circle(0.45)
     for curve in curves:
-        path = PlaneCurve.circle(0.45)
-        for t in (0.3, 1.1, 2.0):
-            direct = s1_of_composed_curve(curve, path, t)
-            literal = s1_via_curvature(curve, path, t, signed_curvature=True)
-            data = conformal_data(eval_curve(curve, path.jet(t).val))
-            predicted_gap = 1.5 * float(data.q * np.abs(data.curvature))
-            devs.append((abs((direct - literal) - predicted_gap)
-                         / (1.0 + predicted_gap), f"{curve.label} t={t}"))
+        direct = s1_of_composed_curve(curve, path, t)
+        literal = s1_via_curvature(curve, path, t, signed_curvature=True)
+        data = conformal_data(eval_curve(curve, path.jet(t).val))
+        predicted_gap = 1.5 * data.q * np.abs(data.curvature)
+        devs += zip(np.abs((direct - literal) - predicted_gap)
+                    / (1.0 + predicted_gap),
+                    [f"{curve.label} t={v}" for v in t])
     records.append(_record("s1_signed_curvature_reading_gap", 1e-8, devs))
 
     return IdentityReport(tuple(records))

@@ -19,7 +19,7 @@ from itertools import combinations
 
 import numpy as np
 
-from .jets import CurveJet, HoloCurve, Jet3, fd_derivative
+from .jets import _FD_STEPS, CurveJet, HoloCurve, Jet3, _fd_stencil
 
 __all__ = [
     "ConformalData", "conformal_data", "classical_schwarzian",
@@ -131,17 +131,17 @@ def second_form_sq_fd(curve: HoloCurve, z: complex) -> float:
 
     sigma is sampled as (1/2) log Q on a cross stencil around z (the step
     1e-4 of fd_derivative), so this route does not consult P at all.  The
-    stencil reaches 3e-4 from z, so z must lie 3e-4 inside the circle.
+    stencil and z are evaluated in one call.  The stencil reaches 3e-4 from
+    z, so z must lie 3e-4 inside the circle.
     """
-    def sigma_at(w):
-        jet = curve.eval(w)
-        return 0.5 * np.log(np.sum(np.abs(jet.d1) ** 2, axis=0))
-
+    h = _FD_STEPS[1]
     x0, y0 = float(np.real(z)), float(np.imag(z))
-    sx = fd_derivative(lambda x: sigma_at(x + 1j * y0), x0, 1)
-    sy = fd_derivative(lambda y: sigma_at(x0 + 1j * y), y0, 1)
-    jet = curve.eval(z)
-    q = float(np.sum(np.abs(jet.d1) ** 2, axis=0))
-    phixx_sq = float(np.sum(np.abs(jet.d2) ** 2, axis=0))
+    k = h * np.arange(-3, 4)
+    jet = curve.eval(np.concatenate([x0 + k + 1j * y0, x0 + 1j * (y0 + k),
+                                     [z]]))
+    sigma = 0.5 * np.log(np.sum(np.abs(jet.d1) ** 2, axis=0))
+    sx, sy = (_fd_stencil(sigma[i:i + 7], 1, h) for i in (0, 7))
+    q = float(jet.q[-1])
+    phixx_sq = float(np.sum(np.abs(jet.d2[:, -1]) ** 2))
     grad_sq = float(sx) ** 2 + float(sy) ** 2
     return (phixx_sq - q * grad_sq) / q ** 2

@@ -49,21 +49,79 @@ def test_circle_inside_disk_enforced():
 
 def test_compose_real_matches_a_per_component_compose():
     # One chain rule over the stacked jet against each component composed
-    # alone: equal up to the rounding of array against scalar arithmetic.
+    # alone, both over the same array of t.
     from holocurve.oracle import _paths, default_suite_curves
 
     for curve in default_suite_curves():
         for path in _paths():
-            for t in np.linspace(*path.t_range(), 9):
-                gj = path.jet(t)
-                alone = [m.jet(gj.val).compose(gj) for m in curve.components]
-                got = compose_real(curve, path, t)
+            ts = np.linspace(*path.t_range(), 9)
+            gj = path.jet(ts)
+            alone = [m.jet(gj.val).compose(gj) for m in curve.components]
+            got = compose_real(curve, path, ts)
+            for i, t in enumerate(ts):
                 for x, field in zip((got.x0, got.x1, got.x2, got.x3),
                                     ("val", "d1", "d2", "d3")):
-                    want = np.array([getattr(j, field) for j in alone])
+                    want = np.array([getattr(j, field)[i] for j in alone])
                     want = np.column_stack([want.real, want.imag]).ravel()
-                    assert np.max(np.abs(x - want)) \
+                    assert np.max(np.abs(x[:, i] - want)) \
                         <= 1e-15 * np.max(np.abs(want)), (curve.label, t)
+
+
+def _per_t_s1_from_speed_curvature(speed, curvature, t):
+    """s1_from_speed_curvature as one call per t: each log-speed difference
+    samples the speed at its own seven points."""
+    logv = lambda s: np.log(speed(s))
+    l1 = fd_derivative(logv, t, 1, h=1e-3)
+    l2 = fd_derivative(logv, t, 2, h=1e-3)
+    v = speed(t)
+    k = curvature(t)
+    return float(l2 - 0.5 * l1 * l1 + 0.5 * (v * k) ** 2)
+
+
+def _per_point_second_form_sq_fd(curve, z):
+    """second_form_sq_fd with one jet call per stencil point."""
+    def sigma_at(w):
+        jet = curve.eval(w)
+        return 0.5 * np.log(np.sum(np.abs(jet.d1) ** 2, axis=0))
+
+    x0, y0 = float(np.real(z)), float(np.imag(z))
+    sx = fd_derivative(lambda x: sigma_at(x + 1j * y0), x0, 1)
+    sy = fd_derivative(lambda y: sigma_at(x0 + 1j * y), y0, 1)
+    jet = curve.eval(z)
+    q = float(np.sum(np.abs(jet.d1) ** 2, axis=0))
+    phixx_sq = float(np.sum(np.abs(jet.d2) ** 2, axis=0))
+    grad_sq = float(sx) ** 2 + float(sy) ** 2
+    return (phixx_sq - q * grad_sq) / q ** 2
+
+
+def test_arrays_of_t_have_the_bits_of_scalar_calls():
+    # One path for a point and for an array: element by element, the same
+    # bits, and a scalar t gives a scalar.
+    from holocurve.oracle import _paths, default_suite_curves
+    from holocurve.schwarzian import second_form_sq_fd
+
+    for curve in default_suite_curves():
+        for path in _paths():
+            ts = np.linspace(*path.t_range(), 11)[1:-1]
+            got = compose_real(curve, path, ts)
+            routes = [(f, f(curve, path, ts)) for f in (
+                s1_of_composed_curve, s1_via_curvature,
+                lambda c, p, t: s1_via_curvature(c, p, t, True))]
+            speed, kappa = make_speed_curvature(curve, path)
+            fd = s1_from_speed_curvature(speed, kappa, ts)
+            for i, t in enumerate(ts):
+                one = compose_real(curve, path, t)
+                for field in ("x0", "x1", "x2", "x3"):
+                    assert np.array_equal(getattr(one, field),
+                                          getattr(got, field)[:, i])
+                for f, values in routes:
+                    value = f(curve, path, t)
+                    assert np.ndim(value) == 0 and value == values[i]
+                assert _per_t_s1_from_speed_curvature(speed, kappa, t) \
+                    == fd[i], (curve.label, path.kind, t)
+        for z in (0.0, 0.3 + 0.2j, -0.7j, 0.5 - 0.5j):
+            assert second_form_sq_fd(curve, z) \
+                == _per_point_second_form_sq_fd(curve, z), (curve.label, z)
 
 
 def test_direct_equals_curvature_decomposition(ex1, ex2):

@@ -701,6 +701,17 @@ def test_failed_scan_leaves_no_scan_csv(tmp_path, capsys, monkeypatch):
     assert list(out_dir.iterdir()) == []
 
 
+def test_config_error_in_scan_leaves_no_output_directory(tmp_path, capsys):
+    # scan rejects tol.equality before it stages a table, so the run makes
+    # no directory at all.
+    cfg = _write(tmp_path, "tol.cfg", "tol.equality = -1\n")
+    out_dir = tmp_path / "fresh"
+    assert main(["check-criterion", cfg, "--output", str(out_dir)]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("config error: tol_eq = -1")
+    assert not out_dir.exists()
+
+
 def test_reproduce_example_bad_which(tmp_path, capsys):
     cfg = _write(tmp_path, "ex3.cfg", "example.which = 3\n")
     assert main(["reproduce-example", cfg]) == 2
@@ -863,6 +874,36 @@ def test_covering_accepts_a_nondecreasing_table(tmp_path, capsys):
     cfg = _write(tmp_path, "cov.cfg", _table_config("2.4,2.4,2.45,2.5"))
     assert main(["covering", cfg, "--output", str(tmp_path)]) == 0
     assert _stdout_value(capsys.readouterr().out, "verdict") == "consistent"
+
+
+@pytest.mark.parametrize("command,x,values,message", [
+    # A dip to -5 at 0.3004 that every sample grid stepped over: the scan
+    # said "holds" with min_margin 4.8.
+    ("check-criterion", "0,0.3,0.3004,0.3008,0.9", "2.4,2.4,-5,2.45,2.5",
+     "weight is not strictly positive; (1-x^2)^2 p(x) increases somewhere "
+     "in |x|"),
+    # (1-x^2)^2 p rises by about 0.33 on [0.3, 0.3004].
+    ("check-criterion", "0,0.3,0.3004,0.3008,0.9", "2.4,2.4,2.8,2.4,2.5",
+     "(1-x^2)^2 p(x) increases somewhere in |x|"),
+    # p decreases on [0.5, 0.5004]; its rise on the next piece also lifts
+    # the kernel, which is decided first.
+    ("covering", "0,0.5,0.5004,0.5008,0.9", "2.4,2.45,2.41,2.46,2.5",
+     "(1-x^2)^2 p(x) increases somewhere in |x|"),
+    # The same narrow decrease with an admissible kernel.
+    ("covering", "0,0.5,0.5004,0.5008,0.9", "2.4,2.45,2.449,2.45,2.5",
+     "covering bound requires a nondecreasing weight"),
+], ids=["dip", "kernel-bump", "decrease-and-bump", "decrease"])
+def test_narrow_table_pieces_are_judged_exactly(tmp_path, capsys, command,
+                                                x, values, message):
+    # Each of these exited 0 when admissibility was sampled.
+    cfg = _write(tmp_path, "t.cfg", "nehari.kind = tabulated\n"
+                 f"nehari.table_x = {x}\nnehari.table_p = {values}\n"
+                 "grid.n_r = 20\ngrid.n_theta = 8\ncovering.radii = 0.3\n"
+                 "covering.resolution = 20\n")
+    assert main([command, cfg, "--output", str(tmp_path / "out")]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err == f"config error: {message}\n"
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("values", ["0.1,0.1,0.1,4", "1,1,1,4"])

@@ -295,9 +295,9 @@ def test_eval_shares_sub_jets_within_one_call(monkeypatch, normalized):
     monkeypatch.setattr(StripMapComponent, "jet", counting)
     # Row k of each stacked field is component k's own jet times the
     # curve's factors, bit for bit, for an array of points and for a single
-    # point.
+    # point, which eval takes as a one-point array.
     for z in (zs, complex(zs[7])):
-        alone = [m.jet(z) for m in curve.components]
+        alone = [m.jet(np.reshape(z, -1)) for m in curve.components]
         for _ in range(2):
             calls.clear()
             jet = curve.eval(z)

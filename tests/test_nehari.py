@@ -776,12 +776,10 @@ def test_mobius_weight_check_closed_form_minima():
 # ---------------------------------------------------------------------------
 
 def test_profile_csv_deterministic(profile_inverse_square, tmp_path):
-    buf1, buf2 = io.StringIO(), io.StringIO()
-    write_profile_csv(profile_inverse_square, buf1)
-    write_profile_csv(profile_inverse_square, buf2)
-    text = buf1.getvalue()
-    assert text == buf2.getvalue()
+    # Each path's directory does not exist yet: the writer creates it.
+    paths = [tmp_path / name / "profile.csv" for name in ("a", "b")]
+    for path in paths:
+        write_profile_csv(profile_inverse_square, path)
+    text = paths[0].read_text()
+    assert text == paths[1].read_text()
     assert text.splitlines()[0] == "x,u0,Phi,PhiP,U,Psi,A,p"
-    path = tmp_path / "profile.csv"
-    write_profile_csv(profile_inverse_square, path)
-    assert path.read_text() == text

@@ -36,6 +36,17 @@ def test_identity_suite_custom_curve_pool():
     assert {r.name for r in rep.records} == EXPECTED_RECORDS
 
 
+def test_identity_suite_jet_call_budget(monkeypatch):
+    # Each record evaluates all its points of one curve and path in one
+    # call: 138 calls, where one call per t made 1,236.
+    calls = []
+    evaluate = hc.HoloCurve.eval
+    monkeypatch.setattr(hc.HoloCurve, "eval",
+                        lambda self, z: calls.append(1) or evaluate(self, z))
+    assert identity_suite().ok
+    assert len(calls) <= 300
+
+
 def test_target_mobius_pole_raises_domain_error():
     # The suite's map inverts about 2.5 span e_1 after shifting by +-0.3.
     mob = oracle._target_mobius(4, 1.0)

@@ -2,8 +2,9 @@
 byte for byte on hard values, on a forced fallback and on every artifact the
 CLI writes; plus its input checks and its memory bound."""
 
-import io
+import tempfile
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -21,9 +22,10 @@ def _reference(header, columns):
 
 
 def _written(header, columns):
-    buf = io.StringIO()
-    write_csv(buf, header, columns)
-    return buf.getvalue()
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "table.csv"
+        write_csv(path, header, columns)
+        return path.read_text()
 
 
 def _assert_matches_reference(values):
@@ -163,12 +165,11 @@ def test_empty_table_is_the_header():
 
 
 def test_csv_writer_pins_special_values_and_counts():
-    buf = io.StringIO()
-    write_csv(buf, ("x", "y", "count"),
-              (np.array([np.nan, -0.0, 0.1]),
-               np.array([np.inf, -np.inf, 1e300]),
-               np.array([0, 7, 123456789], dtype=np.int64)))
-    assert buf.getvalue() == ("x,y,count\n"
+    written = _written(("x", "y", "count"),
+                       (np.array([np.nan, -0.0, 0.1]),
+                        np.array([np.inf, -np.inf, 1e300]),
+                        np.array([0, 7, 123456789], dtype=np.int64)))
+    assert written == ("x,y,count\n"
                               "nan,inf,0\n"
                               "-0,-inf,7\n"
                               "0.10000000000000001,1.0000000000000001e+300,"
