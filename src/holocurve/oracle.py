@@ -134,7 +134,7 @@ def identity_suite(curves: list[HoloCurve] | None = None, seed: int = 0,
             a = s1_of_composed_curve(curve, path, t)
             b = s1_via_curvature(curve, path, t)
             devs += zip(np.abs(a - b) / (1.0 + np.abs(a)),
-                        [f"{curve.label} / {path.kind} t={ti:.3f}" for ti in t])
+                        [f"{curve.label} / {path.kind} t={v:.3f}" for v in t])
     records.append(_record("s1_direct_vs_curvature_decomposition", 1e-8,
                            devs))
 
