@@ -23,27 +23,23 @@ _EXPORTS = {
                 "s1_of_composed_curve", "s1_via_curvature"),
     "criterion": ("BoundaryDiagnostics", "CriterionReport", "GridSpec",
                   "boundary_diagnostics", "boundary_trace", "covering_bound",
-                  "intrinsic_min_distance", "normalize",
-                  "radial_comparison_margin", "scan", "weight_ratio",
-                  "write_scan_csv"),
+                  "intrinsic_min_distance", "normalize", "scan",
+                  "weight_ratio", "write_scan_csv"),
     "errors": ("ConfigError", "DomainError", "HolocurveError",
                "NumericalError", "VanishingTangentError"),
     "fixtures": ("StripConstants", "example1_curve", "example2_curve",
-                 "example2_equality_defect", "example2_reduced_slack",
-                 "example2_zeta", "hille_curve", "strip_constants_check",
-                 "z_squared_curve"),
+                 "example2_reduced_slack", "example2_zeta",
+                 "strip_constants_check", "z_squared_curve"),
     "jets": ("CurveJet", "DiskMobius", "HoloCurve", "Jet3", "eval_curve",
-             "exponential_curve", "identity_curve", "polynomial_curve",
-             "precompose_disk_mobius", "radial_pair_curve", "scale_curve",
-             "strip_curve", "tan_truncation_curve"),
+             "identity_curve", "polynomial_curve", "precompose_disk_mobius",
+             "radial_pair_curve", "scale_curve", "strip_curve",
+             "tan_truncation_curve"),
     "nehari": ("ExtremalProfile", "NehariFunction", "NehariValidation",
                "completeness_probe", "disconjugacy_count", "extremal_profile",
-               "extremality_margin", "mobius_weight_check", "validate_nehari",
-               "write_profile_csv"),
+               "extremality_margin", "validate_nehari", "write_profile_csv"),
     "oracle": ("IdentityReport", "InjectivityReport", "identity_suite",
                "injectivity_scan"),
-    "schwarzian": ("ConformalData", "classical_schwarzian", "conformal_data",
-                   "criterion_lhs"),
+    "schwarzian": ("ConformalData", "conformal_data"),
 }
 _MODULE_OF = {name: module for module, names in _EXPORTS.items()
               for name in names}

@@ -89,14 +89,17 @@ class PlaneCurve:
         return PlaneCurve(kind="circle", center=complex(center),
                           radius=float(radius))
 
-    def jet(self, t: float) -> Jet3:
+    def jet(self, t) -> Jet3:
+        """The path's jet at t, a scalar or an array.  A scalar t is a
+        one-point array, so it gets the bits it gets in any array of t."""
         if self.kind == "diameter":
             e = np.exp(1j * self.theta)
             return Jet3(t * e, e, 0.0 * e, 0.0 * e)
         if self.kind == "circle":
-            w = self.radius * np.exp(1j * t / self.radius)
-            return Jet3(self.center + w, 1j * w / self.radius,
-                        -w / self.radius ** 2, -1j * w / self.radius ** 3)
+            w = self.radius * np.exp(1j * np.reshape(t, -1) / self.radius)
+            return Jet3(*(f.reshape(np.shape(t))[()] for f in (
+                self.center + w, 1j * w / self.radius,
+                -w / self.radius ** 2, -1j * w / self.radius ** 3)))
         raise ValueError(f"unknown path kind {self.kind!r}")
 
     def curvature(self, t: float) -> float:
@@ -191,7 +194,8 @@ def s1_mobius_invariance_check(curve: HoloCurve, path: PlaneCurve,
                                mobius: Callable[[np.ndarray], np.ndarray],
                                t_values: Sequence[float]):
     """Worst |S1(M o phi o gamma) - S1(phi o gamma)| over t_values, for a
-    Moebius map M of R^{2n} given as a function of one point.
+    Moebius map M of R^{2n} that maps an array of points given as its rows,
+    shape (..., 2n), to their images in the same shape.
 
     The transformed side only sees *positions* of M(phi(gamma(t))): its
     derivatives come from 4th-order finite differences at steps 1e-3 and
@@ -203,7 +207,7 @@ def s1_mobius_invariance_check(curve: HoloCurve, path: PlaneCurve,
     steps = (1e-3, 2e-3)
     k = np.multiply.outer(np.arange(-3, 4), steps)          # (7, 2)
     x0 = compose_real(curve, path, t + k[..., None]).x0     # (2n, 7, 2, T)
-    f = np.moveaxis(np.apply_along_axis(mobius, 0, x0), 1, 0)
+    f = np.moveaxis(mobius(np.moveaxis(x0, 0, -1)), -1, 1)  # (7, 2n, 2, T)
     vals = [s1_direct(RealCurveSample(t, f[3, :, i], *(
         _fd_stencil(f[:, :, i], order, step) for order in (1, 2, 3))))
         for i, step in enumerate(steps)]

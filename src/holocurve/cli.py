@@ -31,7 +31,9 @@ from .criterion import (GridSpec, boundary_diagnostics, boundary_trace,
                         intrinsic_min_distance, normalize, scan,
                         second_derivative_norm, write_scan_csv)
 from .errors import ConfigError, NumericalError
-from .fixtures import (EXAMPLE1_C, EXAMPLE2_C, example1_curve, example2_curve,
+from .fixtures import (EXAMPLE1_C, EXAMPLE2_C, example1_curve,
+                       example1_e2sigma, example1_schwarzian,
+                       example1_wronskian_sq, example2_curve,
                        example2_reduced_slack, strip_constants_check,
                        z_squared_curve)
 from .jets import (DiskMobius, HoloCurve, identity_curve, polynomial_curve,
@@ -355,8 +357,6 @@ def _reproduce_example1(cfg: RunConfig) -> int:
     weight = NehariFunction.constant()
     report = scan(curve, weight, _grid(cfg))
     xs = np.linspace(-0.999, 0.999, 201)
-    from .fixtures import example1_e2sigma, example1_schwarzian, \
-        example1_wronskian_sq
     abs_s = np.abs(example1_schwarzian(xs, c))
     curv = 1.5 * example1_wronskian_sq(c) / example1_e2sigma(xs, c) ** 2
     csv_path = Path(cfg["run.output"]) / "example1_table.csv"

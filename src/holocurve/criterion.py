@@ -9,9 +9,8 @@ for an admissible weight p.  `scan` evaluates margin = bound - lhs over a
 polar grid and classifies the verdict; `covering_bound` turns the profile of
 the weight into the guaranteed intrinsic covering radius, and
 `intrinsic_min_distance` brackets the intrinsic distance to a circle by
-quadrature along rays; `radial_comparison_margin` evaluates the pointwise
-metric-domination inequality; the boundary diagnostics quantify convexity of
-the weight ratio w = sqrt(Phi'(|z|)/|phi'(z)|) along rays.
+quadrature along rays; the boundary diagnostics quantify convexity of the
+weight ratio w = sqrt(Phi'(|z|)/|phi'(z)|) along rays.
 """
 from __future__ import annotations
 
@@ -35,7 +34,7 @@ __all__ = [
     "GridSpec", "CriterionReport", "scan", "write_scan_csv",
     "normalize", "second_derivative_norm", "covering_bound",
     "check_covering", "intrinsic_min_distance",
-    "radial_comparison_margin", "weight_ratio", "BoundaryDiagnostics",
+    "weight_ratio", "BoundaryDiagnostics",
     "check_boundary_rays", "boundary_diagnostics", "check_boundary_ring",
     "boundary_trace",
 ]
@@ -355,35 +354,6 @@ def intrinsic_min_distance(curve: HoloCurve, r: float,
     lo64, up64 = _ray_sums(curve, r, 64, thetas)
     lo, up = _ray_sums(curve, r, 128, thetas)
     return float(lo - abs(lo - lo64)), float(up + abs(up - up64))
-
-
-# ---------------------------------------------------------------------------
-# Radial comparison margin
-# ---------------------------------------------------------------------------
-
-def radial_comparison_margin(curve: HoloCurve, profile: ExtremalProfile,
-                             z) -> np.ndarray:
-    """Pointwise slack of the metric-domination inequality
-
-        (A + p) - |zeta^2 S phi + A - p| - (3/4) e^{2 sigma} |K|  >=  0,
-
-    zeta = z/|z|; at z = 0 the direction-worst limit (A = p there) is used.
-    Nonnegative wherever the criterion holds with a nondecreasing weight.
-    """
-    z = np.asarray(z, dtype=complex)
-    scalar = z.ndim == 0
-    z = np.atleast_1d(z)
-    data = conformal_data(eval_curve(curve, z))
-    r = np.abs(z)
-    a = profile.A(r)
-    pv = profile.p(r)
-    with np.errstate(invalid="ignore", divide="ignore"):
-        zeta_sq = np.where(r > 0, z * z / np.where(r > 0, r * r, 1.0), 1.0)
-    cross = np.where(r > 0,
-                     np.abs(zeta_sq * data.schwarzian + (a - pv)),
-                     np.abs(data.schwarzian))
-    out = (a + pv) - cross - 0.75 * data.laplacian_sigma
-    return out[0] if scalar else out
 
 
 # ---------------------------------------------------------------------------

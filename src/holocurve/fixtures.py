@@ -32,9 +32,9 @@ from .sampling import strip_samples
 __all__ = [
     "EXAMPLE1_C", "EXAMPLE2_C",
     "example1_min_c", "example1_curve", "example1_e2sigma",
-    "example1_schwarzian", "example1_wronskian_sq", "example1_margin",
+    "example1_schwarzian", "example1_wronskian_sq",
     "example2_curve", "example2_zeta", "example2_reduced_slack",
-    "example2_equality_defect", "z_squared_curve", "hille_curve",
+    "z_squared_curve",
     "StripConstants", "strip_constants_check",
 ]
 
@@ -87,18 +87,6 @@ def example1_wronskian_sq(c: float) -> float:
     return 4.0 * c * c * np.pi ** 6
 
 
-def example1_margin(z, c: float) -> np.ndarray:
-    """Closed-form criterion margin against the constant weight pi^2/4.
-
-    Identically zero for admissible c: with A = c^2 e^{2 pi x},
-    B = e^{-2 pi x}, the identity t^2 + 4AB/(A+B)^2 = 1 makes
-    |S| + (3/2) e^{-4 sigma} W^2 equal pi^2/2 exactly.
-    """
-    lhs = np.abs(example1_schwarzian(z, c)) \
-        + 1.5 * example1_wronskian_sq(c) / example1_e2sigma(z, c) ** 2
-    return np.pi ** 2 / 2.0 - lhs
-
-
 # ---------------------------------------------------------------------------
 # Example 2
 # ---------------------------------------------------------------------------
@@ -149,14 +137,6 @@ def example2_zeta(c: float, z) -> np.ndarray:
     return re_z + 1j * im_z
 
 
-def example2_equality_defect(c: float, x) -> np.ndarray:
-    """|1 - zeta| + |zeta| - 1 on the real diameter (zero in exact
-    arithmetic: zeta is real in (0, 3c^2] there)."""
-    x = np.asarray(x, dtype=float)
-    zeta = example2_zeta(c, z=x.astype(complex))
-    return np.abs(1.0 - zeta) + np.abs(zeta) - 1.0
-
-
 def example2_reduced_slack(c: float, z) -> np.ndarray:
     """RHS - LHS of |1 - zeta| + |zeta| <= |1-z^2|^2 / (1-|z|^2)^2.
 
@@ -179,17 +159,6 @@ def z_squared_curve() -> HoloCurve:
     no antipodal pairs and would certify nothing."""
     return HoloCurve((PolynomialComponent([0.0, 0.0, 1.0]),),
                      label="z-squared")
-
-
-def hille_curve(eps: float = 1.0) -> HoloCurve:
-    """f(z) = ((1+z)/(1-z))^{i eps} = exp(2 i eps artanh z) (Hille, Bull. AMS
-    55 (1949) 552-553): S f = 2 (1 + eps^2)/(1 - z^2)^2, so at eps = 1 it
-    meets the criterion of the inverse-square weight at factor 2 with
-    equality on the real diameter, yet f winds the diameter around the unit
-    circle infinitely often.  That weight is not disconjugate."""
-    return HoloCurve((ComposedComponent(ExponentialComponent(1.0, 2j * eps),
-                                        StripMapComponent()),),
-                     label=f"hille(eps={eps:g})")
 
 
 # ---------------------------------------------------------------------------

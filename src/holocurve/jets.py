@@ -5,17 +5,16 @@ unit disk; everything downstream (Schwarzian data, curvature, criterion
 scans) consumes only the value and first three derivatives of each component.
 This module provides
 
-* ``Jet3`` -- (f, f', f'', f''') with Leibniz / chain / reciprocal algebra,
-* component models (polynomial, exponential, Moebius, strip map, composition
-  and affine/reciprocal wrappers) emitting exact jets; within one
+* ``Jet3`` -- (f, f', f'', f''') with chain-rule and reciprocal algebra,
+* component models (polynomial, exponential, Moebius, strip map, and the
+  composition and reciprocal wrappers) emitting exact jets; within one
   ``HoloCurve.eval`` a sub-component that several wrappers share is
   evaluated once,
 * ``HoloCurve``, whose ``eval`` (alias ``eval_curve``) returns one
   ``CurveJet``: a ``Jet3`` stacking all component jets, times its factors,
 * ``DiskMobius`` disk automorphisms, whose jets are ``MoebiusComponent``
   jets, and ``precompose_disk_mobius``,
-* finite-difference reference derivatives (``fd_derivative``, ``fd_jet``)
-  used as independent oracles by the test-suite and the identity checker.
+* ``_fd_stencil``, the seven-point finite differences of the S1 oracles.
 
 Jet evaluation is vectorized: ``z`` may be a scalar or ndarray and the fields
 of the returned jets have the same shape.
@@ -23,7 +22,7 @@ of the returned jets have the same shape.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -33,11 +32,10 @@ __all__ = [
     "Jet3", "CurveJet", "HoloCurve", "DiskMobius",
     "PolynomialComponent", "ExponentialComponent", "MoebiusComponent",
     "StripMapComponent", "ComposedComponent", "ReciprocalComponent",
-    "AffineComponent",
     "eval_curve", "precompose_disk_mobius", "scale_curve",
-    "identity_curve", "polynomial_curve", "exponential_curve",
+    "identity_curve", "polynomial_curve",
     "strip_curve", "tan_truncation_curve", "radial_pair_curve",
-    "fd_derivative", "fd_jet", "tan_series", "artanh",
+    "tan_series", "artanh",
 ]
 
 # Points evaluated at a time where a caller blocks its evaluation: bounds the
@@ -62,26 +60,6 @@ class Jet3:
     d2: complex | np.ndarray
     d3: complex | np.ndarray
 
-    def __add__(self, other: "Jet3") -> "Jet3":
-        return Jet3(self.val + other.val, self.d1 + other.d1,
-                    self.d2 + other.d2, self.d3 + other.d3)
-
-    def __mul__(self, other):
-        if isinstance(other, Jet3):
-            # Leibniz to order three.
-            f, g = self, other
-            return Jet3(
-                f.val * g.val,
-                f.d1 * g.val + f.val * g.d1,
-                f.d2 * g.val + 2.0 * f.d1 * g.d1 + f.val * g.d2,
-                f.d3 * g.val + 3.0 * f.d2 * g.d1 + 3.0 * f.d1 * g.d2
-                + f.val * g.d3,
-            )
-        return Jet3(self.val * other, self.d1 * other,
-                    self.d2 * other, self.d3 * other)
-
-    __rmul__ = __mul__
-
     def reciprocal(self) -> "Jet3":
         """Jet of 1/f.  Caller is responsible for f != 0."""
         g, g1, g2, g3 = self.val, self.d1, self.d2, self.d3
@@ -93,11 +71,6 @@ class Jet3:
             (2.0 * g1 * g1 * inv - g2) * inv2,
             (-6.0 * g1 ** 3 * inv2 + 6.0 * g1 * g2 * inv - g3) * inv2,
         )
-
-    def __truediv__(self, other):
-        if isinstance(other, Jet3):
-            return self * other.reciprocal()
-        return self * (1.0 / other)
 
     def compose(self, inner: "Jet3") -> "Jet3":
         """Chain rule (Faa di Bruno to order three).
@@ -257,19 +230,6 @@ class ReciprocalComponent(_NestedComponent):
         return fj.reciprocal()
 
 
-class AffineComponent(_NestedComponent):
-    """mul * f(z) + add."""
-
-    def __init__(self, base, mul: complex = 1.0, add: complex = 0.0):
-        self.base = base
-        self.mul = complex(mul)
-        self.add = complex(add)
-
-    def _jet(self, z, memo) -> Jet3:
-        fj = _shared_jet(self.base, z, memo) * self.mul
-        return Jet3(fj.val + self.add, fj.d1, fj.d2, fj.d3)
-
-
 # ---------------------------------------------------------------------------
 # Disk automorphisms
 # ---------------------------------------------------------------------------
@@ -367,8 +327,7 @@ def precompose_disk_mobius(curve: HoloCurve, mobius: DiskMobius) -> HoloCurve:
 
 def scale_curve(curve: HoloCurve, factor: complex) -> HoloCurve:
     """factor * phi: phi's components, `factor` after its factors.  Its jets
-    have the bits of AffineComponent(m, mul=factor) on each component m, up
-    to the sign of a zero in val (at one point, for real factors only)."""
+    have the bits of each component's jet times `factor`, field by field."""
     if factor == 0 or not np.isfinite(factor):
         raise ConfigError("scale factor must be finite and nonzero")
     return HoloCurve(curve.components, f"{abs(factor):.6g}*{curve.label}",
@@ -387,11 +346,6 @@ def polynomial_curve(coeff_lists: Sequence[Sequence[complex]],
                      label: str | None = None) -> HoloCurve:
     comps = tuple(PolynomialComponent(c) for c in coeff_lists)
     return HoloCurve(comps, label=label or f"polynomial(n={len(comps)})")
-
-
-def exponential_curve(pairs: Sequence[tuple[complex, complex]]) -> HoloCurve:
-    comps = tuple(ExponentialComponent(a, b) for a, b in pairs)
-    return HoloCurve(comps, label=f"exponential(n={len(comps)})")
 
 
 def strip_curve() -> HoloCurve:
@@ -444,30 +398,12 @@ def tan_truncation_curve(stretch: float = 1.2, degree: int = 41) -> HoloCurve:
 
 
 # ---------------------------------------------------------------------------
-# Finite-difference references
+# Finite differences
 # ---------------------------------------------------------------------------
 
-_FD_STEPS = {1: 1e-4, 2: 1e-4, 3: 5e-3}
-
-
-def fd_derivative(f: Callable, z, order: int, h: float | None = None):
-    """4th-order central difference of a holomorphic callable along the real
-    direction.
-
-    Orders 1-2 default to h = 1e-4; order 3 uses h = 5e-3 because the
-    roundoff floor eps/h^3 of a third-difference at h = 1e-4 (~1e-4 relative)
-    would drown the truncation term.
-    """
-    if order not in (1, 2, 3):
-        raise ValueError("order must be 1, 2 or 3")
-    if h is None:
-        h = _FD_STEPS[order]
-    return _fd_stencil([f(z + k * h) for k in range(-3, 4)], order, h)
-
-
 def _fd_stencil(samples, order: int, h: float):
-    """fd_derivative's difference of `order` from the seven samples
-    f(z + k h), k = -3, ..., 3."""
+    """The 4th-order central difference of `order` (1, 2 or 3) from the
+    seven samples f(z + k h), k = -3, ..., 3."""
     fm3, fm2, fm1, f0, fp1, fp2, fp3 = samples
     if order == 1:
         return (-fp2 + 8.0 * fp1 - 8.0 * fm1 + fm2) / (12.0 * h)
@@ -475,10 +411,3 @@ def _fd_stencil(samples, order: int, h: float):
         return (-fp2 + 16.0 * fp1 - 30.0 * f0 + 16.0 * fm1 - fm2) / (12.0 * h * h)
     return (-fp3 + 8.0 * fp2 - 13.0 * fp1 + 13.0 * fm1 - 8.0 * fm2 + fm3) \
         / (8.0 * h ** 3)
-
-
-def fd_jet(component, z) -> Jet3:
-    """Finite-difference Jet3 of a component model (oracle path)."""
-    f = (lambda w: component.jet(w).val) if hasattr(component, "jet") else component
-    return Jet3(f(z), fd_derivative(f, z, 1), fd_derivative(f, z, 2),
-                fd_derivative(f, z, 3))

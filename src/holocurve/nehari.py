@@ -20,7 +20,7 @@ below anything float64 sampling of x could reach.
 
 The extremal profile solves u0'' + p u0 = 0 (u0(0)=1, u0'(0)=0) and
 U'' = p U together with Phi = int u0^{-2} and Psi = int U^{-2}, and derives
-the radial comparison data A(r) and the weight metric curvature.
+the radial comparison data A(r).
 """
 from __future__ import annotations
 
@@ -31,14 +31,12 @@ import numpy as np
 
 from ._table import write_csv
 from .errors import ConfigError, NumericalError
-from .jets import DiskMobius
 
 __all__ = [
     "NehariFunction", "NehariValidation", "validate_nehari",
     "disconjugacy_count", "extremality_margin",
     "ExtremalProfile", "extremal_profile",
-    "mobius_weight_check", "completeness_probe", "write_profile_csv",
-    "richardson_lambda",
+    "completeness_probe", "write_profile_csv",
 ]
 
 # kind -> (c, m): p = factor c (1-x^2)^(m-2), kernel factor c sech^(2m) t.
@@ -362,10 +360,6 @@ class ExtremalProfile:
             out[small] = p0 + c2 * r[small] ** 2
         return out[0] if scalar else out
 
-    def metric_curvature(self, r):
-        """Gaussian curvature of the radial metric Phi'(|z|)^2 |dz|^2."""
-        return -2.0 * (self.A(r) + self.p(r)) / self.PhiP(r) ** 2
-
     def phi_inverse(self, s):
         """r with Phi(r) = s (vectorized), for 0 <= s <= Phi(xs[-1]).
 
@@ -480,54 +474,8 @@ def completeness_probe(p: NehariFunction) -> dict:
 
 
 # ---------------------------------------------------------------------------
-# Moebius compatibility of weights
+# CSV export
 # ---------------------------------------------------------------------------
-
-def mobius_weight_check(p: NehariFunction, mobius: DiskMobius) -> dict:
-    """min over real x of  p(x) - |T'(x)|^2 p(|T(x)|)  for a disk Moebius T.
-
-    Nonnegative for every admissible weight (the two sides collapse to
-    m(|x|) vs m(|T(x)|) over the same (1-x^2)^2 denominator, with m the
-    non-increasing kernel and |T(x)| >= |x|); identically zero exactly when
-    the kernel is constant, i.e. for the inverse-square weight.
-    """
-    xs = np.tanh(np.linspace(-14.0, 14.0, 2001))
-    base = p(np.abs(xs))
-    # 1 - |T(x)|^2 = (1-x^2)(1-rho^2)/(1+rho^2 x^2) exactly; direct
-    # subtraction loses ~12 digits once |x| > 1 - 1e-6, so evaluate the
-    # kernel difference instead of the weight difference.
-    rho2 = mobius.rho ** 2
-    denom = 1.0 + rho2 * xs ** 2
-    img = np.sqrt((xs ** 2 + rho2) / denom)
-    one_minus_sq = _one_minus_sq(xs)
-    one_minus_img = one_minus_sq * (1.0 - rho2) / denom
-    t_img = 0.5 * np.log((1.0 + img) ** 2 / one_minus_img)
-    slack = ((p.kernel(np.arctanh(np.abs(xs))) - p.kernel(t_img))
-             / one_minus_sq ** 2)
-    rel = slack / base
-    i = int(np.argmin(rel))
-    return {"min_slack": float(np.min(slack)),
-            "min_rel_slack": float(rel[i]), "argmin_x": float(xs[i]),
-            "max_abs_rel_slack": float(np.max(np.abs(rel)))}
-
-
-# ---------------------------------------------------------------------------
-# Boundary exponent and CSV export
-# ---------------------------------------------------------------------------
-
-def richardson_lambda(p: NehariFunction) -> float:
-    """Estimate lambda = lim (1-x^2)^2 p(x) by three rounds of Richardson
-    extrapolation along x_j = 1 - 2^{-j}, j = 10 ... 20 (the kernel tail is
-    ~ lambda + a 2^{-j} + ...).
-    """
-    js = np.arange(10, 21)
-    x = 1.0 - 2.0 ** (-js.astype(float))
-    m = _one_minus_sq(x) ** 2 * p(x)
-    for level in range(1, 4):
-        fac = 2.0 ** level
-        m = (fac * m[1:] - m[:-1]) / (fac - 1.0)
-    return float(np.clip(m[-1], 0.0, 1.0))
-
 
 def write_profile_csv(profile: ExtremalProfile, path) -> None:
     """Profile table at `path`: x,u0,Phi,PhiP,U,Psi,A,p at the sample grid."""

@@ -83,8 +83,8 @@ def _record(name: str, tol: float, devs) -> IdentityRecord:
 
 
 def _target_mobius(dim: int, span: float):
-    """The Moebius map of R^dim that the target-invariance record applies:
-    shift by (0.3, -0.3, ...), invert about c = 2.5 span e_1, scale by 1.7,
+    """The Moebius map of R^dim that the target-invariance record applies
+    to points given as rows: shift by (0.3, -0.3, ...), invert about c = 2.5 span e_1, scale by 1.7,
     rotate the first two axes by 0.8.  An image within span of the origin
     stays well away from the pole c, where it raises DomainError."""
     shift = 0.3 * (-1.0) ** np.arange(dim)

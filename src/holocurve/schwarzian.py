@@ -19,12 +19,17 @@ from itertools import combinations
 
 import numpy as np
 
-from .jets import _FD_STEPS, CurveJet, HoloCurve, Jet3, _fd_stencil
+from .jets import CurveJet
 
-__all__ = [
-    "ConformalData", "conformal_data", "classical_schwarzian",
-    "criterion_lhs", "second_form_sq_lagrange", "second_form_sq_fd",
-]
+__all__ = ["ConformalData", "conformal_data", "second_form_sq_lagrange"]
+
+
+def _pointwise(f, *fields):
+    """f of the fields as 1-d arrays, in their shape.  numpy rounds complex
+    products of scalars and 0-d arrays without the fused multiply-add of its
+    array loops; so a point gets the bits it gets in any array."""
+    return f(*(np.reshape(x, -1) for x in fields)).reshape(
+        np.shape(fields[0]))[()]
 
 
 @dataclass(frozen=True)
@@ -39,70 +44,56 @@ class ConformalData:
     schwarzian: np.ndarray   # generalized Schwarzian derivative
 
     @property
-    def sigma(self) -> np.ndarray:
-        return 0.5 * np.log(self.q)
-
-    @property
     def sigma_z(self) -> np.ndarray:
         """d sigma / dz = P / (2Q); encodes the full real gradient."""
-        return self.p_sum / (2.0 * self.q)
+        return _pointwise(lambda p, q: p / (2.0 * q), self.p_sum, self.q)
 
     @property
     def sigma_zz(self) -> np.ndarray:
-        ratio = self.p_sum / self.q
-        return 0.5 * (self.r_sum / self.q - ratio * ratio)
+        def f(p, q, r):
+            ratio = p / q
+            return 0.5 * (r / q - ratio * ratio)
+        return _pointwise(f, self.p_sum, self.q, self.r_sum)
 
     @property
     def sigma_zzbar(self) -> np.ndarray:
-        return 0.5 * self.wronskian_sq / self.q ** 2
-
-    @property
-    def grad_sigma_sq(self) -> np.ndarray:
-        """|grad sigma|^2 = |P/Q|^2 (gradient with respect to x, y)."""
-        return np.abs(self.p_sum / self.q) ** 2
+        return _pointwise(lambda w2, q: 0.5 * w2 / q ** 2,
+                          self.wronskian_sq, self.q)
 
     @property
     def curvature(self) -> np.ndarray:
-        return -2.0 * self.wronskian_sq / self.q ** 3
+        return _pointwise(lambda w2, q: -2.0 * w2 / q ** 3,
+                          self.wronskian_sq, self.q)
 
     @property
     def second_form_sq(self) -> np.ndarray:
         """|II(V,V)|^2 for unit V; equals |K|/2 for these surfaces."""
-        return self.wronskian_sq / self.q ** 3
-
-    @property
-    def laplacian_sigma(self) -> np.ndarray:
-        return 2.0 * self.wronskian_sq / self.q ** 2
+        return _pointwise(lambda w2, q: w2 / q ** 3, self.wronskian_sq,
+                          self.q)
 
 
 def conformal_data(jet: CurveJet) -> ConformalData:
-    d1, d2, q = jet.d1, jet.d2, jet.q
+    """The conformal data at the jet's points, computed over 1-d arrays as
+    in _pointwise and returned in the shape of the points."""
+    q = np.reshape(jet.q, -1)
+    d1, d2, d3 = (np.reshape(d, (len(d), -1))
+                  for d in (jet.d1, jet.d2, jet.d3))
     p_sum = np.sum(np.conj(d1) * d2, axis=0)
-    r_sum = np.sum(np.conj(d1) * jet.d3, axis=0)
+    r_sum = np.sum(np.conj(d1) * d3, axis=0)
     # Pairwise form of the Lagrange identity: immune to the cancellation that
     # sum|f''|^2 * Q - |P|^2 suffers when one component dominates.
-    w2 = np.zeros(np.shape(q))
+    w2 = np.zeros(q.shape)
     for i, j in combinations(range(len(d1)), 2):
         w2 = w2 + np.abs(d1[i] * d2[j] - d1[j] * d2[i]) ** 2
     ratio = p_sum / q
     schwarzian = r_sum / q - 1.5 * ratio * ratio
-    return ConformalData(z=jet.z, q=q, p_sum=p_sum, r_sum=r_sum,
-                         wronskian_sq=w2, schwarzian=schwarzian)
-
-
-def classical_schwarzian(jet: Jet3) -> np.ndarray:
-    """S f = f'''/f' - (3/2)(f''/f')^2 for a single component jet."""
-    ratio = jet.d2 / jet.d1
-    return jet.d3 / jet.d1 - 1.5 * ratio * ratio
-
-
-def criterion_lhs(data: ConformalData) -> np.ndarray:
-    """|S phi| + (3/2) e^{-4 sigma} W^2  =  |S phi| + (3/4) e^{2 sigma} |K|."""
-    return _criterion_terms(data)[2]
+    return ConformalData(jet.z, *(x.reshape(np.shape(jet.q))[()] for x in (
+        q, p_sum, r_sum, w2, schwarzian)))
 
 
 def _criterion_terms(data: ConformalData) -> tuple:
-    """|S phi|, (3/2) e^{-4 sigma} W^2 and their sum, criterion_lhs."""
+    """|S phi|, (3/2) e^{-4 sigma} W^2 and their sum, the criterion's left
+    side |S phi| + (3/4) e^{2 sigma} |K|."""
     abs_s = np.abs(data.schwarzian)
     curv = 1.5 * data.wronskian_sq / data.q ** 2
     return abs_s, curv, abs_s + curv
@@ -124,24 +115,3 @@ def second_form_sq_lagrange(jet: CurveJet) -> np.ndarray:
     p_sum = np.sum(np.conj(d1) * d2, axis=0)
     phixx_sq = np.sum(np.abs(d2) ** 2, axis=0)
     return (phixx_sq - np.abs(p_sum) ** 2 / q) / q ** 2
-
-
-def second_form_sq_fd(curve: HoloCurve, z: complex) -> float:
-    """|II|^2 with the metric-gradient term taken by finite differences.
-
-    sigma is sampled as (1/2) log Q on a cross stencil around z (the step
-    1e-4 of fd_derivative), so this route does not consult P at all.  The
-    stencil and z are evaluated in one call.  The stencil reaches 3e-4 from
-    z, so z must lie 3e-4 inside the circle.
-    """
-    h = _FD_STEPS[1]
-    x0, y0 = float(np.real(z)), float(np.imag(z))
-    k = h * np.arange(-3, 4)
-    jet = curve.eval(np.concatenate([x0 + k + 1j * y0, x0 + 1j * (y0 + k),
-                                     [z]]))
-    sigma = 0.5 * np.log(np.sum(np.abs(jet.d1) ** 2, axis=0))
-    sx, sy = (_fd_stencil(sigma[i:i + 7], 1, h) for i in (0, 7))
-    q = float(jet.q[-1])
-    phixx_sq = float(np.sum(np.abs(jet.d2[:, -1]) ** 2))
-    grad_sq = float(sx) ** 2 + float(sy) ** 2
-    return (phixx_sq - q * grad_sq) / q ** 2

@@ -11,14 +11,14 @@ import time
 import numpy as np
 
 import holocurve as hc
+from _reference import radial_comparison_margin, second_form_sq_fd
 from holocurve.ahlfors import make_speed_curvature
 from holocurve.cli import main as cli_main
 from holocurve.criterion import second_derivative_norm
-from holocurve.jets import MoebiusComponent
+from holocurve.jets import ExponentialComponent, MoebiusComponent
 from holocurve.oracle import default_suite_curves
 from holocurve.sampling import disk_samples
-from holocurve.schwarzian import (conformal_data, second_form_sq_fd,
-                                  second_form_sq_lagrange)
+from holocurve.schwarzian import conformal_data, second_form_sq_lagrange
 
 
 def _verdict(num: int, ok: bool, detail: str) -> None:
@@ -70,7 +70,7 @@ def test_02_single_component_classical_reduction():
     for _ in range(333):                     # a e^{bz}: S = -b^2 / 2
         amp = complex(*rng.uniform(0.5, 2.0, 2))
         rate = complex(*rng.uniform(0.2, 2.0, 2))
-        curve = hc.exponential_curve([(amp, rate)])
+        curve = hc.HoloCurve((ExponentialComponent(amp, rate),))
         record(curve, _rand_z(rng), -0.5 * rate * rate)
 
     for _ in range(333):                     # cubics with |p'| > 0.5 on the disk
@@ -186,7 +186,7 @@ def test_08_radial_comparison_margin(ex1, ex2, profile_constant,
                         (ex2, profile_inverse_square)):
         z = disk_samples(1000, r_max=0.99, seed=8)
         worst = min(worst,
-                    float(np.min(hc.radial_comparison_margin(curve, prof, z))))
+                    float(np.min(radial_comparison_margin(curve, prof, z))))
     ok = worst >= -1e-8
     _verdict(8, ok, f"radial comparison margin over 10^3-point samples: "
              f"min = {worst:.2e} >= -1e-8")

@@ -9,12 +9,12 @@ import numpy as np
 import pytest
 
 import holocurve as hc
+from _reference import fd_derivative, second_form_sq_fd
 from holocurve.ahlfors import (PlaneCurve, compose_real,
                                make_speed_curvature, s1_from_speed_curvature,
                                s1_direct, s1_mobius_invariance_check,
                                s1_of_composed_curve, s1_via_curvature)
 from holocurve.errors import DomainError
-from holocurve.jets import fd_derivative
 
 
 def test_frozen_s1_values(ex1, ex2):
@@ -40,6 +40,21 @@ def test_circle_jet_matches_finite_differences():
         for order, got in ((1, j.d1), (2, j.d2), (3, j.d3)):
             want = fd_derivative(lambda s: path.jet(s).val, t, order)
             assert abs(got - want) < 1e-6
+
+
+def test_path_jet_at_a_point_has_the_bits_it_has_in_an_array():
+    for path in (PlaneCurve.circle(0.45), PlaneCurve.circle(0.37, 0.1 + 0.2j),
+                 PlaneCurve.diameter(np.pi / 3)):
+        ts = np.linspace(*path.t_range(), 9)
+        many = path.jet(ts)
+        for i, t in enumerate(ts):
+            one = path.jet(float(t))
+            for name in ("val", "d1", "d2", "d3"):
+                got = getattr(one, name)
+                want = np.broadcast_to(getattr(many, name), ts.shape)[i]
+                assert np.shape(got) == () and \
+                    np.asarray(got).tobytes() == want.tobytes(), \
+                    (path, name, t)
 
 
 def test_circle_inside_disk_enforced():
@@ -98,7 +113,6 @@ def test_arrays_of_t_have_the_bits_of_scalar_calls():
     # One path for a point and for an array: element by element, the same
     # bits, and a scalar t gives a scalar.
     from holocurve.oracle import _paths, default_suite_curves
-    from holocurve.schwarzian import second_form_sq_fd
 
     for curve in default_suite_curves():
         for path in _paths():
@@ -158,7 +172,8 @@ def test_signed_curvature_variant_differs_by_curvature_term(ex2):
         wrong = s1_via_curvature(ex2, path, t, signed_curvature=True)
         z = path.jet(t).val
         data = conformal_data(ex2.eval(np.array([z])))
-        gap = 1.5 * np.exp(2 * data.sigma[0]) * abs(data.curvature[0])
+        sigma = 0.5 * np.log(data.q[0])
+        gap = 1.5 * np.exp(2 * sigma) * abs(data.curvature[0])
         assert gap > 1e-4   # the probe is only meaningful off the flat locus
         assert abs((right - wrong) - gap) <= 1e-10 * (1.0 + gap)
 
@@ -171,9 +186,9 @@ def test_s1_invariant_under_range_mobius(ex2):
     span = float(np.max(np.abs(sample.x0))) + 1.0
     center = 2.5 * span * np.eye(dim)[0]
 
-    def mob(x):
+    def mob(x):         # maps points given as rows
         d = x + 0.3 - center
-        return 1.7 * d / np.dot(d, d)
+        return 1.7 * d / np.sum(d * d, axis=-1, keepdims=True)
 
     worst = s1_mobius_invariance_check(ex2, path, mob, (-0.5, -0.1, 0.35))
     assert worst < 1e-4

@@ -13,11 +13,12 @@ import numpy as np
 import pytest
 
 import holocurve as hc
+from _reference import radial_comparison_margin
 from holocurve import criterion, jets
 from holocurve.criterion import (BoundaryDiagnostics, GridSpec, _gauss_legendre,
                                  boundary_diagnostics, boundary_trace,
                                  covering_bound, intrinsic_min_distance,
-                                 normalize, radial_comparison_margin, scan,
+                                 normalize, scan,
                                  second_derivative_norm, tangent_norm_at_zero,
                                  weight_ratio, write_scan_csv)
 from holocurve.errors import ConfigError, NumericalError

@@ -41,7 +41,7 @@ def test_import_loads_nothing_until_a_name_is_used():
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                          capture_output=True, text=True).stdout
     assert out == "[] [] True\n"
-    assert "scan" in dir(holocurve) and len(holocurve.__all__) == 64
+    assert "scan" in dir(holocurve) and len(holocurve.__all__) == 57
 
 
 def test_scipy_is_a_test_dependency_only():

@@ -5,11 +5,11 @@ import numpy as np
 import pytest
 
 import holocurve as hc
+from _reference import example1_margin, example2_equality_defect
 from holocurve import fixtures
 from holocurve.criterion import _margin_parts
-from holocurve.fixtures import (_zeta_parts, example1_e2sigma, example1_margin,
-                                example1_min_c, example1_schwarzian,
-                                example1_wronskian_sq, example2_equality_defect,
+from holocurve.fixtures import (_zeta_parts, example1_e2sigma, example1_min_c,
+                                example1_schwarzian, example1_wronskian_sq,
                                 example2_reduced_slack, example2_zeta,
                                 strip_constants_check)
 from holocurve.jets import StripMapComponent

@@ -3,12 +3,12 @@
 import numpy as np
 import pytest
 
+from _reference import classical_schwarzian, fd_derivative, fd_jet
 from holocurve.errors import DomainError, VanishingTangentError
-from holocurve.jets import (AffineComponent, ComposedComponent, DiskMobius,
+from holocurve.jets import (ComposedComponent, DiskMobius,
                             ExponentialComponent, HoloCurve, Jet3,
                             MoebiusComponent, PolynomialComponent,
                             ReciprocalComponent, StripMapComponent,
-                            exponential_curve, fd_derivative, fd_jet,
                             identity_curve, polynomial_curve,
                             precompose_disk_mobius, radial_pair_curve,
                             scale_curve, strip_curve, tan_series,
@@ -28,9 +28,16 @@ COMPONENTS = [
     (ComposedComponent(MoebiusComponent(0.05, 1j, 0.05, -1j),
                        StripMapComponent()), 0.6),
     (ReciprocalComponent(ExponentialComponent(2.0, -1.1)), 0.8),
-    (AffineComponent(PolynomialComponent([0.0, 1.0, 0.4]), mul=2.0 - 1j,
-                     add=3.0), 0.8),
 ]
+
+
+def _product(f, g):
+    """The jet of f g by Leibniz's rule to order three."""
+    return Jet3(f.val * g.val,
+                f.d1 * g.val + f.val * g.d1,
+                f.d2 * g.val + 2.0 * f.d1 * g.d1 + f.val * g.d2,
+                f.d3 * g.val + 3.0 * f.d2 * g.d1 + 3.0 * f.d1 * g.d2
+                + f.val * g.d3)
 
 
 @pytest.mark.parametrize("comp,r_max", COMPONENTS,
@@ -46,22 +53,16 @@ def test_component_jets_match_finite_differences(comp, r_max):
 
 
 def test_jet_ring_operations_consistent_with_composition():
+    # f / g through the reciprocal jet of g, against FD of the quotient
     f = PolynomialComponent([0.1, 0.7, -0.2, 0.3])
     g = ExponentialComponent(1.0, 0.5j)
     for z in RNG_POINTS[:8]:
-        jf, jg = f.jet(z), g.jet(z)
-        s = jf + jg
-        p = jf * jg
-        q = jf / jg
-        # compare against FD of the combined scalar functions
-        fs = lambda w: f.jet(w).val + g.jet(w).val
-        fp = lambda w: f.jet(w).val * g.jet(w).val
+        q = _product(f.jet(z), g.jet(z).reciprocal())
         fq = lambda w: f.jet(w).val / g.jet(w).val
-        for k, (jet_v, fn) in enumerate([(s, fs), (p, fp), (q, fq)]):
-            for order in (1, 2, 3):
-                want = fd_derivative(fn, z, order)
-                got = (jet_v.d1, jet_v.d2, jet_v.d3)[order - 1]
-                assert abs(got - want) <= 1e-6 * (1.0 + abs(got))
+        for order in (1, 2, 3):
+            want = fd_derivative(fq, z, order)
+            got = (q.d1, q.d2, q.d3)[order - 1]
+            assert abs(got - want) <= 1e-6 * (1.0 + abs(got))
 
 
 def test_jet_compose_chain_rule():
@@ -79,7 +80,7 @@ def test_reciprocal_jet_identity():
     f = PolynomialComponent([0.5, 1.0, 0.3j])
     for z in RNG_POINTS[:8]:
         j = f.jet(z)
-        prod = j * j.reciprocal()
+        prod = _product(j, j.reciprocal())
         assert abs(prod.val - 1.0) < 1e-14
         assert abs(prod.d1) < 1e-13
         assert abs(prod.d2) < 1e-12
@@ -125,7 +126,6 @@ def test_disk_mobius_rejects_out_of_range_rho():
 
 def test_tan_series_schwarzian_at_zero():
     # S(tan(a z))(0) = 2 a^2; the truncation reproduces it through the jet
-    from holocurve.schwarzian import classical_schwarzian
     curve = tan_truncation_curve(stretch=1.2, degree=41)
     jet = curve.eval(np.array([0.0]))
     s0 = classical_schwarzian(jet)[0, 0]
@@ -185,7 +185,8 @@ def test_precompose_disk_mobius_values():
 
 
 def test_scale_curve_scales_all_components():
-    curve = exponential_curve([(1700.0, np.pi), (1.0, -np.pi)])
+    curve = HoloCurve((ExponentialComponent(1700.0, np.pi),
+                       ExponentialComponent(1.0, -np.pi)))
     scaled = scale_curve(curve, 0.5j)
     z = np.array([0.2 + 0.1j])
     assert np.max(np.abs(scaled.eval(z).val - 0.5j * curve.eval(z).val)) < 1e-12
@@ -196,29 +197,34 @@ def test_scale_curve_scales_all_components():
 @pytest.mark.parametrize("factors", [(1.0 / 3.0,), (0.5j,),
                                      (3.0 - 4.0j, 1.0 / 7.0)])
 def test_scale_curve_has_the_bits_of_affine_components(factors):
-    # Scaling the stacked jet multiplies as AffineComponent does, so d1, d2,
-    # d3 and q keep its bits; its val adds 0j, which can flip a zero's sign.
-    # At a single point AffineComponent multiplies numpy scalars, which
-    # round a complex product apart from the array loop: there only real
-    # factors (normalize's, the CLI's curve.scale) keep the bits.
+    # Scaling the stacked jet multiplies as scaling each component's jet
+    # does, so val, d1, d2, d3 and q keep its bits.
     from holocurve.fixtures import example2_curve
+
+    class Scaled:
+        def __init__(self, base, factor):
+            self.base, self.factor = base, factor
+
+        def jet(self, z):
+            j = self.base.jet(z)
+            return Jet3(*(getattr(j, f) * self.factor
+                          for f in ("val", "d1", "d2", "d3")))
 
     z = np.concatenate([disk_samples(200, r_max=0.95, seed=3),
                         [0j, 0.5, -0.3j]])
-    points = (z, complex(z[5])) if np.isrealobj(factors) else (z,)
+    points = (z, complex(z[5]))
     for base in (example2_curve(0.05), radial_pair_curve(0.7),
                  identity_curve()):
         scaled, comps = base, base.components
         for factor in factors:
             scaled = scale_curve(scaled, factor)
-            comps = tuple(AffineComponent(m, mul=factor) for m in comps)
+            comps = tuple(Scaled(m, factor) for m in comps)
         assert scaled.components == base.components
         for w in points:
             got, want = scaled.eval(w), HoloCurve(comps).eval(w)
-            for field in ("d1", "d2", "d3", "q"):
+            for field in ("val", "d1", "d2", "d3", "q"):
                 assert np.asarray(getattr(got, field)).tobytes() == \
                     np.asarray(getattr(want, field)).tobytes()
-            assert np.array_equal(got.val, want.val)
 
 
 def test_strip_curve_is_artanh():

@@ -23,13 +23,13 @@ import numpy as np
 import pytest
 
 import holocurve
+from _reference import hille_curve, mobius_weight_check
 from holocurve.errors import NumericalError
-from holocurve.jets import DiskMobius
+from holocurve.jets import DiskMobius, ExponentialComponent, HoloCurve
 from holocurve.nehari import (NehariFunction, completeness_probe,
                               disconjugacy_count, extremal_profile,
-                              extremality_margin,
-                              mobius_weight_check, richardson_lambda,
-                              validate_nehari, write_profile_csv)
+                              extremality_margin, validate_nehari,
+                              write_profile_csv)
 
 XS = np.array([0.05, 0.2, 0.45, 0.7, 0.9, 0.975])
 
@@ -426,7 +426,7 @@ def test_hille_weight_is_rejected():
     # Hille's exp(2i artanh z) meets the criterion of inverse_square at
     # factor 2 with equality, yet is not injective: it takes the same value
     # at x = 0 and x = tanh(pi).  Its weight is not disconjugate.
-    curve, p = holocurve.hille_curve(1.0), NehariFunction.inverse_square(2.0)
+    curve, p = hille_curve(1.0), NehariFunction.inverse_square(2.0)
     report = holocurve.scan(curve, p, holocurve.GridSpec(n_r=20, n_theta=8))
     assert report.verdict == "holds-with-equality"
     ends = holocurve.eval_curve(curve, np.tanh([0.0, np.pi])).val[0]
@@ -438,7 +438,7 @@ def test_exponential_weight_is_rejected():
     # e^{az}, a = 1.05 pi, has |S| = a^2/2 = 2 p for the constant weight at
     # factor 1.05^2, and takes the same value at +-i pi/a in the disk.
     a = 1.05 * np.pi
-    curve = holocurve.exponential_curve([(1.0, a)])
+    curve = HoloCurve((ExponentialComponent(1.0, a),))
     p = NehariFunction.constant(1.1025)
     report = holocurve.scan(curve, p, holocurve.GridSpec(n_r=20, n_theta=8))
     assert report.verdict != "fails"
@@ -477,7 +477,7 @@ def test_inverse_square_profile_closed_forms(profile_inverse_square):
     assert np.max(np.abs(pr.A(XS) - p_vals) / p_vals) < 1e-9
     assert abs(pr.Psi(1 - 1e-6) - 1 / np.sqrt(2)) < 1e-7
     # the associated radial metric has constant curvature -4
-    k = pr.metric_curvature(XS)
+    k = -2.0 * (pr.A(XS) + pr.p(XS)) / pr.PhiP(XS) ** 2
     assert np.max(np.abs(k + 4.0)) < 1e-8
 
 
@@ -607,7 +607,7 @@ def test_tabulated_boundary_lambda_is_zero():
     # (1-x^2)^2 p -> 0.
     tab = NehariFunction.tabulated(np.linspace(0.0, 0.95, 12),
                                    2.0 / (1.0 - np.linspace(0.0, 0.95, 12)))
-    assert tab.boundary_lambda == 0.0 == richardson_lambda(tab)
+    assert tab.boundary_lambda == 0.0
 
 
 @pytest.mark.parametrize("kind", ["constant", "inverse_square", "half_strip"])
@@ -628,7 +628,7 @@ def test_boundary_exponents():
         (NehariFunction.inverse_square(0.5), 0.5, 1.0 + np.sqrt(0.5), None),
     ]
     for p, lam, mu, holder in cases:
-        assert abs(richardson_lambda(p) - lam) < 1e-6
+        assert abs(p.boundary_lambda - lam) < 1e-6
         assert abs(p.mu - mu) < 1e-6
         if holder is not None:
             assert abs(p.holder_exponent - holder) < 1e-6

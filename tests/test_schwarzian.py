@@ -10,11 +10,11 @@ import numpy as np
 import pytest
 
 import holocurve as hc
+from _reference import classical_schwarzian, second_form_sq_fd
 from holocurve.jets import (ExponentialComponent, MoebiusComponent,
                             PolynomialComponent)
 from holocurve.sampling import disk_samples
-from holocurve.schwarzian import (classical_schwarzian, conformal_data,
-                                  criterion_lhs, second_form_sq_fd,
+from holocurve.schwarzian import (_criterion_terms, conformal_data,
                                   second_form_sq_lagrange)
 
 
@@ -103,6 +103,25 @@ def test_second_form_fd_route(ex2):
         assert abs(fd - want) <= 1e-6 * (1.0 + want)
 
 
+def test_a_point_alone_has_the_bits_it_has_in_an_array():
+    # numpy rounds complex products of scalars without the fused
+    # multiply-add of its array loops; conformal data must not.
+    from holocurve.oracle import default_suite_curves
+    zs = disk_samples(200, r_max=0.95, seed=13)
+    names = ("q", "p_sum", "r_sum", "wronskian_sq", "schwarzian",
+             "sigma_z", "sigma_zz", "sigma_zzbar", "curvature",
+             "second_form_sq")
+    for curve in default_suite_curves():
+        many = conformal_data(curve.eval(zs))
+        for i, z in enumerate(zs):
+            one = conformal_data(curve.eval(complex(z)))
+            for name in names:
+                got, want = getattr(one, name), getattr(many, name)[i]
+                assert np.shape(got) == () and \
+                    np.asarray(got).tobytes() == want.tobytes(), \
+                    (curve.label, name, z)
+
+
 def test_conformal_data_scaling_covariance():
     base = hc.example2_curve(0.08)
     scaled = hc.scale_curve(base, 3.0 - 4.0j)   # |s| = 5
@@ -113,16 +132,19 @@ def test_conformal_data_scaling_covariance():
     assert np.max(np.abs(d1.q - 25.0 * d0.q) / d1.q) < 1e-13
     assert np.max(np.abs(d1.curvature - d0.curvature / 25.0)
                   / (1e-30 + np.abs(d0.curvature) / 25.0)) < 1e-11
-    assert np.max(np.abs(criterion_lhs(d1) - criterion_lhs(d0))) < 1e-10
+    lhs1, lhs0 = (_criterion_terms(d)[2] for d in (d1, d0))
+    assert np.max(np.abs(lhs1 - lhs0)) < 1e-10
 
 
 def test_sigma_derived_quantities_consistent():
-    # grad sigma^2 = 4 |sigma_z|^2 and Delta sigma = 2 W^2 / Q^2 = e^{2 sigma} |K|
+    # |grad sigma|^2 = |P/Q|^2 = 4 |sigma_z|^2 and
+    # Delta sigma = 4 sigma_zzbar = 2 W^2 / Q^2 = e^{2 sigma} |K|
     zs = disk_samples(25, r_max=0.9, seed=8)
     data = conformal_data(hc.example2_curve(0.05).eval(zs))
-    assert np.max(np.abs(data.grad_sigma_sq - 4 * np.abs(data.sigma_z) ** 2)) < 1e-12
-    lhs = data.laplacian_sigma
-    rhs = np.exp(2 * data.sigma) * np.abs(data.curvature)
+    grad_sigma_sq = np.abs(data.p_sum / data.q) ** 2
+    assert np.max(np.abs(grad_sigma_sq - 4 * np.abs(data.sigma_z) ** 2)) < 1e-12
+    lhs = 4 * data.sigma_zzbar
+    rhs = np.exp(2 * (0.5 * np.log(data.q))) * np.abs(data.curvature)
     assert np.max(np.abs(lhs - rhs) / (1.0 + rhs)) < 1e-12
 
 
