@@ -47,13 +47,16 @@ def _tables():
     """
     pow10 = np.array([np.longdouble(f"1e{16 - e}")
                       for e in range(_E_MIN, _E_MAX + 1)])
-    g = np.arange(10000)
-    quad = (np.stack([g // 1000, g // 100 % 10, g // 10 % 10, g % 10], 1)
-            + ord("0")).astype(np.uint8).view("<u4").ravel().astype(_U)
+    g = np.arange(10000, dtype=np.uint16)
     zeros4 = np.zeros(10000, np.intp)       # trailing zeros of four digits
     zeros4[0] = 4
     for p in (10, 100, 1000):
         zeros4[1:] += g[1:] % p == 0
+    digits = np.empty((10000, 4), np.uint8)     # the four ASCII digits of g
+    for k in (3, 2, 1, 0):
+        digits[:, k] = g % 10 + ord("0")
+        g //= 10
+    quad = digits.view("<u4").ravel().astype(_U)
     head = np.array([sign + "0.000"[:m] for sign in ("", "-")
                      for m in range(6)], "S8").view("<u8")
     exp = np.array(["e%+03d" % e for e in range(_E_MIN, _E_MAX + 1)] + [""],

@@ -21,14 +21,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import jets
 from ._table import CsvFile
 from .errors import ConfigError, NumericalError
 from .jets import HoloCurve, eval_curve, scale_curve
+from . import jets      # bound by the line above: no package __getattr__
 from .nehari import ExtremalProfile, NehariFunction
-from .oracle import _closest_pair, _image_points
+from .oracle import _closest_pair, _images
 from .sampling import disk_samples
-from .schwarzian import _criterion_terms, conformal_data
+from .schwarzian import _criterion_terms, _pointwise, conformal_data
 
 __all__ = [
     "GridSpec", "CriterionReport", "scan", "write_scan_csv",
@@ -362,10 +362,10 @@ def intrinsic_min_distance(curve: HoloCurve, r: float,
 
 def weight_ratio(curve: HoloCurve, profile: ExtremalProfile, z) -> np.ndarray:
     """w(z) = sqrt(Phi'(|z|) / |phi'(z)|); convex in the flat metric when
-    the radial comparison holds."""
-    z = np.asarray(z, dtype=complex)
-    q = eval_curve(curve, z).q
-    return np.sqrt(profile.PhiP(np.abs(z))) / q ** 0.25
+    the radial comparison holds.  A point has the bits it has in an array."""
+    return _pointwise(lambda z: np.sqrt(profile.PhiP(np.abs(z)))
+                      / eval_curve(curve, z).q ** 0.25,
+                      np.asarray(z, dtype=complex))
 
 
 @dataclass(frozen=True)
@@ -391,9 +391,10 @@ def _log_weight_derivatives(curve: HoloCurve, profile: ExtremalProfile, z):
 
     Returns (w, m, u0, g, a, b) with g = l_x + i l_y = 2 conj(l_z),
     a = l_zz and b = l_zzbar; the second derivative of l along a unit
-    vector v is 2b + 2 Re(a v^2).
+    vector v is 2b + 2 Re(a v^2); each in z's shape, a point with array bits.
     """
-    z = np.asarray(z, dtype=complex)
+    shape = np.shape(z)
+    z = np.asarray(z, dtype=complex).reshape(-1)
     data = conformal_data(eval_curve(curve, z))
     r = np.abs(z)
     u0, u0p = profile.u0(r), profile.u0_prime(r)
@@ -405,7 +406,8 @@ def _log_weight_derivatives(curve: HoloCurve, profile: ExtremalProfile, z):
     g = 0.5 * np.conj(rho * np.conj(z) - 2.0 * data.sigma_z)
     a = 0.25 * (0.5 * rho_r * np.conj(zeta) ** 2 - 2.0 * data.sigma_zz)
     b = 0.25 * (0.5 * rho_r + rho - 2.0 * data.sigma_zzbar)
-    return 1.0 / (u0 * data.q ** 0.25), m, u0, g, a, b
+    return tuple(x.reshape(shape)[()] for x in
+                 (1.0 / (u0 * data.q ** 0.25), m, u0, g, a, b))
 
 
 def minimize(*args, **kwargs):
@@ -526,26 +528,25 @@ def boundary_trace(curve: HoloCurve, ring_offset: float = 1e-3,
     """Near-collision search on the ring |z| = 1 - ring_offset.
 
     The minimal image distance over ring points at least pi/8 apart, from
-    `_closest_pair` with pair (i, i + k mod n_samples), k <= n_samples / 2,
-    and the image gap of the ring's real-axis points r and -r (useful when a
-    claimed boundary identification should be checked rather than
+    `_closest_pair` on the ring's `_images` with pair (i, i + k mod n), k <=
+    n / 2, and the image gap of the ring's real-axis points r and -r (useful
+    when a claimed boundary identification should be checked rather than
     assumed).  Raises ConfigError for a ring check_boundary_ring rejects,
-    and NumericalError if the image extent of the ring is not finite or
-    too large for squared distances.
+    and NumericalError if the image extent of the ring, or of r and -r, is
+    not finite or too large for squared distances.
     """
     check_boundary_ring(ring_offset, n_samples)
     r = 1.0 - ring_offset
     th = 2.0 * np.pi * np.arange(n_samples) / n_samples
     z = r * np.exp(1j * th)
-    X = _image_points(curve.label, eval_curve(curve, z).val)
     # The chord of k_min - 1/2 steps is ~pi r / n clear of k_min - 1 and k_min.
     k_min = max(1, int(np.ceil(np.pi / 8 * n_samples / (2 * np.pi))))
     min_sep = 2.0 * r * np.sin(np.pi * (k_min - 0.5) / n_samples)
-    best, i1, i2 = _closest_pair(z, X, min_sep)
+    best, i1, i2 = _closest_pair(z, _images(curve, z), min_sep)
     if i2 - i1 > n_samples // 2:
         i1, i2 = i2, i1
-    ends = _image_points(curve.label, eval_curve(curve, np.array([r, -r])).val)
-    gap_real = float(np.linalg.norm(ends[0] - ends[1]))
+    ends = _images(curve, np.array([r, -r]))
+    gap_real = float(np.linalg.norm(ends[:, 0] - ends[:, 1]))
     return {
         "min_gap": best, "z1": complex(z[i1]), "z2": complex(z[i2]),
         "theta1": float(th[i1]), "theta2": float(th[i2]),

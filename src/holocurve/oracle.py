@@ -13,15 +13,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import jets
+from .jets import (DiskMobius, HoloCurve, eval_curve, identity_curve,
+                   polynomial_curve, precompose_disk_mobius,
+                   radial_pair_curve, strip_curve)
+from . import jets      # bound by the line above: no package __getattr__
 from .ahlfors import (PlaneCurve, compose_real,
                       make_speed_curvature, s1_from_speed_curvature, s1_direct,
                       s1_mobius_invariance_check, s1_of_composed_curve,
                       s1_via_curvature)
 from .errors import ConfigError, DomainError, NumericalError
-from .jets import (DiskMobius, HoloCurve, eval_curve, identity_curve,
-                   polynomial_curve, precompose_disk_mobius,
-                   radial_pair_curve, strip_curve)
 from .sampling import disk_samples
 from .schwarzian import conformal_data, second_form_sq_lagrange
 
@@ -230,7 +230,8 @@ def injectivity_scan(curve: HoloCurve, n_samples: int = 10000,
 
     Also reports the exact least image distance of admissible pairs, from
     `_closest_pair`; `pair` is deliberately its lowest-index pair.  The
-    samples are evaluated in blocks of at most jets._CHUNK points.
+    images of the samples go block by block, at most jets._CHUNK points at
+    a time, into one (2n, N) array that the pair search sorts in place.
 
     Raises ConfigError if n_samples < 2, if min_sep is negative or not
     finite, if 0 <= r_min < r_max < 1 fails, or if no two samples are
@@ -247,10 +248,7 @@ def injectivity_scan(curve: HoloCurve, n_samples: int = 10000,
     z = disk_samples(n_samples, r_min=r_min, r_max=r_max, seed=seed)
     if symmetrize:
         z = np.concatenate([z[:n_samples // 2], -z[:n_samples // 2]])
-    X = _image_points(curve.label, np.concatenate(
-        [eval_curve(curve, z[i:i + jets._CHUNK]).val
-         for i in range(0, len(z), jets._CHUNK)], axis=1))
-    min_dist, i, j = _closest_pair(z, X, min_sep)
+    min_dist, i, j = _closest_pair(z, _images(curve, z), min_sep)
     if min_dist == np.inf:
         raise ConfigError(f"no two of the n_samples = {len(z)} samples are "
                           f"min_sep = {min_sep:g} apart")
@@ -260,33 +258,66 @@ def injectivity_scan(curve: HoloCurve, n_samples: int = 10000,
         min_image_distance=min_dist, pair=(complex(z[i]), complex(z[j])))
 
 
+def _images(curve: HoloCurve, z: np.ndarray) -> np.ndarray:
+    """The image points (Re f_1, ..., Re f_n, Im f_1, ..., Im f_n) of the
+    samples z as the columns of a (2n, len(z)) array, written a block of at
+    most jets._CHUNK points at a time; a block's jet is dropped before the
+    next block is evaluated.
+
+    Pair searches work with squared image distances up to (2 span)^2 and
+    dim * span^2; raises NumericalError if those are not finite.
+    """
+    for i in range(0, len(z), jets._CHUNK):
+        val = eval_curve(curve, z[i:i + jets._CHUNK]).val
+        if i == 0:
+            X = np.empty((2 * len(val), len(z)))
+        X[:len(val), i:i + jets._CHUNK] = val.real
+        X[len(val):, i:i + jets._CHUNK] = val.imag
+        del val
+    span = float(np.max(np.ptp(X, axis=1))) + 1e-300
+    if not np.isfinite(4.0 * len(X) * span * span):
+        raise NumericalError(f"image of '{curve.label}' has extent {span:g}: "
+                             "squared distances are not finite")
+    return X
+
+
 def _closest_pair(z: np.ndarray, X: np.ndarray,
                   min_sep: float) -> tuple[float, int, int]:
-    """(d, i, j): the exact least |X[i] - X[j]| over pairs i < j with
+    """(d, i, j): the exact least |X[:, i] - X[:, j]| over pairs i < j with
     |z[i] - z[j]| >= min_sep, the lowest (i, j) among ties, else (inf, 0,
-    0); by a sort-and-sweep on the image coordinate of widest extent
-    (Shamos & Hoey, FOCS 1975)."""
+    0); by a sort-and-sweep on the image row of widest extent (Shamos &
+    Hoey, FOCS 1975), which sorts every row of X in place on that row."""
     n = len(z)
     # A coordinate gap g is one term of np.linalg.norm's sum, so sqrt(g * g)
     # never exceeds the printed distance, even where the squares underflow.
-    widest = int(np.argmax(np.ptp(X, axis=0)))
-    order = np.argsort(X[:, widest], kind="stable")
-    Xs, zs = X[order], z[order]
-    cols = Xs.T.copy()
-    xc, others = cols[widest], np.delete(cols, widest, axis=0)
+    widest = int(np.argmax(np.ptp(X, axis=1)))
+    order = np.argsort(X[widest], kind="stable")
+    for x in X:
+        x[:] = x[order]
     best = (np.inf, 0, 0)  # (image distance, i, j); the smallest tuple wins
+
+    def near(x, a):
+        """The rows of a whose gap in x to row a + s is at most best's."""
+        g = x[a + s]
+        g -= x[a]
+        g *= g
+        np.sqrt(g, out=g)
+        return a[g <= best[0]]
+
     rows, s = np.arange(n - 1), 1
     while rows.size:
         # Row a meets row a + s; it retires once that gap exceeds best.
-        g = xc[rows + s] - xc[rows]
-        rows = rows[np.sqrt(g * g) <= best[0]]
-        a = rows
-        for x in others:
-            g = x[a + s] - x[a]
-            a = a[np.sqrt(g * g) <= best[0]]
-        a = a[np.abs(zs[a + s] - zs[a]) >= min_sep]
+        rows = a = near(X[widest], rows)
+        for k, x in enumerate(X):
+            if k != widest:
+                a = near(x, a)
+        g = z[order[a + s]]
+        g -= z[order[a]]
+        a = a[np.abs(g) >= min_sep]
+        del g                   # before the survivors' gaps are stacked
         if a.size:
-            d = np.linalg.norm(Xs[a + s] - Xs[a], axis=1)
+            d = np.linalg.norm(np.stack([x[a + s] - x[a] for x in X], axis=1),
+                               axis=1)
             i, j = order[a], order[a + s]
             lo, hi = np.minimum(i, j), np.maximum(i, j)
             tie = np.flatnonzero(d == d.min())
@@ -296,21 +327,6 @@ def _closest_pair(z: np.ndarray, X: np.ndarray,
         rows = rows[rows < n - s]
 
     return best
-
-
-def _image_points(label: str, vals: np.ndarray) -> np.ndarray:
-    """Image points (Re f_1, ..., Re f_n, Im f_1, ..., Im f_n) as the rows of
-    an (N, 2n) array, from the stacked values of a curve jet.
-
-    Pair searches work with squared image distances up to (2 span)^2 and
-    dim * span^2; raises NumericalError if those are not finite.
-    """
-    X = np.concatenate([np.real(vals), np.imag(vals)], axis=0).T.copy()
-    span = float(np.max(np.ptp(X, axis=0))) + 1e-300
-    if not np.isfinite(4.0 * X.shape[1] * span * span):
-        raise NumericalError(f"image of '{label}' has extent {span:g}: "
-                             "squared distances are not finite")
-    return X
 
 
 def _admissible_min_brute(z, X, min_sep):

@@ -29,8 +29,9 @@ def r2_sequence(n: int, dim: int = 2, seed: int = 0) -> np.ndarray:
         raise ValueError("at most 10 dimensions supported")
     shift = np.sqrt(primes[:dim])
     start = 0.5 + np.mod(seed * shift, 1.0)
-    idx = np.arange(1, n + 1)[:, None]
-    return np.mod(start + idx * alpha, 1.0)
+    u = np.arange(1, n + 1)[:, None] * alpha
+    u += start
+    return np.mod(u, 1.0, out=u)
 
 
 def disk_samples(n: int, r_min: float = 0.0, r_max: float = 1.0,
@@ -40,11 +41,15 @@ def disk_samples(n: int, r_min: float = 0.0, r_max: float = 1.0,
     if not 0.0 <= r_min < r_max <= 1.0:
         raise ValueError(f"sample annulus needs 0 <= r_min < r_max <= 1, "
                          f"got r_min = {r_min:g}, r_max = {r_max:g}")
-    u = r2_sequence(n, 2, seed)
-    # Area-uniform radius: r = sqrt(lerp in r^2).
-    r = np.sqrt(r_min ** 2 + (r_max ** 2 - r_min ** 2) * u[:, 0])
-    theta = 2.0 * np.pi * u[:, 1]
-    return r * np.exp(1j * theta)
+    r, theta = r2_sequence(n, 2, seed).T
+    # Area-uniform radius: r = sqrt(lerp in r^2), in place.
+    r *= r_max ** 2 - r_min ** 2
+    r += r_min ** 2
+    np.sqrt(r, out=r)
+    theta *= 2.0 * np.pi
+    z = 1j * theta
+    np.exp(z, out=z)
+    return np.multiply(z, r, out=z)
 
 
 def strip_samples(n: int, half_height: float, seed: int = 0) -> np.ndarray:

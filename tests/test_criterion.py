@@ -24,7 +24,7 @@ from holocurve.criterion import (BoundaryDiagnostics, GridSpec, _gauss_legendre,
 from holocurve.errors import ConfigError, NumericalError
 from holocurve.jets import DiskMobius, eval_curve
 from holocurve.nehari import NehariFunction, extremal_profile
-from holocurve.oracle import _admissible_min_brute, _image_points
+from holocurve.oracle import _admissible_min_brute
 from holocurve.sampling import disk_samples
 from holocurve.schwarzian import conformal_data
 
@@ -496,6 +496,27 @@ def _d1(f, z, h, v):
             + f(z - 2 * h * v)) / (12 * h)
 
 
+def test_weight_at_a_point_alone_has_the_bits_it_has_in_an_array(
+        profile_inverse_square):
+    # numpy rounds products of scalars such as rho * conj(z) and q ** 0.25
+    # apart from its array loops; a point alone must not.
+    from holocurve.criterion import _log_weight_derivatives
+    from holocurve.oracle import default_suite_curves
+    prof = profile_inverse_square
+    zs = disk_samples(200, r_max=0.9, seed=13)
+    for curve in default_suite_curves():
+        many = (weight_ratio(curve, prof, zs),
+                *_log_weight_derivatives(curve, prof, zs))
+        for i, z in enumerate(zs):
+            for point in (complex(z), np.array(z)):
+                one = (weight_ratio(curve, prof, point),
+                       *_log_weight_derivatives(curve, prof, point))
+                for k, (got, want) in enumerate(zip(one, many)):
+                    assert np.shape(got) == () and \
+                        np.asarray(got).tobytes() == want[i].tobytes(), \
+                        (curve.label, k, z)
+
+
 @pytest.mark.parametrize("name", ["example1", "example2", "radial_pair",
                                   "example2-mobius"])
 def test_log_weight_derivatives_match_finite_differences(
@@ -679,13 +700,41 @@ def test_boundary_trace_deterministic(ex2):
     assert a == b
 
 
+# (min_gap, z1, z2) as float.hex, pinned from the (N, 2n) image layout.
+_RING_PINS = {
+    ("identity", 2048): ("0x1.8f253b322e304p-2",
+                         ("0x1.018dc882fc0b5p-1", "-0x1.b9e9685506462p-1"),
+                         ("0x1.970f9f7188977p-1", "-0x1.35b62d7c2814ap-1")),
+    ("identity", 8192): ("0x1.8f253b322e304p-2",
+                         ("-0x1.c718a2f38a137p-1", "-0x1.d2efb4e8f10f1p-2"),
+                         ("-0x1.4b1c14f5741b7p-1", "-0x1.85dab0cae4b0bp-1")),
+    ("example2", 2048): ("0x1.cd6c43f67a804p-6",
+                         ("0x1.8f253b322e312p-3", "0x1.f5a8ef4e0d7bbp-1"),
+                         ("-0x1.8f253b322e30dp-3", "0x1.f5a8ef4e0d7bbp-1")),
+    ("example2", 8192): ("0x1.cd6c43f67a804p-6",
+                         ("0x1.8f253b322e312p-3", "0x1.f5a8ef4e0d7bbp-1"),
+                         ("-0x1.8f253b322e30dp-3", "0x1.f5a8ef4e0d7bbp-1")),
+}
+
+
+@pytest.mark.parametrize("name,n", list(_RING_PINS))
+def test_boundary_trace_keeps_its_pinned_bits(name, n):
+    curve = {"identity": hc.identity_curve, "example2": hc.example2_curve}
+    tr = boundary_trace(curve[name](), n_samples=n)
+    gap, z1, z2 = _RING_PINS[name, n]
+    assert tr["min_gap"].hex() == gap
+    assert (tr["z1"].real.hex(), tr["z1"].imag.hex()) == z1
+    assert (tr["z2"].real.hex(), tr["z2"].imag.hex()) == z2
+
+
 def _shift_loop_trace(curve, ring_offset, n_samples):
     """The ring search that ran every shift k of the ring against itself;
     returns (min_gap, theta1, theta2, z, X, r)."""
     r = 1.0 - ring_offset
     th = 2.0 * np.pi * np.arange(n_samples) / n_samples
     z = r * np.exp(1j * th)
-    X = _image_points(curve.label, eval_curve(curve, z).val)
+    vals = eval_curve(curve, z).val
+    X = np.concatenate([np.real(vals), np.imag(vals)], axis=0).T.copy()
 
     k_min = max(1, int(np.ceil(np.pi / 8 * n_samples / (2 * np.pi))))
     best = np.inf

@@ -44,6 +44,25 @@ def test_import_loads_nothing_until_a_name_is_used():
     assert "scan" in dir(holocurve) and len(holocurve.__all__) == 57
 
 
+def test_the_cli_imports_without_the_lazy_hook():
+    # The package's own imports bind each submodule before naming it, so
+    # `from . import jets` never falls through to holocurve.__getattr__.
+    code = ("import holocurve\n"
+            "calls, hook = [], holocurve.__getattr__\n"
+            "def spy(name):\n"
+            "    calls.append(name)\n"
+            "    return hook(name)\n"
+            "holocurve.__getattr__ = spy\n"
+            "import holocurve.cli\n"
+            "print(calls)\n")
+    env = dict(os.environ)
+    src = str(Path(holocurve.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out == "[]\n"
+
+
 def test_scipy_is_a_test_dependency_only():
     # No run path imports scipy; the tests use it as a reference.
     tomllib = pytest.importorskip("tomllib")

@@ -23,8 +23,8 @@ PACKAGE = Path(holocurve.__file__).resolve().parent
 # Defined but never entered by a subcommand, each for its reason.
 ALLOWED = {
     # Lazy package access: `import holocurve` resolves names on first use.
-    # No subcommand does; only importing the modules does, for their own
-    # `from . import jets`, before the runs.
+    # No subcommand does, nor does importing the modules (see
+    # test_exports.test_the_cli_imports_without_the_lazy_hook).
     "holocurve.__getattr__",
     "holocurve.__dir__",
     # First-use scipy shims and the O(N^2) pair-search reference, which the

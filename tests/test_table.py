@@ -250,3 +250,18 @@ def test_cli_artifacts_match_the_reference(tmp_path, capsys, monkeypatch,
     header = tuple(written.decode().split("\n", 1)[0].split(","))
     columns = [np.concatenate(col) for col in zip(*blocks)]
     assert written == _reference(header, columns).encode()
+
+
+def test_tables_have_the_bits_of_the_stacked_construction():
+    # The digit tables were built from int64 (10000, 4) stacks; the lean
+    # construction writes the same bytes digit by digit.
+    g = np.arange(10000)
+    quad = (np.stack([g // 1000, g // 100 % 10, g // 10 % 10, g % 10], 1)
+            + ord("0")).astype(np.uint8).view("<u4").ravel().astype(np.uint64)
+    zeros4 = np.zeros(10000, np.intp)
+    zeros4[0] = 4
+    for p in (10, 100, 1000):
+        zeros4[1:] += g[1:] % p == 0
+    _, got_quad, got_zeros4, *_ = _table._tables()
+    for got, want in ((got_quad, quad), (got_zeros4, zeros4)):
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
