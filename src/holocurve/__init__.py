@@ -8,7 +8,7 @@ Library layout:
     ahlfors     real S1 of composed curves and its invariances
     nehari      weight functions, disconjugacy, extremal profiles
     criterion   grid scans, covering bounds, boundary diagnostics
-    oracle      identity cross-checks and injectivity sampling
+    oracle      identity cross-checks, injectivity and boundary-ring searches
     fixtures    built-in extremal examples and designed fixtures
     cli         config-file driven command line interface
 
@@ -22,7 +22,7 @@ _EXPORTS = {
                 "s1_from_speed_curvature", "s1_mobius_invariance_check",
                 "s1_of_composed_curve", "s1_via_curvature"),
     "criterion": ("BoundaryDiagnostics", "CriterionReport", "GridSpec",
-                  "boundary_diagnostics", "boundary_trace", "covering_bound",
+                  "boundary_diagnostics", "covering_bound",
                   "intrinsic_min_distance", "normalize", "scan",
                   "weight_ratio", "write_scan_csv"),
     "errors": ("ConfigError", "DomainError", "HolocurveError",
@@ -37,8 +37,8 @@ _EXPORTS = {
     "nehari": ("ExtremalProfile", "NehariFunction", "NehariValidation",
                "completeness_probe", "disconjugacy_count", "extremal_profile",
                "extremality_margin", "validate_nehari", "write_profile_csv"),
-    "oracle": ("IdentityReport", "InjectivityReport", "identity_suite",
-               "injectivity_scan"),
+    "oracle": ("IdentityReport", "InjectivityReport", "boundary_trace",
+               "identity_suite", "injectivity_scan"),
     "schwarzian": ("ConformalData", "conformal_data"),
 }
 _MODULE_OF = {name: module for module, names in _EXPORTS.items()

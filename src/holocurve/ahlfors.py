@@ -8,7 +8,8 @@ injectivity Schwarzian is
 Restricting a holomorphic curve phi to an arclength path gamma in the disk
 turns S1(phi o gamma) into conformal data of phi plus the path curvature;
 this module provides the direct formula, that curvature decomposition, the
-speed/curvature form, and a finite-difference Moebius-invariance check.
+speed/curvature form, and a finite-difference Moebius-invariance check;
+the last two take their differences from one seven-point stencil.
 Each takes t as a scalar or an array, evaluates all its points in one jet
 call and returns the shape of t.
 """
@@ -20,7 +21,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import DomainError, VanishingTangentError
-from .jets import HoloCurve, Jet3, _fd_stencil
+from .jets import HoloCurve, Jet3, pointwise
 from .schwarzian import conformal_data
 
 __all__ = [
@@ -96,10 +97,11 @@ class PlaneCurve:
             e = np.exp(1j * self.theta)
             return Jet3(t * e, e, 0.0 * e, 0.0 * e)
         if self.kind == "circle":
-            w = self.radius * np.exp(1j * np.reshape(t, -1) / self.radius)
-            return Jet3(*(f.reshape(np.shape(t))[()] for f in (
-                self.center + w, 1j * w / self.radius,
-                -w / self.radius ** 2, -1j * w / self.radius ** 3)))
+            def f(t):
+                w = self.radius * np.exp(1j * t / self.radius)
+                return (self.center + w, 1j * w / self.radius,
+                        -w / self.radius ** 2, -1j * w / self.radius ** 3)
+            return Jet3(*pointwise(f, t))
         raise ValueError(f"unknown path kind {self.kind!r}")
 
     def curvature(self, t: float) -> float:
@@ -141,13 +143,14 @@ def s1_via_curvature(curve: HoloCurve, path: PlaneCurve, t,
     -- and is kept only so the identity checker can demonstrate the
     discrepancy instead of hiding it.
     """
-    gj = path.jet(np.reshape(t, -1))
-    data = conformal_data(curve.eval(gj.val))
-    curv_factor = data.curvature if signed_curvature else np.abs(data.curvature)
-    kappa = path.curvature(t)
-    return (np.real(data.schwarzian * gj.d1 ** 2)
-            + 0.75 * data.q * curv_factor
-            + 0.5 * kappa * kappa).reshape(np.shape(t))[()]
+    def f(t):
+        gj = path.jet(t)
+        data = conformal_data(curve.eval(gj.val))
+        k = data.curvature if signed_curvature else np.abs(data.curvature)
+        kappa = path.curvature(t)
+        return (np.real(data.schwarzian * gj.d1 ** 2) + 0.75 * data.q * k
+                + 0.5 * kappa * kappa)
+    return pointwise(f, t)
 
 
 # ---------------------------------------------------------------------------
@@ -168,6 +171,18 @@ def make_speed_curvature(curve: HoloCurve, path: PlaneCurve):
         return np.sqrt(np.sum(perp * perp, axis=0)) / v2
 
     return speed, curvature
+
+
+def _fd_stencil(samples, order: int, h: float):
+    """The 4th-order central difference of `order` (1, 2 or 3) from the
+    seven samples f(z + k h), k = -3, ..., 3."""
+    fm3, fm2, fm1, f0, fp1, fp2, fp3 = samples
+    if order == 1:
+        return (-fp2 + 8.0 * fp1 - 8.0 * fm1 + fm2) / (12.0 * h)
+    if order == 2:
+        return (-fp2 + 16.0 * fp1 - 30.0 * f0 + 16.0 * fm1 - fm2) / (12.0 * h * h)
+    return (-fp3 + 8.0 * fp2 - 13.0 * fp1 + 13.0 * fm1 - 8.0 * fm2 + fm3) \
+        / (8.0 * h ** 3)
 
 
 def s1_from_speed_curvature(speed: Callable, curvature: Callable, t):

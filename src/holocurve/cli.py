@@ -25,8 +25,7 @@ from pathlib import Path
 import numpy as np
 
 from ._table import write_csv
-from .criterion import (GridSpec, boundary_diagnostics, boundary_trace,
-                        check_boundary_rays, check_boundary_ring,
+from .criterion import (GridSpec, boundary_diagnostics, check_boundary_rays,
                         check_covering, covering_bound,
                         intrinsic_min_distance, normalize, scan,
                         second_derivative_norm, write_scan_csv)
@@ -41,7 +40,8 @@ from .jets import (DiskMobius, HoloCurve, identity_curve, polynomial_curve,
                    strip_curve, tan_truncation_curve)
 from .nehari import (NehariFunction, completeness_probe, extremal_profile,
                      extremality_margin, validate_nehari, write_profile_csv)
-from .oracle import identity_suite, injectivity_scan
+from .oracle import (boundary_trace, check_boundary_ring, identity_suite,
+                     injectivity_scan)
 
 __all__ = ["parse_config", "run", "main", "RunConfig"]
 
@@ -485,7 +485,10 @@ def main(argv: list[str] | None = None) -> int:
             cfg.options["run.seed"] = args.seed
         if args.output is not None:
             cfg.options["run.output"] = args.output
-        return run(cfg)
+        # Every non-finite value reaches a check that raises, so the one
+        # line below is the message; numpy's warnings would only precede it.
+        with np.errstate(all="ignore"):
+            return run(cfg)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

@@ -14,10 +14,15 @@ This module provides
   ``CurveJet``: a ``Jet3`` stacking all component jets, times its factors,
 * ``DiskMobius`` disk automorphisms, whose jets are ``MoebiusComponent``
   jets, and ``precompose_disk_mobius``,
-* ``_fd_stencil``, the seven-point finite differences of the S1 oracles.
+* ``blocks``, the one block walker: the (start, stop) ranges of every
+  blocked evaluation (the criterion scan, example 2's two passes, covering's
+  node circles, the injectivity cloud and the boundary ring),
+* ``pointwise``, which evaluates derived quantities over 1-d arrays and
+  returns them in the shape of the points.
 
 Jet evaluation is vectorized: ``z`` may be a scalar or ndarray and the fields
-of the returned jets have the same shape.
+of the returned jets have the same shape.  A point is a one-point array: it
+gets the bits it gets in any array.
 """
 from __future__ import annotations
 
@@ -35,12 +40,32 @@ __all__ = [
     "eval_curve", "precompose_disk_mobius", "scale_curve",
     "identity_curve", "polynomial_curve",
     "strip_curve", "tan_truncation_curve", "radial_pair_curve",
-    "tan_series", "artanh",
+    "tan_series", "artanh", "blocks", "pointwise",
 ]
 
-# Points evaluated at a time where a caller blocks its evaluation: bounds the
-# jet temporaries, and changes no bit, since evaluation is elementwise.
+# Points evaluated at a time in a blocked walk: bounds the jet temporaries,
+# and changes no bit, since evaluation is elementwise.
 _CHUNK = 4096
+
+
+def blocks(n: int, width: int = 1):
+    """The (start, stop) ranges that walk n items of `width` points each in
+    order, as many whole items at a time as fit in _CHUNK points, at least
+    one.  _CHUNK is read at each call."""
+    step = max(1, _CHUNK // width)
+    return ((i, min(i + step, n)) for i in range(0, n, step))
+
+
+def pointwise(f, *fields):
+    """f of the fields as 1-d arrays, its output (or each of a tuple of
+    outputs) in the first field's shape.  numpy rounds complex products of
+    scalars and 0-d arrays without the fused multiply-add of its array
+    loops; so a point gets the bits it gets in any array."""
+    shape = np.shape(fields[0])
+    out = f(*(np.reshape(x, -1) for x in fields))
+    if isinstance(out, tuple):
+        return tuple(x.reshape(shape)[()] for x in out)
+    return out.reshape(shape)[()]
 
 
 # ---------------------------------------------------------------------------
@@ -183,48 +208,41 @@ class StripMapComponent:
         )
 
 
-class _NestedComponent:
-    """A component built on other components at the same points.
+def _shared_jet(m, z, memo: dict) -> Jet3:
+    """Jet of component m at z, computed at most once per memo.
 
     `memo` maps id(component) to its jet at z; HoloCurve.eval passes one
-    memo to all its components, so a sub-component several of them share
-    (example 2's f inside 1/f) is evaluated once per call.
+    memo to all its components, and the wrappers pass it on to theirs, so a
+    sub-component several of them share (example 2's f inside 1/f) is
+    evaluated once per call.
     """
-
-    def jet(self, z, memo: dict | None = None) -> Jet3:
-        return self._jet(z, {} if memo is None else memo)
-
-
-def _shared_jet(m, z, memo: dict) -> Jet3:
-    """Jet of component m at z, computed at most once per memo."""
-    jet = memo.get(id(m))
-    if jet is None:
-        jet = m.jet(z, memo) if isinstance(m, _NestedComponent) else m.jet(z)
-        memo[id(m)] = jet
-    return jet
+    if id(m) not in memo:
+        nested = isinstance(m, (ComposedComponent, ReciprocalComponent))
+        memo[id(m)] = m.jet(z, memo) if nested else m.jet(z)
+    return memo[id(m)]
 
 
-class ComposedComponent(_NestedComponent):
+class ComposedComponent:
     """outer(inner(z)) via the order-3 chain rule."""
 
     def __init__(self, outer, inner):
         self.outer = outer
         self.inner = inner
 
-    def _jet(self, z, memo) -> Jet3:
-        gj = _shared_jet(self.inner, z, memo)
+    def jet(self, z, memo: dict | None = None) -> Jet3:
+        gj = _shared_jet(self.inner, z, {} if memo is None else memo)
         # outer runs at inner's values, not at z: it gets no shared memo.
         return self.outer.jet(gj.val).compose(gj)
 
 
-class ReciprocalComponent(_NestedComponent):
+class ReciprocalComponent:
     """1/f for a nonvanishing component f."""
 
     def __init__(self, base):
         self.base = base
 
-    def _jet(self, z, memo) -> Jet3:
-        fj = _shared_jet(self.base, z, memo)
+    def jet(self, z, memo: dict | None = None) -> Jet3:
+        fj = _shared_jet(self.base, z, {} if memo is None else memo)
         if np.any(np.abs(fj.val) < 1e-150):
             raise DomainError("reciprocal component hit a zero of its base")
         return fj.reciprocal()
@@ -395,19 +413,3 @@ def tan_truncation_curve(stretch: float = 1.2, degree: int = 41) -> HoloCurve:
     coeffs = t * a ** np.arange(degree + 1)
     return HoloCurve((PolynomialComponent(coeffs),),
                      label=f"tan-truncation(stretch={stretch:g})")
-
-
-# ---------------------------------------------------------------------------
-# Finite differences
-# ---------------------------------------------------------------------------
-
-def _fd_stencil(samples, order: int, h: float):
-    """The 4th-order central difference of `order` (1, 2 or 3) from the
-    seven samples f(z + k h), k = -3, ..., 3."""
-    fm3, fm2, fm1, f0, fp1, fp2, fp3 = samples
-    if order == 1:
-        return (-fp2 + 8.0 * fp1 - 8.0 * fm1 + fm2) / (12.0 * h)
-    if order == 2:
-        return (-fp2 + 16.0 * fp1 - 30.0 * f0 + 16.0 * fm1 - fm2) / (12.0 * h * h)
-    return (-fp3 + 8.0 * fp2 - 13.0 * fp1 + 13.0 * fm1 - 8.0 * fm2 + fm3) \
-        / (8.0 * h ** 3)

@@ -1,11 +1,14 @@
-"""Cross-checking oracles.
+"""Cross-checking oracles and the two sampled-pair searches.
 
 `identity_suite` stress-tests the package against itself along independent
 computational routes (closed Lagrange identity vs. Wronskian, direct real S1
 vs. its curvature decomposition vs. the speed/curvature form, exact chain
 rule vs. precomposition, finite-difference Moebius invariance in the target).
-`injectivity_scan` hunts for actual image collisions of domain-separated
-sample pairs.  Both are deterministic for a fixed seed.
+The pair searches share one image layout (`_images`) and one exact
+sort-and-sweep (`_closest_pair`): `injectivity_scan` hunts for actual image
+collisions of domain-separated pairs of a random cloud, and `boundary_trace`
+for the nearest images of well-separated points of a ring near the circle.
+All are deterministic for a fixed seed.
 """
 from __future__ import annotations
 
@@ -13,14 +16,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .jets import (DiskMobius, HoloCurve, eval_curve, identity_curve,
-                   polynomial_curve, precompose_disk_mobius,
+from .jets import (DiskMobius, HoloCurve, blocks, eval_curve,
+                   identity_curve, polynomial_curve, precompose_disk_mobius,
                    radial_pair_curve, strip_curve)
-from . import jets      # bound by the line above: no package __getattr__
-from .ahlfors import (PlaneCurve, compose_real,
-                      make_speed_curvature, s1_from_speed_curvature, s1_direct,
-                      s1_mobius_invariance_check, s1_of_composed_curve,
-                      s1_via_curvature)
+from .ahlfors import (PlaneCurve, compose_real, make_speed_curvature,
+                      s1_from_speed_curvature, s1_mobius_invariance_check,
+                      s1_of_composed_curve, s1_via_curvature)
 from .errors import ConfigError, DomainError, NumericalError
 from .sampling import disk_samples
 from .schwarzian import conformal_data, second_form_sq_lagrange
@@ -28,6 +29,7 @@ from .schwarzian import conformal_data, second_form_sq_lagrange
 __all__ = [
     "IdentityRecord", "IdentityReport", "identity_suite",
     "InjectivityReport", "injectivity_scan", "default_suite_curves",
+    "check_boundary_ring", "boundary_trace",
 ]
 
 
@@ -230,8 +232,8 @@ def injectivity_scan(curve: HoloCurve, n_samples: int = 10000,
 
     Also reports the exact least image distance of admissible pairs, from
     `_closest_pair`; `pair` is deliberately its lowest-index pair.  The
-    images of the samples go block by block, at most jets._CHUNK points at
-    a time, into one (2n, N) array that the pair search sorts in place.
+    images of the samples go in the blocks of jets.blocks into one (2n, N)
+    array that the pair search sorts in place.
 
     Raises ConfigError if n_samples < 2, if min_sep is negative or not
     finite, if 0 <= r_min < r_max < 1 fails, or if no two samples are
@@ -260,19 +262,19 @@ def injectivity_scan(curve: HoloCurve, n_samples: int = 10000,
 
 def _images(curve: HoloCurve, z: np.ndarray) -> np.ndarray:
     """The image points (Re f_1, ..., Re f_n, Im f_1, ..., Im f_n) of the
-    samples z as the columns of a (2n, len(z)) array, written a block of at
-    most jets._CHUNK points at a time; a block's jet is dropped before the
-    next block is evaluated.
+    samples z as the columns of a (2n, len(z)) array, written in the blocks
+    of jets.blocks; a block's jet is dropped before the next block is
+    evaluated.
 
     Pair searches work with squared image distances up to (2 span)^2 and
     dim * span^2; raises NumericalError if those are not finite.
     """
-    for i in range(0, len(z), jets._CHUNK):
-        val = eval_curve(curve, z[i:i + jets._CHUNK]).val
+    for i, j in blocks(len(z)):
+        val = eval_curve(curve, z[i:j]).val
         if i == 0:
             X = np.empty((2 * len(val), len(z)))
-        X[:len(val), i:i + jets._CHUNK] = val.real
-        X[len(val):, i:i + jets._CHUNK] = val.imag
+        X[:len(val), i:j] = val.real
+        X[len(val):, i:j] = val.imag
         del val
     span = float(np.max(np.ptp(X, axis=1))) + 1e-300
     if not np.isfinite(4.0 * len(X) * span * span):
@@ -327,6 +329,54 @@ def _closest_pair(z: np.ndarray, X: np.ndarray,
         rows = rows[rows < n - s]
 
     return best
+
+
+def check_boundary_ring(ring_offset: float, n_samples: int):
+    """(r, theta, z): the ring z = r e^{i theta} of boundary_trace, with
+    r = 1 - ring_offset and n_samples angles 2 pi k / n_samples.  Raises
+    ConfigError unless 0 < ring_offset < 1, n_samples >= 2 and every ring
+    point lies inside the open unit disk as rounded; below an offset of
+    about 2.3e-16 some do not."""
+    if not 0.0 < ring_offset < 1.0:
+        raise ConfigError(f"ring offset {ring_offset:g} must lie in (0, 1)")
+    if not n_samples >= 2:
+        raise ConfigError(f"ring samples {n_samples} must be >= 2")
+    r = 1.0 - ring_offset
+    th = 2.0 * np.pi * np.arange(n_samples) / n_samples
+    z = r * np.exp(1j * th)
+    if not np.all(np.abs(z) < 1.0):
+        raise ConfigError(f"ring offset {ring_offset:g} reaches |z| >= 1")
+    return r, th, z
+
+
+def boundary_trace(curve: HoloCurve, ring_offset: float = 1e-3,
+                   n_samples: int = 2048) -> dict:
+    """Near-collision search on the ring |z| = 1 - ring_offset.
+
+    The minimal image distance over ring points at least pi/8 apart, from
+    the pair search of `injectivity_scan`: `_closest_pair` on the ring's
+    `_images`, with pair (i, i + k mod n), k <= n / 2; and the image gap of
+    the ring's real-axis points r and -r (useful when a claimed boundary
+    identification should be checked rather than assumed).  The ring is the
+    one check_boundary_ring builds and checks.  Raises ConfigError for a
+    ring check_boundary_ring rejects, and NumericalError if the image extent
+    of the ring, or of r and -r, is not finite or too large for squared
+    distances.
+    """
+    r, th, z = check_boundary_ring(ring_offset, n_samples)
+    # The chord of k_min - 1/2 steps is ~pi r / n clear of k_min - 1 and k_min.
+    k_min = max(1, int(np.ceil(np.pi / 8 * n_samples / (2 * np.pi))))
+    min_sep = 2.0 * r * np.sin(np.pi * (k_min - 0.5) / n_samples)
+    best, i1, i2 = _closest_pair(z, _images(curve, z), min_sep)
+    if i2 - i1 > n_samples // 2:
+        i1, i2 = i2, i1
+    ends = _images(curve, np.array([r, -r]))
+    gap_real = float(np.linalg.norm(ends[:, 0] - ends[:, 1]))
+    return {
+        "min_gap": best, "z1": complex(z[i1]), "z2": complex(z[i2]),
+        "theta1": float(th[i1]), "theta2": float(th[i2]),
+        "real_axis_gap": gap_real, "ring_radius": r,
+    }
 
 
 def _admissible_min_brute(z, X, min_sep):

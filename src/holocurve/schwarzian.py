@@ -19,17 +19,9 @@ from itertools import combinations
 
 import numpy as np
 
-from .jets import CurveJet
+from .jets import CurveJet, pointwise
 
 __all__ = ["ConformalData", "conformal_data", "second_form_sq_lagrange"]
-
-
-def _pointwise(f, *fields):
-    """f of the fields as 1-d arrays, in their shape.  numpy rounds complex
-    products of scalars and 0-d arrays without the fused multiply-add of its
-    array loops; so a point gets the bits it gets in any array."""
-    return f(*(np.reshape(x, -1) for x in fields)).reshape(
-        np.shape(fields[0]))[()]
 
 
 @dataclass(frozen=True)
@@ -46,35 +38,35 @@ class ConformalData:
     @property
     def sigma_z(self) -> np.ndarray:
         """d sigma / dz = P / (2Q); encodes the full real gradient."""
-        return _pointwise(lambda p, q: p / (2.0 * q), self.p_sum, self.q)
+        return pointwise(lambda p, q: p / (2.0 * q), self.p_sum, self.q)
 
     @property
     def sigma_zz(self) -> np.ndarray:
         def f(p, q, r):
             ratio = p / q
             return 0.5 * (r / q - ratio * ratio)
-        return _pointwise(f, self.p_sum, self.q, self.r_sum)
+        return pointwise(f, self.p_sum, self.q, self.r_sum)
 
     @property
     def sigma_zzbar(self) -> np.ndarray:
-        return _pointwise(lambda w2, q: 0.5 * w2 / q ** 2,
-                          self.wronskian_sq, self.q)
+        return pointwise(lambda w2, q: 0.5 * w2 / q ** 2,
+                         self.wronskian_sq, self.q)
 
     @property
     def curvature(self) -> np.ndarray:
-        return _pointwise(lambda w2, q: -2.0 * w2 / q ** 3,
-                          self.wronskian_sq, self.q)
+        return pointwise(lambda w2, q: -2.0 * w2 / q ** 3,
+                         self.wronskian_sq, self.q)
 
     @property
     def second_form_sq(self) -> np.ndarray:
         """|II(V,V)|^2 for unit V; equals |K|/2 for these surfaces."""
-        return _pointwise(lambda w2, q: w2 / q ** 3, self.wronskian_sq,
-                          self.q)
+        return pointwise(lambda w2, q: w2 / q ** 3, self.wronskian_sq,
+                         self.q)
 
 
 def conformal_data(jet: CurveJet) -> ConformalData:
     """The conformal data at the jet's points, computed over 1-d arrays as
-    in _pointwise and returned in the shape of the points."""
+    in jets.pointwise and returned in the shape of the points."""
     q = np.reshape(jet.q, -1)
     d1, d2, d3 = (np.reshape(d, (len(d), -1))
                   for d in (jet.d1, jet.d2, jet.d3))
@@ -89,14 +81,6 @@ def conformal_data(jet: CurveJet) -> ConformalData:
     schwarzian = r_sum / q - 1.5 * ratio * ratio
     return ConformalData(jet.z, *(x.reshape(np.shape(jet.q))[()] for x in (
         q, p_sum, r_sum, w2, schwarzian)))
-
-
-def _criterion_terms(data: ConformalData) -> tuple:
-    """|S phi|, (3/2) e^{-4 sigma} W^2 and their sum, the criterion's left
-    side |S phi| + (3/4) e^{2 sigma} |K|."""
-    abs_s = np.abs(data.schwarzian)
-    curv = 1.5 * data.wronskian_sq / data.q ** 2
-    return abs_s, curv, abs_s + curv
 
 
 # ---------------------------------------------------------------------------

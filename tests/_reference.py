@@ -8,11 +8,12 @@ from typing import Callable
 
 import numpy as np
 
+from holocurve.ahlfors import _fd_stencil
 from holocurve.fixtures import (example1_e2sigma, example1_schwarzian,
                                 example1_wronskian_sq, example2_zeta)
 from holocurve.jets import (ComposedComponent, DiskMobius,
                             ExponentialComponent, HoloCurve, Jet3,
-                            StripMapComponent, _fd_stencil, eval_curve)
+                            StripMapComponent, eval_curve)
 from holocurve.nehari import ExtremalProfile, NehariFunction, _one_minus_sq
 from holocurve.schwarzian import conformal_data
 

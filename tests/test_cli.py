@@ -93,6 +93,27 @@ def test_main_curve_builder_error(tmp_path, capsys):
     assert "needs curve.coeffs" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command,line", [
+    ("check-criterion",
+     "numerical failure: criterion margin is nan at point 0 (z = 0j)"),
+    ("injectivity",
+     "numerical failure: image of 'example1(c=1e+300)' has extent "
+     "3.37473e+301: squared distances are not finite"),
+])
+def test_an_overflowing_curve_prints_only_its_failure(tmp_path, command,
+                                                      line):
+    # numpy's RuntimeWarnings, each naming a source file and line, used to
+    # precede the failure: seven on check-criterion, one on injectivity.
+    cfg = _write(tmp_path, "e.cfg", "curve.kind = example1\ncurve.c = 1e300\n")
+    env = dict(os.environ)
+    src = str(Path(criterion.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+    run = subprocess.run([sys.executable, "-m", "holocurve", command, cfg,
+                          "--output", str(tmp_path)], env=env,
+                         capture_output=True, text=True)
+    assert (run.returncode, run.stdout, run.stderr) == (5, "", line + "\n")
+
+
 # ---------------------------------------------------------------------------
 # check-criterion
 # ---------------------------------------------------------------------------
@@ -779,6 +800,25 @@ def test_boundary_bad_config_is_a_config_error(tmp_path, capsys, line,
     assert main(["boundary", cfg]) == 2
     out, err = capsys.readouterr()
     assert out == "" and "config error" in err
+
+
+@pytest.mark.parametrize("offset,code", [
+    ("1e-17", 2), ("1.2e-16", 2), ("2.3e-16", 2), ("5e-16", 0)])
+def test_a_ring_rounded_onto_the_circle_is_a_config_error(tmp_path, capsys,
+                                                          offset, code):
+    # Of the 2,048 ring points, 1e-17 rounds the radius itself to 1, and
+    # 1.2e-16 and 2.3e-16 put 221 and 8 points on |z| >= 1: each exited 5
+    # with "evaluation point outside the open unit disk".
+    cfg = _write(tmp_path, "bd.cfg",
+                 "boundary.rays = 4\nboundary.s_points = 10\n"
+                 f"boundary.ring_offset = {offset}\n")
+    assert main(["boundary", cfg]) == code
+    out, err = capsys.readouterr()
+    if code == 2:
+        assert out == "" and err.count("\n") == 1 \
+            and err.startswith("config error: ring offset")
+    else:
+        assert err == "" and "ring_min_gap = " in out
 
 
 @pytest.mark.parametrize("curve", [

@@ -16,7 +16,7 @@ import holocurve as hc
 from _reference import radial_comparison_margin
 from holocurve import criterion, jets
 from holocurve.criterion import (BoundaryDiagnostics, GridSpec, _gauss_legendre,
-                                 boundary_diagnostics, boundary_trace,
+                                 boundary_diagnostics,
                                  covering_bound, intrinsic_min_distance,
                                  normalize, scan,
                                  second_derivative_norm, tangent_norm_at_zero,
@@ -24,7 +24,7 @@ from holocurve.criterion import (BoundaryDiagnostics, GridSpec, _gauss_legendre,
 from holocurve.errors import ConfigError, NumericalError
 from holocurve.jets import DiskMobius, eval_curve
 from holocurve.nehari import NehariFunction, extremal_profile
-from holocurve.oracle import _admissible_min_brute
+from holocurve.oracle import _admissible_min_brute, boundary_trace
 from holocurve.sampling import disk_samples
 from holocurve.schwarzian import conformal_data
 

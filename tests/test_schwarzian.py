@@ -13,9 +13,9 @@ import holocurve as hc
 from _reference import classical_schwarzian, second_form_sq_fd
 from holocurve.jets import (ExponentialComponent, MoebiusComponent,
                             PolynomialComponent)
+from holocurve.criterion import _criterion_terms
 from holocurve.sampling import disk_samples
-from holocurve.schwarzian import (_criterion_terms, conformal_data,
-                                  second_form_sq_lagrange)
+from holocurve.schwarzian import conformal_data, second_form_sq_lagrange
 
 
 def _single(comp):
