@@ -45,54 +45,47 @@ from .oracle import (boundary_trace, check_boundary_ring, identity_suite,
 
 __all__ = ["parse_config", "run", "main", "RunConfig"]
 
-COMMANDS = ("check-criterion", "extremal-profile", "covering",
-            "verify-identities", "injectivity", "reproduce-example",
-            "boundary")
-
-# key -> (type tag, default).  Types: int, float, str, bool.
+# key -> (type, default).  Types: int, float, str, bool; _coerce calls the
+# type on the text, but reads a bool from its words.
 _SCHEMA = {
-    "run.seed": ("int", 0),
-    "run.output": ("str", "."),
-    "curve.kind": ("str", "identity"),
-    "curve.coeffs": ("str", ""),
-    "curve.c": ("float", None),               # unset: the kind's default
-    "curve.k": ("float", 0.7),
-    "curve.stretch": ("float", 1.2),
-    "curve.degree": ("int", 41),
-    "curve.mobius_rho": ("float", 0.0),
-    "curve.mobius_theta": ("float", 0.0),
-    "curve.scale": ("float", 1.0),
-    "curve.normalize": ("bool", False),
-    "nehari.kind": ("str", "constant"),
-    "nehari.factor": ("float", 1.0),
-    "nehari.table_x": ("str", ""),
-    "nehari.table_p": ("str", ""),
-    "grid.n_r": ("int", 200),
-    "grid.n_theta": ("int", 64),
-    "grid.r_max": ("float", 0.999),
-    "grid.refine": ("int", 0),
-    "tol.equality": ("float", None),          # unset: automatic
-    "profile.eps": ("float", 1e-6),
-    "profile.samples": ("int", 1025),
-    "covering.radii": ("str", "0.3,0.6,0.9"),
-    "covering.resolution": ("int", 200),
-    "injectivity.samples": ("int", 10000),
-    "injectivity.min_sep": ("float", 0.05),
-    "injectivity.r_min": ("float", 0.0),
-    "injectivity.r_max": ("float", 0.9999),
-    "injectivity.symmetrize": ("bool", False),
-    "example.which": ("int", 1),
-    "example.c_values": ("str", "0.01,0.05,0.1"),
-    "boundary.rays": ("int", 32),
-    "boundary.s_points": ("int", 100),
-    "boundary.r_cap": ("float", 0.99),
-    "boundary.ring_offset": ("float", 1e-3),
-    "boundary.ring_samples": ("int", 2048),
+    "run.seed": (int, 0),
+    "run.output": (str, "."),
+    "curve.kind": (str, "identity"),
+    "curve.coeffs": (str, ""),
+    "curve.c": (float, None),               # unset: the kind's default
+    "curve.k": (float, 0.7),
+    "curve.stretch": (float, 1.2),
+    "curve.degree": (int, 41),
+    "curve.mobius_rho": (float, 0.0),
+    "curve.mobius_theta": (float, 0.0),
+    "curve.scale": (float, 1.0),
+    "curve.normalize": (bool, False),
+    "nehari.kind": (str, "constant"),
+    "nehari.factor": (float, 1.0),
+    "nehari.table_x": (str, ""),
+    "nehari.table_p": (str, ""),
+    "grid.n_r": (int, 200),
+    "grid.n_theta": (int, 64),
+    "grid.r_max": (float, 0.999),
+    "grid.refine": (int, 0),
+    "tol.equality": (float, None),          # unset: automatic
+    "profile.eps": (float, 1e-6),
+    "profile.samples": (int, 1025),
+    "covering.radii": (str, "0.3,0.6,0.9"),
+    "covering.resolution": (int, 200),
+    "injectivity.samples": (int, 10000),
+    "injectivity.min_sep": (float, 0.05),
+    "injectivity.r_min": (float, 0.0),
+    "injectivity.r_max": (float, 0.9999),
+    "injectivity.symmetrize": (bool, False),
+    "example.which": (int, 1),
+    "example.c_values": (str, "0.01,0.05,0.1"),
+    "boundary.rays": (int, 32),
+    "boundary.s_points": (int, 100),
+    "boundary.r_cap": (float, 0.99),
+    "boundary.ring_offset": (float, 1e-3),
+    "boundary.ring_samples": (int, 2048),
 }
-
-_CURVE_KINDS = ("identity", "polynomial", "example1", "example2",
-                "z_squared", "tan_truncation", "radial_pair", "strip")
-
 
 def _fmt(x) -> str:
     return f"{float(x):.17g}"
@@ -101,21 +94,17 @@ def _fmt(x) -> str:
 def _coerce(key: str, raw: str, line: int):
     tag, _ = _SCHEMA[key]
     try:
-        if tag == "int":
-            return int(raw)
-        if tag == "float":
-            return float(raw)
-        if tag == "bool":
-            low = raw.strip().lower()
+        if tag is bool:
+            low = raw.lower()
             if low in ("true", "1", "yes", "on"):
                 return True
             if low in ("false", "0", "no", "off"):
                 return False
             raise ValueError(raw)
-        return raw.strip()
+        return tag(raw)
     except ValueError:
         raise ConfigError(f"cannot parse value {raw!r} for key {key!r} "
-                          f"as {tag}", line=line) from None
+                          f"as {tag.__name__}", line=line) from None
 
 
 @dataclass
@@ -173,31 +162,38 @@ def _float_list(cfg: RunConfig, key: str) -> list[float]:
         raise ConfigError(f"invalid {key}: {exc}") from exc
 
 
+def _c(cfg: RunConfig, default: float) -> float:
+    """curve.c, or `default` where it is unset."""
+    return default if cfg["curve.c"] is None else cfg["curve.c"]
+
+
+def _polynomial(cfg: RunConfig) -> HoloCurve:
+    groups = [g for g in cfg["curve.coeffs"].split(";") if g.strip()]
+    if not groups:
+        raise ConfigError("curve.kind=polynomial needs curve.coeffs")
+    return polynomial_curve([_parse_complex_list(g) for g in groups])
+
+
+# curve.kind -> the builder of its curve from the config.
+_CURVES = {
+    "identity": lambda cfg: identity_curve(),
+    "polynomial": _polynomial,
+    "example1": lambda cfg: example1_curve(_c(cfg, EXAMPLE1_C)),
+    "example2": lambda cfg: example2_curve(_c(cfg, EXAMPLE2_C)),
+    "z_squared": lambda cfg: z_squared_curve(),
+    "tan_truncation": lambda cfg: tan_truncation_curve(cfg["curve.stretch"],
+                                                       cfg["curve.degree"]),
+    "radial_pair": lambda cfg: radial_pair_curve(cfg["curve.k"]),
+    "strip": lambda cfg: strip_curve(),
+}
+
+
 def build_curve(cfg: RunConfig) -> HoloCurve:
     kind = cfg["curve.kind"]
-    c = cfg["curve.c"]
-    if kind == "identity":
-        curve = identity_curve()
-    elif kind == "polynomial":
-        groups = [g for g in cfg["curve.coeffs"].split(";") if g.strip()]
-        if not groups:
-            raise ConfigError("curve.kind=polynomial needs curve.coeffs")
-        curve = polynomial_curve([_parse_complex_list(g) for g in groups])
-    elif kind == "example1":
-        curve = example1_curve(EXAMPLE1_C if c is None else c)
-    elif kind == "example2":
-        curve = example2_curve(EXAMPLE2_C if c is None else c)
-    elif kind == "z_squared":
-        curve = z_squared_curve()
-    elif kind == "tan_truncation":
-        curve = tan_truncation_curve(cfg["curve.stretch"], cfg["curve.degree"])
-    elif kind == "radial_pair":
-        curve = radial_pair_curve(cfg["curve.k"])
-    elif kind == "strip":
-        curve = strip_curve()
-    else:
+    if kind not in _CURVES:
         raise ConfigError(f"unknown curve.kind {kind!r} "
-                          f"(choose from {', '.join(_CURVE_KINDS)})")
+                          f"(choose from {', '.join(_CURVES)})")
+    curve = _CURVES[kind](cfg)
     if cfg["curve.mobius_rho"] != 0.0 or cfg["curve.mobius_theta"] != 0.0:
         curve = precompose_disk_mobius(
             curve, DiskMobius(cfg["curve.mobius_rho"],
@@ -218,6 +214,11 @@ def build_weight(cfg: RunConfig) -> NehariFunction:
     if not validation.ok:
         raise ConfigError("; ".join(validation.messages))
     return weight
+
+
+def _profile(cfg: RunConfig, weight: NehariFunction):
+    return extremal_profile(weight, eps=cfg["profile.eps"],
+                            n_samples=cfg["profile.samples"])
 
 
 def _grid(cfg: RunConfig) -> GridSpec:
@@ -254,8 +255,7 @@ def _cmd_check_criterion(cfg: RunConfig) -> int:
 
 def _cmd_extremal_profile(cfg: RunConfig) -> int:
     weight = build_weight(cfg)
-    profile = extremal_profile(weight, eps=cfg["profile.eps"],
-                               n_samples=cfg["profile.samples"])
+    profile = _profile(cfg, weight)
     margin = extremality_margin(weight)
     probe = completeness_probe(weight)
     csv_path = Path(cfg["run.output"]) / "profile.csv"
@@ -282,8 +282,7 @@ def _cmd_covering(cfg: RunConfig) -> int:
         check_covering(r, resolution)
     weight = build_weight(cfg)
     curve = normalize(build_curve(cfg))
-    profile = extremal_profile(weight, eps=cfg["profile.eps"],
-                               n_samples=cfg["profile.samples"])
+    profile = _profile(cfg, weight)
     phi2 = second_derivative_norm(curve)
     rows = []
     for r in radii:
@@ -352,7 +351,7 @@ def _cmd_reproduce_example(cfg: RunConfig) -> int:
 
 
 def _reproduce_example1(cfg: RunConfig) -> int:
-    c = EXAMPLE1_C if cfg["curve.c"] is None else cfg["curve.c"]
+    c = _c(cfg, EXAMPLE1_C)
     curve = example1_curve(c)
     weight = NehariFunction.constant()
     report = scan(curve, weight, _grid(cfg))
@@ -377,7 +376,7 @@ def _reproduce_example1(cfg: RunConfig) -> int:
 
 
 def _reproduce_example2(cfg: RunConfig) -> int:
-    c = EXAMPLE2_C if cfg["curve.c"] is None else cfg["curve.c"]
+    c = _c(cfg, EXAMPLE2_C)
     curve = example2_curve(c)
     # The strip fits validate example.c_values before anything is written.
     fits = [strip_constants_check(cv, seed=cfg["run.seed"])
@@ -419,8 +418,7 @@ def _cmd_boundary(cfg: RunConfig) -> int:
                         cfg["boundary.ring_samples"])
     weight = build_weight(cfg)
     curve = build_curve(cfg)
-    profile = extremal_profile(weight, eps=cfg["profile.eps"],
-                               n_samples=cfg["profile.samples"])
+    profile = _profile(cfg, weight)
     diag = boundary_diagnostics(curve, profile, n_rays=cfg["boundary.rays"],
                                 n_s=cfg["boundary.s_points"],
                                 r_cap=cfg["boundary.r_cap"])
@@ -468,7 +466,7 @@ def main(argv: list[str] | None = None) -> int:
         prog="holocurve",
         description="Numerical verification toolkit for injectivity "
                     "criteria of holomorphic curves on the unit disk.")
-    parser.add_argument("command", choices=COMMANDS)
+    parser.add_argument("command", choices=_DISPATCH)
     parser.add_argument("config", help="path to a key = value config file")
     parser.add_argument("--seed", type=int, default=None,
                         help="override run.seed")

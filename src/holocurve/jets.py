@@ -12,13 +12,14 @@ This module provides
   evaluated once,
 * ``HoloCurve``, whose ``eval`` (alias ``eval_curve``) returns one
   ``CurveJet``: a ``Jet3`` stacking all component jets, times its factors,
-* ``DiskMobius`` disk automorphisms, whose jets are ``MoebiusComponent``
-  jets, and ``precompose_disk_mobius``,
+* ``DiskMobius`` disk automorphisms, each a ``MoebiusComponent``, and
+  ``precompose_disk_mobius``,
 * ``blocks``, the one block walker: the (start, stop) ranges of every
   blocked evaluation (the criterion scan, example 2's two passes, covering's
   node circles, the injectivity cloud and the boundary ring),
-* ``pointwise``, which evaluates derived quantities over 1-d arrays and
-  returns them in the shape of the points.
+* ``pointwise``, the one owner of the point shape: it evaluates derived
+  quantities with the point axes flattened and returns them in the shape
+  of the points.
 
 Jet evaluation is vectorized: ``z`` may be a scalar or ndarray and the fields
 of the returned jets have the same shape.  A point is a one-point array: it
@@ -57,12 +58,16 @@ def blocks(n: int, width: int = 1):
 
 
 def pointwise(f, *fields):
-    """f of the fields as 1-d arrays, its output (or each of a tuple of
-    outputs) in the first field's shape.  numpy rounds complex products of
-    scalars and 0-d arrays without the fused multiply-add of its array
+    """f of the fields with their point axes flattened into one, its output
+    (or each of a tuple of outputs) in the points' shape.  The points' shape
+    is the first field's, the trailing axes of every field; leading axes,
+    such as a stacked jet's components, stay.  numpy rounds complex products
+    of scalars and 0-d arrays without the fused multiply-add of its array
     loops; so a point gets the bits it gets in any array."""
-    shape = np.shape(fields[0])
-    out = f(*(np.reshape(x, -1) for x in fields))
+    fields = [np.asarray(x) for x in fields]
+    shape = fields[0].shape
+    out = f(*(x.reshape(x.shape[:x.ndim - len(shape)] + (-1,))
+              for x in fields))
     if isinstance(out, tuple):
         return tuple(x.reshape(shape)[()] for x in out)
     return out.reshape(shape)[()]
@@ -252,30 +257,22 @@ class ReciprocalComponent:
 # Disk automorphisms
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class DiskMobius:
-    """T(z) = e^{i theta} (z - i rho) / (1 + i rho z), rho in (-1, 1).
+class DiskMobius(MoebiusComponent):
+    """T(z) = e^{i theta} (z - i rho) / (1 + i rho z), rho in (-1, 1): the
+    MoebiusComponent with a = e^{i theta}, b = -i rho e^{i theta},
+    c = i rho and d = 1.
 
     These automorphisms of the disk move points radially outward on the real
     axis: |T(x)| >= |x| for real x, which is what makes them compatible with
     radially non-increasing weight functions.
     """
 
-    rho: float
-    theta: float = 0.0
-
-    def __post_init__(self):
-        if not (-1.0 < float(self.rho) < 1.0 and np.isfinite(self.theta)):
+    def __init__(self, rho: float, theta: float = 0.0):
+        if not (-1.0 < float(rho) < 1.0 and np.isfinite(theta)):
             raise ConfigError("rho must lie in (-1, 1) and theta be finite")
-
-    def jet(self, z) -> Jet3:
-        """The jet of T, as a MoebiusComponent."""
-        phase = np.exp(1j * self.theta)
-        return MoebiusComponent(phase, -1j * self.rho * phase, 1j * self.rho,
-                                1.0).jet(z)
-
-    def __call__(self, z):
-        return self.jet(z).val
+        self.rho, self.theta = rho, theta
+        phase = np.exp(1j * theta)
+        super().__init__(phase, -1j * rho * phase, 1j * rho, 1.0)
 
 
 # ---------------------------------------------------------------------------

@@ -31,6 +31,7 @@ import numpy as np
 
 from ._table import write_csv
 from .errors import ConfigError, NumericalError
+from .jets import pointwise
 
 __all__ = [
     "NehariFunction", "NehariValidation", "validate_nehari",
@@ -152,6 +153,13 @@ class NehariFunction:
     def mu(self) -> float:
         """Boundary growth exponent 1 + sqrt(1 - lambda)."""
         return 1.0 + self.holder_exponent
+
+    @property
+    def nondecreasing(self) -> bool:
+        """Whether p is nondecreasing on [0, 1): a closed kind is by its
+        formula, a table iff its values are (its pieces stay between them)."""
+        return self.kind != "tabulated" or \
+            not np.any(np.diff(self.table_p) < 0.0)
 
     @property
     def label(self) -> str:
@@ -345,20 +353,19 @@ class ExtremalProfile:
         Near r = 0 the closed formula is 0/0-ish; below r = 1e-4 the series
         A = p(0) + (8 p(0)^2 + p''(0)) r^2 / 6 + O(r^4) takes over.
         """
-        r = np.asarray(r, dtype=float)
-        scalar = r.ndim == 0
-        r = np.atleast_1d(r)
-        out = np.empty_like(r)
-        small = r < 1e-4
-        if np.any(~small):
-            rr = r[~small]
-            ratio = -2.0 * self.u0_prime(rr) / self.u0(rr)  # Phi''/Phi'
-            out[~small] = 0.25 * ratio ** 2 + ratio / (2.0 * rr)
-        if np.any(small):
-            p0 = float(self.p(0.0))
-            c2 = (8.0 * p0 ** 2 + self._p2_at_0) / 6.0
-            out[small] = p0 + c2 * r[small] ** 2
-        return out[0] if scalar else out
+        def f(r):
+            out = np.empty_like(r)
+            small = r < 1e-4
+            if np.any(~small):
+                rr = r[~small]
+                ratio = -2.0 * self.u0_prime(rr) / self.u0(rr)  # Phi''/Phi'
+                out[~small] = 0.25 * ratio ** 2 + ratio / (2.0 * rr)
+            if np.any(small):
+                p0 = float(self.p(0.0))
+                c2 = (8.0 * p0 ** 2 + self._p2_at_0) / 6.0
+                out[small] = p0 + c2 * r[small] ** 2
+            return out
+        return pointwise(f, np.asarray(r, dtype=float))
 
     def phi_inverse(self, s):
         """r with Phi(r) = s (vectorized), for 0 <= s <= Phi(xs[-1]).

@@ -65,22 +65,19 @@ class ConformalData:
 
 
 def conformal_data(jet: CurveJet) -> ConformalData:
-    """The conformal data at the jet's points, computed over 1-d arrays as
-    in jets.pointwise and returned in the shape of the points."""
-    q = np.reshape(jet.q, -1)
-    d1, d2, d3 = (np.reshape(d, (len(d), -1))
-                  for d in (jet.d1, jet.d2, jet.d3))
-    p_sum = np.sum(np.conj(d1) * d2, axis=0)
-    r_sum = np.sum(np.conj(d1) * d3, axis=0)
-    # Pairwise form of the Lagrange identity: immune to the cancellation that
-    # sum|f''|^2 * Q - |P|^2 suffers when one component dominates.
-    w2 = np.zeros(q.shape)
-    for i, j in combinations(range(len(d1)), 2):
-        w2 = w2 + np.abs(d1[i] * d2[j] - d1[j] * d2[i]) ** 2
-    ratio = p_sum / q
-    schwarzian = r_sum / q - 1.5 * ratio * ratio
-    return ConformalData(jet.z, *(x.reshape(np.shape(jet.q))[()] for x in (
-        q, p_sum, r_sum, w2, schwarzian)))
+    """The conformal data at the jet's points, computed with the point axes
+    flattened by jets.pointwise and returned in the shape of the points."""
+    def f(q, d1, d2, d3):
+        p_sum = np.sum(np.conj(d1) * d2, axis=0)
+        r_sum = np.sum(np.conj(d1) * d3, axis=0)
+        # Pairwise form of the Lagrange identity: immune to the cancellation
+        # that sum|f''|^2 * Q - |P|^2 suffers when one component dominates.
+        w2 = np.zeros(q.shape)
+        for i, j in combinations(range(len(d1)), 2):
+            w2 = w2 + np.abs(d1[i] * d2[j] - d1[j] * d2[i]) ** 2
+        ratio = p_sum / q
+        return q, p_sum, r_sum, w2, r_sum / q - 1.5 * ratio * ratio
+    return ConformalData(jet.z, *pointwise(f, jet.q, jet.d1, jet.d2, jet.d3))
 
 
 # ---------------------------------------------------------------------------

@@ -1162,3 +1162,40 @@ def test_readme_config_table_lists_exactly_the_schema_keys():
     for row in table.splitlines()[2:]:
         keys.update(re.findall(r"`([a-z_]+\.[a-z_]+)`", row.split("|")[1]))
     assert keys == set(_SCHEMA)
+
+
+def _readme_config_rows():
+    """(keys, default cell, meaning cell) of each row of README's "Config
+    keys" table."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    table = readme.split("### Config keys", 1)[1].split("\n\n", 2)[1]
+    for row in table.splitlines()[2:]:
+        key, default, meaning = row.split("|")[1:4]
+        yield re.findall(r"`([a-z_]+\.[a-z_]+)`", key), default, meaning
+
+
+def test_readme_config_table_gives_the_schema_defaults():
+    # One README default per key, or one for all keys of the row; auto,
+    # per-kind and a dash stand for unset (None, or "" for a text key).
+    found = {}
+    for keys, cell, _ in _readme_config_rows():
+        values = re.findall(r"`([^`]*)`", cell) or [None]
+        if values == [None]:
+            assert cell.strip() in ("auto", "per-kind", "—"), keys
+        if len(values) == 1:
+            values = values * len(keys)
+        assert len(values) == len(keys), keys
+        for key, text in zip(keys, values):
+            found[key] = None if text is None else cli._coerce(key, text, 0)
+    assert len(found) == len(cli._SCHEMA) == 37
+    for key, (tag, default) in cli._SCHEMA.items():
+        if found[key] is None:
+            assert default in (None, ""), key
+        else:
+            assert type(found[key]) is tag and found[key] == default, key
+
+
+def test_readme_lists_the_curve_kinds_in_their_order():
+    row = next(meaning for keys, _, meaning in _readme_config_rows()
+               if keys == ["curve.kind"])
+    assert re.findall(r"`([a-z_0-9]+)`", row) == list(cli._CURVES)

@@ -529,6 +529,19 @@ def test_profile_A_small_radius_series(profile_constant):
     assert abs(a[0] - np.pi ** 2 / 4) < 1e-12
 
 
+def test_profile_A_at_a_point_alone_has_the_bits_it_has_in_an_array(
+        profile_constant):
+    # Both sides of the series switch at r = 1e-4, and a grid of them.
+    rs = np.array([1e-8, 5e-5, 0.99e-4, 1.01e-4, 0.3, 0.9])
+    many = profile_constant.A(rs)
+    for r, want in zip(rs, many):
+        got = profile_constant.A(float(r))
+        assert np.shape(got) == () and \
+            np.asarray(got).tobytes() == want.tobytes(), r
+    grid = profile_constant.A(rs.reshape(2, 3))
+    assert grid.shape == (2, 3) and grid.tobytes() == many.tobytes()
+
+
 @pytest.mark.parametrize("weight,p2,c2", [
     (NehariFunction.constant(0.5), 0.0, 4.0 / 3.0 * (np.pi ** 2 / 8) ** 2),
     (NehariFunction.inverse_square(), 4.0, 2.0),     # A = p = (1-r^2)^-2

@@ -35,8 +35,6 @@ ALLOWED = {
     "holocurve.oracle._admissible_min_brute",
     # The third closed-kind factory, beside the two the examples call.
     "holocurve.nehari.NehariFunction.half_strip",
-    # The map itself; the library takes a DiskMobius through its jet.
-    "holocurve.jets.DiskMobius.__call__",
 }
 
 _COMMON = {

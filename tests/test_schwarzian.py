@@ -113,6 +113,12 @@ def test_a_point_alone_has_the_bits_it_has_in_an_array():
              "second_form_sq")
     for curve in default_suite_curves():
         many = conformal_data(curve.eval(zs))
+        # A leading component axis and two point axes.
+        grid = conformal_data(curve.eval(zs.reshape(20, 10)))
+        for name in names:
+            got, want = getattr(grid, name), getattr(many, name)
+            assert got.shape == (20, 10) and \
+                got.tobytes() == want.tobytes(), (curve.label, name)
         for i, z in enumerate(zs):
             one = conformal_data(curve.eval(complex(z)))
             for name in names:

@@ -1,13 +1,16 @@
 """Code lines of the holocurve package, module by module and in total.
 
-    python3 tools/sloc.py [SRC_DIR]
+    python3 tools/sloc.py [SRC_DIR] [--against OLD_SRC_DIR]
 
 A code line holds at least one token other than a comment, whitespace or a
 module, class or function docstring.  SRC_DIR defaults to src/holocurve next
-to this script's directory.  Standard library only.
+to this script's directory.  With --against, each line reads
+"old -> new (+-n)", a module missing from one tree counting 0 there.
+Standard library only.
 """
 from __future__ import annotations
 
+import argparse
 import ast
 import io
 import sys
@@ -45,14 +48,28 @@ def code_lines(source: str) -> int:
     return len(lines)
 
 
+def counts(src: Path) -> dict[str, int]:
+    """Code lines of each module of the package directory `src`, and their
+    total."""
+    found = {path.stem: code_lines(path.read_text())
+             for path in sorted(src.glob("*.py"))}
+    return found | {"total": sum(found.values())}
+
+
 def main(argv: list[str]) -> int:
-    src = Path(argv[0]) if argv else \
-        Path(__file__).resolve().parents[1] / "src" / "holocurve"
-    counts = {path.stem: code_lines(path.read_text())
-              for path in sorted(src.glob("*.py"))}
-    for name, n in sorted(counts.items(), key=lambda kv: (-kv[1], kv[0])):
-        print(f"{n:6d}  {name}")
-    print(f"{sum(counts.values()):6d}  total")
+    parser = argparse.ArgumentParser(prog="sloc.py")
+    parser.add_argument("src", nargs="?", type=Path, default=Path(
+        __file__).resolve().parents[1] / "src" / "holocurve")
+    parser.add_argument("--against", type=Path, metavar="OLD_SRC_DIR")
+    args = parser.parse_args(argv)
+    new = counts(args.src)
+    old = counts(args.against) if args.against else {}
+    modules = sorted((new.keys() | old.keys()) - {"total"},
+                     key=lambda m: (-new.get(m, 0), m))
+    for name in modules + ["total"]:
+        n, was = new.get(name, 0), old.get(name, 0)
+        print(f"{was:6d} -> {n:6d}  ({n - was:+d})  {name}" if args.against
+              else f"{n:6d}  {name}")
     return 0
 
 
